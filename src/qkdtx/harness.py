@@ -56,7 +56,6 @@ DEFAULT_PROVENANCE = {
                              "secure rate at 20 dB"),
     "receiver_loss_db/bb84-decoy": "no receiver insertion loss applied",
     "visibility_floor": "no residual contrast penalty beyond phase noise",
-    "detectors_per_unit": "both interferometer output ports are detected",
     "dps_security": "individual-attack collision-probability bound",
     "alpha_db_per_km": "standard single-mode fiber: 0.2 dB/km",
     "detector/gate_rate_hz": "detectors gated at the protocol clock",
@@ -65,8 +64,7 @@ DEFAULT_PROVENANCE = {
 _PROTOCOL_DEFAULT_FIELDS = (
     "clock_hz", "mu_signal", "mu_decoy", "mu_vacuum", "p_signal", "p_decoy",
     "p_vacuum", "basis_prob_x", "f_ec", "sigma_phi", "temporal_efficiency",
-    "receiver_loss_db", "visibility_floor", "detectors_per_unit",
-    "dps_security",
+    "receiver_loss_db", "visibility_floor", "dps_security",
 )
 
 _KIND_SPECIFIC = {"clock_hz", "sigma_phi", "temporal_efficiency",

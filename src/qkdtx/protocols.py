@@ -80,7 +80,6 @@ class ProtocolConfig:
     temporal_efficiency: float = 1.0
     receiver_loss_db: float = 0.0
     visibility_floor: float = 1.0
-    detectors_per_unit: int = 2
     dps_security: str = "waks-individual"
 
     def __post_init__(self):
@@ -95,6 +94,9 @@ class ProtocolConfig:
             raise ValueError("mu_vacuum must be 0")
         if not 0.0 <= self.mu_decoy < self.mu_signal:
             raise ValueError("need 0 <= mu_decoy < mu_signal")
+        if self.kind == BB84_DECOY and self.mu_decoy == 0.0:
+            # the vacuum + weak-decoy bounds divide by the decoy intensity
+            raise ValueError("mu_decoy must be > 0 for bb84-decoy")
         if not 0.0 < self.basis_prob_x < 1.0:
             raise ValueError("basis_prob_x must be in (0, 1)")
         if self.f_ec < 1.0:
@@ -107,8 +109,6 @@ class ProtocolConfig:
             raise ValueError("receiver_loss_db must be >= 0")
         if not 0.0 < self.visibility_floor <= 1.0:
             raise ValueError("visibility_floor must be in (0, 1]")
-        if self.detectors_per_unit not in (1, 2):
-            raise ValueError("detectors_per_unit must be 1 or 2")
         if self.dps_security not in DPS_SECURITY_STRATEGIES:
             known = ", ".join(sorted(DPS_SECURITY_STRATEGIES))
             raise ValueError(
@@ -338,6 +338,54 @@ def _system_efficiency(cfg: ProtocolConfig, channel: ChannelModel,
             * det.efficiency)
 
 
+def _click_probability(lam, p_dark):
+    """1 - (1 - p_dark) exp(-lam) for a threshold detector whose port gets
+    Poisson light of mean lam; computed in place in the float array lam."""
+    np.negative(lam, out=lam)
+    np.exp(lam, out=lam)
+    np.multiply(lam, 1.0 - p_dark, out=lam)
+    return np.subtract(1.0, lam, out=lam)
+
+
+def _port_means(cos_phi, half_flux):
+    """Mean photon numbers half_flux * (1 +/- cos_phi) at the bar and cross
+    ports of an interference slot; cos_phi (visibility included) is
+    overwritten by the cross-port mean."""
+    lam_bar = cos_phi + 1.0
+    lam_bar *= half_flux
+    lam_cross = np.subtract(1.0, cos_phi, out=cos_phi)
+    lam_cross *= half_flux
+    return lam_bar, lam_cross
+
+
+def _port_clicks(lam_bar, lam_cross, p_dark, rng):
+    """Click indicators of the bar and cross detectors, slot by slot.
+
+    By Poisson thinning the two ports receive independent Poisson light of
+    means lam_bar and lam_cross (np.inf marks a port known to be lit, 0 one
+    known to be dark), so each detector clicks independently with
+    :func:`_click_probability`. Both arrays are overwritten.
+    """
+    bar = rng.random(lam_bar.size) < _click_probability(lam_bar, p_dark)
+    cross = rng.random(lam_cross.size) < _click_probability(lam_cross, p_dark)
+    return bar, cross
+
+
+def _decode(bar, cross, bar_value, rng):
+    """Clicked slots, and the clicked slots that decode wrongly.
+
+    A single click reads its own port; a double click reads a random one.
+    bar_value is True where the value sent lights the bar port.
+    """
+    clicked = bar | cross
+    read_bar = bar & ~cross
+    double = bar & cross
+    n_double = int(np.count_nonzero(double))
+    if n_double:
+        read_bar[double] = rng.random(n_double) < 0.5
+    return clicked, clicked & (read_bar != bar_value)
+
+
 def _gh_error_numerator(flux, sigma, v_floor, p_dark):
     """E_delta[ P(wrong-port click) + P(double)/2 ] by Gauss-Hermite quadrature.
 
@@ -350,13 +398,15 @@ def _gh_error_numerator(flux, sigma, v_floor, p_dark):
     else:
         cos_d = np.array([v_floor])
         w = np.array([1.0])
-    b = 1.0 - (1.0 - p_dark) * np.exp(-0.5 * flux * (1.0 + cos_d))
-    c = 1.0 - (1.0 - p_dark) * np.exp(-0.5 * flux * (1.0 - cos_d))
+    lam_b, lam_c = _port_means(cos_d, 0.5 * flux)
+    b = _click_probability(lam_b, p_dark)
+    c = _click_probability(lam_c, p_dark)
     return float(np.sum(w * (c * (1.0 - b) + 0.5 * b * c)))
 
 
-def _unit_gain(flux, p_dark, n_det) -> float:
-    return float(1.0 - (1.0 - p_dark) ** n_det * np.exp(-flux))
+def _unit_gain(flux, p_dark) -> float:
+    """Probability that either port of a unit of usable flux clicks."""
+    return float(1.0 - (1.0 - p_dark) ** 2 * np.exp(-flux))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +430,7 @@ def analytic_expectations(cfg: ProtocolConfig, channel: ChannelModel,
                           det: DetectorModel) -> AnalyticExpectations:
     """Expected gains, error rates and key rate without Monte-Carlo noise.
 
-    Gains are exact, Q = 1 - (1-p_dark)^n * exp(-mu_eff), with mu_eff the
+    Gains are exact, Q = 1 - (1-p_dark)^2 * exp(-mu_eff), with mu_eff the
     usable unit flux mu * temporal_efficiency * eta_sys. Error rates average
     the per-port click probabilities over the Gaussian phase noise by
     quadrature; to leading order this is the familiar
@@ -391,11 +441,10 @@ def analytic_expectations(cfg: ProtocolConfig, channel: ChannelModel,
     """
     eta = _system_efficiency(cfg, channel, det)
     p_dark = det.p_dark
-    n_det = cfg.detectors_per_unit
 
     if cfg.kind == DPS:
         flux = cfg.mu_signal * cfg.temporal_efficiency * eta
-        q = _unit_gain(flux, p_dark, n_det)
+        q = _unit_gain(flux, p_dark)
         err = _gh_error_numerator(flux, cfg.sigma_phi, cfg.visibility_floor,
                                   p_dark)
         e = err / q if q > 0 else 0.5
@@ -408,7 +457,7 @@ def analytic_expectations(cfg: ProtocolConfig, channel: ChannelModel,
     gains, errors = {}, {}
     for name, mu in zip(INTENSITY_CLASSES, cfg.class_intensities()):
         flux = mu * cfg.temporal_efficiency * eta
-        q = _unit_gain(flux, p_dark, n_det)
+        q = _unit_gain(flux, p_dark)
         err = _gh_error_numerator(flux, cfg.sigma_phi, cfg.visibility_floor,
                                   p_dark)
         gains[name] = q
@@ -446,8 +495,6 @@ def run_dps_session(cfg: ProtocolConfig, channel: ChannelModel,
 
     eta = _system_efficiency(cfg, channel, det)
     flux = cfg.mu_signal * cfg.temporal_efficiency * eta
-    p_dark = det.p_dark
-    v = cfg.visibility_floor
     n_slots = int(n_pulses) - 1
 
     clicks = errors = 0
@@ -455,22 +502,17 @@ def run_dps_session(cfg: ProtocolConfig, channel: ChannelModel,
     while done < n_slots:
         m = min(_CHUNK, n_slots - done)
         bits = rng.integers(0, 2, m)
-        delta = rng.normal(0.0, cfg.sigma_phi, m) if cfg.sigma_phi > 0 else 0.0
         # bit 1 -> dphi = 0 (constructive at theta_A = 0), bit 0 -> dphi = pi
-        cos_phi = v * np.cos(np.pi * (1 - bits) + delta)
-        p_bar = 1.0 - (1.0 - p_dark) * np.exp(-0.5 * flux * (1.0 + cos_phi))
-        p_cross = 1.0 - (1.0 - p_dark) * np.exp(-0.5 * flux * (1.0 - cos_phi))
-        bar = rng.random(m) < p_bar
-        cross = rng.random(m) < p_cross
-        single_bar = bar & ~cross
-        single_cross = cross & ~bar
-        double = bar & cross
-        decoded_one = single_bar.copy()
-        if double.any():
-            decoded_one[double] = rng.random(int(double.sum())) < 0.5
-        clicked = bar | cross
-        clicks += int(clicked.sum())
-        errors += int((decoded_one[clicked] != (bits[clicked] == 1)).sum())
+        cos_phi = np.pi * (1 - bits)
+        if cfg.sigma_phi > 0:
+            cos_phi += rng.normal(0.0, cfg.sigma_phi, m)
+        np.cos(cos_phi, out=cos_phi)
+        cos_phi *= cfg.visibility_floor
+        lam_bar, lam_cross = _port_means(cos_phi, 0.5 * flux)
+        bar, cross = _port_clicks(lam_bar, lam_cross, det.p_dark, rng)
+        clicked, wrong = _decode(bar, cross, bits == 1, rng)
+        clicks += int(np.count_nonzero(clicked))
+        errors += int(np.count_nonzero(wrong))
         done += m
 
     flags = []
@@ -500,10 +542,18 @@ def run_bb84_session(cfg: ProtocolConfig, channel: ChannelModel,
 
     Per pair: an intensity class is drawn, basis and bit are encoded in the
     within-pair differential phase (global phase re-randomized between
-    pairs), the receiver measures in a random basis, and clicks follow the
-    photon-number-exact model (Poisson photons, binomial routing to the two
-    ports of the central time bin, independent dark counts). Sifting keeps
-    basis matches; per-intensity gains and errors feed the decoy bounds.
+    pairs), and the receiver measures in a random basis. The bar and cross
+    ports of the central time bin see independent Poisson light (Poisson
+    thinning of the pair's photon number), so clicks follow the same port
+    kernel and closed form as the DPS session and
+    :func:`analytic_expectations`, with independent dark counts. Sifting
+    keeps basis matches; per-intensity gains and errors feed the decoy
+    bounds.
+
+    ``record_photon_truth`` draws the photon numbers as well: Poisson counts
+    at the bar port, the cross port and lost, which is the same joint law,
+    and clicks follow whether each port received a photon. The returned
+    ``photon_truth`` tallies pairs that carried zero and one photon.
     """
     if cfg.kind != BB84_DECOY:
         raise ValueError(f"run_bb84_session needs a {BB84_DECOY!r} config")
@@ -512,13 +562,13 @@ def run_bb84_session(cfg: ProtocolConfig, channel: ChannelModel,
 
     eta = _system_efficiency(cfg, channel, det)
     q_unit = cfg.temporal_efficiency * eta  # per-photon usable-detection prob
-    p_dark = det.p_dark
-    v = cfg.visibility_floor
-    p_cls = cfg.class_probabilities()
     mus = cfg.class_intensities()
-    cum = np.cumsum(p_cls)
+    half_flux = 0.5 * q_unit * mus
+    lost_mean = (1.0 - q_unit) * mus
+    bounds = np.cumsum(cfg.class_probabilities())[:2]
 
-    tallies = {name: IntensityTally() for name in INTENSITY_CLASSES}
+    # per class: [no click, clicked not sifted, sifted right, sifted wrong]
+    counts = np.zeros(4 * len(INTENSITY_CLASSES), dtype=np.int64)
     truth = {"sent_n0": 0, "clicked_n0": 0, "sent_n1": 0, "clicked_n1": 0,
              "sifted_n1": 0, "errors_n1": 0}
 
@@ -526,46 +576,42 @@ def run_bb84_session(cfg: ProtocolConfig, channel: ChannelModel,
     n_pairs = int(n_pairs)
     while done < n_pairs:
         m = min(_CHUNK, n_pairs - done)
-        cls = np.searchsorted(cum, rng.random(m), side="right")
-        cls = np.minimum(cls, 2)
+        u = rng.random(m)
+        # class index = class boundaries at or below u (vacuum, decoy, signal)
+        cls = np.add(u >= bounds[0], u >= bounds[1], dtype=np.uint8)
         basis_a = rng.random(m) < cfg.basis_prob_x      # True -> X
-        bits = rng.integers(0, 2, m)
+        bits = rng.integers(0, 2, m, dtype=np.int8)
         basis_b = rng.random(m) < cfg.basis_prob_x
-        delta = rng.normal(0.0, cfg.sigma_phi, m) if cfg.sigma_phi > 0 else np.zeros(m)
+        # X: dphi in {0, pi} read at theta_A = 0; Z: {pi/2, 3pi/2} at -pi/2,
+        # so dphi + theta_B is (2 bit + [B in X] - [A in X]) quarter turns
+        quarter_turns = bits << 1
+        quarter_turns += basis_b
+        quarter_turns -= basis_a
+        cos_phi = (np.pi / 2.0) * quarter_turns
+        if cfg.sigma_phi > 0:
+            cos_phi += rng.normal(0.0, cfg.sigma_phi, m)
+        np.cos(cos_phi, out=cos_phi)
+        cos_phi *= cfg.visibility_floor
+        lam_bar, lam_cross = _port_means(cos_phi, half_flux[cls])
 
-        # X: dphi in {0, pi} read at theta_A = 0; Z: {pi/2, 3pi/2} at -pi/2
-        dphi = np.pi * bits + np.where(basis_a, 0.0, np.pi / 2.0)
-        theta_b = np.where(basis_b, 0.0, -np.pi / 2.0)
-        cos_phi = v * np.cos(dphi + theta_b + delta)
+        if record_photon_truth:
+            n_bar = rng.poisson(lam_bar)
+            n_cross = rng.poisson(lam_cross)
+            n_photons = n_bar + n_cross + rng.poisson(lost_mean[cls])
+            lam_bar = np.where(n_bar > 0, np.inf, 0.0)
+            lam_cross = np.where(n_cross > 0, np.inf, 0.0)
 
-        q_bar = 0.5 * q_unit * (1.0 + cos_phi)
-        q_cross = 0.5 * q_unit * (1.0 - cos_phi)
-        n_photons = rng.poisson(mus[cls])
-        n_bar = rng.binomial(n_photons, q_bar)
-        rest = n_photons - n_bar
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q_cond = np.where(q_bar < 1.0, q_cross / (1.0 - q_bar), 0.0)
-        n_cross = rng.binomial(rest, np.clip(q_cond, 0.0, 1.0))
-
-        bar = (n_bar > 0) | (rng.random(m) < p_dark)
-        cross = (n_cross > 0) | (rng.random(m) < p_dark)
-        clicked = bar | cross
+        bar, cross = _port_clicks(lam_bar, lam_cross, det.p_dark, rng)
+        clicked, wrong = _decode(bar, cross, bits == 0, rng)  # bar reads 0
         matched = basis_a == basis_b
         sifted = clicked & matched
+        err = wrong & matched
 
-        decoded_one = cross & ~bar      # bar -> 0, cross -> 1
-        double = bar & cross
-        if double.any():
-            decoded_one[double] = rng.random(int(double.sum())) < 0.5
-        err = sifted & (decoded_one != (bits == 1))
-
-        for i, name in enumerate(INTENSITY_CLASSES):
-            sel = cls == i
-            t = tallies[name]
-            t.sent += int(sel.sum())
-            t.clicks += int(clicked[sel].sum())
-            t.sifted += int(sifted[sel].sum())
-            t.errors += int(err[sel].sum())
+        code = cls << 2
+        code += clicked
+        code += sifted
+        code += err
+        counts += np.bincount(code, minlength=counts.size)
 
         if record_photon_truth:
             n0 = n_photons == 0
@@ -577,6 +623,12 @@ def run_bb84_session(cfg: ProtocolConfig, channel: ChannelModel,
             truth["sifted_n1"] += int(sifted[n1].sum())
             truth["errors_n1"] += int(err[n1].sum())
         done += m
+
+    per_class = counts.reshape(len(INTENSITY_CLASSES), 4)
+    tallies = {
+        name: IntensityTally(sent=int(row.sum()), clicks=int(row[1:].sum()),
+                             sifted=int(row[2:].sum()), errors=int(row[3]))
+        for name, row in zip(INTENSITY_CLASSES, per_class)}
 
     flags = []
     gains, errs = {}, {}

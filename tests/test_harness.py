@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qkdtx import cli
+from qkdtx import cli, harness
 from qkdtx.harness import (
     ConfigError,
     ReferencePoint,
@@ -56,6 +56,22 @@ def test_bad_probabilities_name_the_field():
                             "p_decoy": 0.05, "p_vacuum": 0.05})
     with pytest.raises(ConfigError, match="probabilities"):
         config_from_dict(raw)
+
+
+def test_zero_decoy_intensity_rejected_before_any_session(tmp_path,
+                                                         monkeypatch):
+    raw = minimal_dps()
+    raw["protocol"].update({"kind": "bb84-decoy", "mu_decoy": 0.0})
+    with pytest.raises(ConfigError, match="mu_decoy"):
+        config_from_dict(raw)
+
+    def no_session(*args, **kwargs):
+        raise AssertionError("a session ran on an invalid config")
+
+    monkeypatch.setattr(harness, "run_bb84_session", no_session)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(raw))
+    assert cli.main(["sweep", "--config", str(cfgp)]) == 1
 
 
 def test_unknown_preset_lists_options():
@@ -246,8 +262,10 @@ def test_cli_validation_error_exit_code(tmp_path):
 
 
 def test_cli_compare_select_filter(tmp_path, capsys):
-    cfgp = write_config(tmp_path, channel={"loss_db": [16.0, 20.0, 24.0]},
-                        pulses_per_point=2_000_000)
+    # 32M pulses put the Monte-Carlo QBER's standard deviation near 0.1
+    # points, so the reference's 0.5-point band is about 5 sigma wide
+    cfgp = write_config(tmp_path, channel={"loss_db": [20.0]},
+                        pulses_per_point=32_000_000)
     table_path = tmp_path / "table.csv"
     assert cli.main(["sweep", "--config", str(cfgp),
                      "--out", str(table_path)]) == 0

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats
 
-from qkdtx.linkmodel import ChannelModel, DetectorModel, detector_preset
+from qkdtx.linkmodel import (DETECTOR_PRESETS, ChannelModel, DetectorModel,
+                             detector_preset)
 from qkdtx.protocols import (
     BB84_DECOY,
     DPS,
+    INTENSITY_CLASSES,
     DecoyEstimates,
     ProtocolConfig,
     analytic_expectations,
@@ -58,6 +62,10 @@ def test_config_validation():
                        p_decoy=0.05, p_vacuum=0.05)
     with pytest.raises(ValueError, match="mu_decoy"):
         ProtocolConfig(kind=BB84_DECOY, clock_hz=1e9, mu_decoy=0.6)
+    with pytest.raises(ValueError, match="mu_decoy"):
+        ProtocolConfig(kind=BB84_DECOY, clock_hz=1e9, mu_decoy=0.0)
+    # DPS has no decoy class, so its unused mu_decoy may be 0
+    assert ProtocolConfig(kind=DPS, clock_hz=2e9, mu_decoy=0.0).mu_decoy == 0.0
     with pytest.raises(ValueError, match="kind"):
         ProtocolConfig(kind="b92", clock_hz=1e9)
     with pytest.raises(ValueError, match="strategy"):
@@ -288,6 +296,60 @@ def test_analytic_matches_mc_moderate_loss():
     assert abs(t.clicks - t.sent * q) <= 4 * np.sqrt(t.sent * q * (1 - q))
     e = a.error_rates["signal"]
     assert abs(t.errors - t.sifted * e) <= 4 * np.sqrt(t.sifted * e * (1 - e)) + 1
+
+
+_TAIL_5_SIGMA = stats.norm.sf(5.0)
+
+
+def _binomial_5_sigma(k, n, p):
+    """True when k lies inside both 5-sigma tails of Binomial(n, p)."""
+    lo = stats.binom.ppf(_TAIL_5_SIGMA, n, p)
+    hi = stats.binom.isf(_TAIL_5_SIGMA, n, p)
+    return lo <= k <= hi
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from([DPS, BB84_DECOY]),
+       mu=st.floats(0.05, 1.0),
+       nu_fraction=st.floats(0.05, 0.9),
+       p_decoy=st.floats(0.05, 0.45),
+       p_vacuum=st.floats(0.05, 0.45),
+       sigma_phi=st.floats(0.0, 0.6),
+       visibility_floor=st.floats(0.7, 1.0),
+       loss_db=st.floats(0.0, 30.0),
+       preset=st.sampled_from(sorted(DETECTOR_PRESETS)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mc_tallies_match_analytic_across_configs(
+        kind, mu, nu_fraction, p_decoy, p_vacuum, sigma_phi, visibility_floor,
+        loss_db, preset, seed):
+    # per class, each tally lies in the exact 5-sigma range of its binomial
+    # law given the tally it is drawn from: sent of the units, clicks of
+    # sent, sifted of clicks, errors of sifted
+    kw = dict(mu_signal=mu, mu_decoy=mu * nu_fraction, p_decoy=p_decoy,
+              p_vacuum=p_vacuum, p_signal=1.0 - p_decoy - p_vacuum,
+              sigma_phi=sigma_phi, visibility_floor=visibility_floor)
+    n = 200_000
+    if kind == DPS:
+        cfg = ProtocolConfig.dps_default(**kw)
+        session, units = run_dps_session, n - 1  # interference slots
+        send, match = {"signal": 1.0}, 1.0
+    else:
+        cfg = ProtocolConfig.bb84_default(**kw)
+        session, units = run_bb84_session, n
+        send = dict(zip(INTENSITY_CLASSES, cfg.class_probabilities()))
+        match = cfg.basis_match_probability()
+    det = detector_preset(preset, gate_rate_hz=cfg.clock_hz)
+    ch = ChannelModel(loss_db)
+    a = analytic_expectations(cfg, ch, det)
+    s = session(cfg, ch, det, n, make_rng(seed))
+
+    assert set(s.per_intensity) == set(send)
+    for name, p_send in send.items():
+        t = s.per_intensity[name]
+        assert _binomial_5_sigma(t.sent, units, p_send), name
+        assert _binomial_5_sigma(t.clicks, t.sent, a.gains[name]), name
+        assert _binomial_5_sigma(t.sifted, t.clicks, match), name
+        assert _binomial_5_sigma(t.errors, t.sifted, a.error_rates[name]), name
 
 
 def test_skr_monotonicity_grids():
