@@ -13,11 +13,9 @@ from .optics import (
     AmziConfig,
     ConstellationReport,
     DifferentialPhaseSequence,
-    DifferentialPhaseSymbol,
     InjectionMode,
     InterferenceRecord,
     IqPoint,
-    OpticalPulse,
     PulseTrain,
     SIGMA_PHI_REFERENCE_VISIBILITY,
     amzi_interfere,
@@ -49,13 +47,9 @@ from .randomness import (
 )
 from .linkmodel import (
     ChannelModel,
-    ClickRecord,
-    ClickRecordSet,
     DETECTOR_PRESETS,
     DetectorModel,
-    click_probability,
     detector_preset,
-    simulate_detection,
     transmittance,
 )
 from .protocols import (
@@ -84,7 +78,7 @@ from .harness import (
     config_from_dict,
     load_config,
     load_reference_points,
-    run_single_point,
+    run_session,
     run_sweep,
     validate_provenance,
 )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,8 @@ def _load_experiment(args):
 
 def _cmd_simulate(args) -> int:
     cfg = _load_experiment(args)
-    session = harness.run_single_point(cfg, loss_db=args.loss_db)
+    loss = cfg.losses_db[0] if args.loss_db is None else args.loss_db
+    session = harness.run_session(cfg, loss)
     payload = {"config": cfg.to_dict(), "result": session.to_dict()}
     _write_or_print(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
@@ -57,11 +57,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_qrng(args) -> int:
-    n = args.points if args.points is not None else args.n
-    if n < 1:
+    if args.n < 1:
         raise ConfigError("qrng needs at least one sample")
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    samples = randomness.sample_interference(n, args.intensity, rng)
+    samples = randomness.sample_interference(args.n, args.intensity, rng)
     samples = randomness.quantize(samples)
     report = randomness.analyze(samples, max_lag=args.lags)
     if args.out_bytes:
@@ -85,11 +84,7 @@ def _cmd_constellation(args) -> int:
 
 def _cmd_compare(args) -> int:
     table = harness.SweepTable.from_csv(Path(args.table).read_text())
-    if args.references:
-        refs = harness.load_reference_points(args.references)
-    else:
-        with resources.files("qkdtx.data").joinpath("reference_points.json").open() as f:
-            refs = [harness.ReferencePoint(**e) for e in json.load(f)["references"]]
+    refs = harness.load_reference_points(args.references)
     if args.select:
         refs = [r for r in refs if args.select in r.label]
         if not refs:
@@ -127,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("qrng", help="generate and validate quantum random bytes")
     q.add_argument("--n", type=int, default=1_025_000,
                    help="number of interference events")
-    q.add_argument("--points", type=int, default=None, help="alias for --n")
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--intensity", type=float, default=1.0)
     q.add_argument("--lags", type=int, default=50)

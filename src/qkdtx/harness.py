@@ -13,20 +13,17 @@ import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .linkmodel import (ChannelModel, DetectorModel, DETECTOR_PRESETS,
-                        detector_preset)
+from .linkmodel import ChannelModel, DetectorModel, detector_preset
 from .protocols import (BB84_DECOY, DPS, ProtocolConfig, SessionResult,
                         analytic_expectations, run_bb84_session,
                         run_dps_session)
 
 SCHEMA_VERSION = 1
-
-CSV_COLUMNS = ("loss_db", "qber", "sifted_rate_hz", "skr_bps",
-               "analytic_qber", "analytic_skr_bps", "clicks", "seed")
 
 
 class ConfigError(ValueError):
@@ -39,7 +36,6 @@ DEFAULT_PROVENANCE = {
     "clock_hz/bb84-decoy": "reference transmitter: pulse pairs at 1 GHz",
     "mu_signal": "reference run: signal intensity 0.5 photons per encoded unit",
     "mu_decoy": "reference run: decoy intensity 0.125 photons per encoded unit",
-    "mu_vacuum": "decoy-state method: vacuum class carries no photons",
     "p_signal": "reference run: signal emission probability 14/16",
     "p_decoy": "reference run: decoy emission probability 1/16",
     "p_vacuum": "reference run: vacuum emission probability 1/16",
@@ -56,25 +52,22 @@ DEFAULT_PROVENANCE = {
                              "secure rate at 20 dB"),
     "receiver_loss_db/bb84-decoy": "no receiver insertion loss applied",
     "visibility_floor": "no residual contrast penalty beyond phase noise",
-    "dps_security": "individual-attack collision-probability bound",
     "alpha_db_per_km": "standard single-mode fiber: 0.2 dB/km",
     "detector/gate_rate_hz": "detectors gated at the protocol clock",
 }
 
-_PROTOCOL_DEFAULT_FIELDS = (
-    "clock_hz", "mu_signal", "mu_decoy", "mu_vacuum", "p_signal", "p_decoy",
-    "p_vacuum", "basis_prob_x", "f_ec", "sigma_phi", "temporal_efficiency",
-    "receiver_loss_db", "visibility_floor", "dps_security",
-)
-
 _KIND_SPECIFIC = {"clock_hz", "sigma_phi", "temporal_efficiency",
                   "receiver_loss_db"}
+
+#: Every protocol field the loader may default: all but the required kind.
+_PROTOCOL_FIELDS = tuple(f.name for f in dataclasses.fields(ProtocolConfig)
+                         if f.name != "kind")
 
 
 def validate_provenance() -> None:
     """Lint: every defaultable protocol field must carry a provenance tag."""
     missing = []
-    for name in _PROTOCOL_DEFAULT_FIELDS:
+    for name in _PROTOCOL_FIELDS:
         if name in _KIND_SPECIFIC:
             for kind in (DPS, BB84_DECOY):
                 if f"{name}/{kind}" not in DEFAULT_PROVENANCE:
@@ -86,6 +79,12 @@ def validate_provenance() -> None:
             missing.append(extra)
     if missing:
         raise ConfigError(f"untagged defaults: {', '.join(missing)}")
+
+
+def _reject_unknown(spec: dict, known, where: str) -> None:
+    unknown = set(spec) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {where} fields: {', '.join(sorted(unknown))}")
 
 
 @dataclass
@@ -120,19 +119,15 @@ def _protocol_from_dict(spec: dict, provenance: dict) -> ProtocolConfig:
     factory = (ProtocolConfig.dps_default if kind == DPS
                else ProtocolConfig.bb84_default)
     defaults = factory()
+    _reject_unknown(spec, ("kind", *_PROTOCOL_FIELDS), "protocol")
     kwargs = {}
-    for f in dataclasses.fields(ProtocolConfig):
-        if f.name == "kind":
-            continue
-        if f.name in spec:
-            kwargs[f.name] = spec[f.name]
+    for name in _PROTOCOL_FIELDS:
+        if name in spec:
+            kwargs[name] = spec[name]
         else:
-            kwargs[f.name] = getattr(defaults, f.name)
-            key = (f"{f.name}/{kind}" if f.name in _KIND_SPECIFIC else f.name)
-            provenance[f"protocol.{f.name}"] = DEFAULT_PROVENANCE[key]
-    unknown = set(spec) - {"kind"} - {f.name for f in dataclasses.fields(ProtocolConfig)}
-    if unknown:
-        raise ConfigError(f"unknown protocol fields: {', '.join(sorted(unknown))}")
+            kwargs[name] = getattr(defaults, name)
+            key = (f"{name}/{kind}" if name in _KIND_SPECIFIC else name)
+            provenance[f"protocol.{name}"] = DEFAULT_PROVENANCE[key]
     try:
         return ProtocolConfig(kind=kind, **kwargs)
     except ValueError as exc:
@@ -145,24 +140,20 @@ def _detector_from_spec(spec, clock_hz: float, provenance: dict) -> DetectorMode
     if not isinstance(spec, dict):
         raise ConfigError("detector must be a preset name or an object")
     if "preset" in spec:
-        name = spec["preset"]
-        if name not in DETECTOR_PRESETS:
-            options = ", ".join(sorted(DETECTOR_PRESETS))
-            raise ConfigError(
-                f"detector.preset: unknown preset {name!r}; known presets: {options}")
-        gate = spec.get("gate_rate_hz", clock_hz)
-        if "gate_rate_hz" not in spec:
-            provenance["detector.gate_rate_hz"] = \
-                DEFAULT_PROVENANCE["detector/gate_rate_hz"]
-        return detector_preset(name, gate_rate_hz=gate)
-    for req in ("efficiency", "dark_rate_hz"):
-        if req not in spec:
-            raise ConfigError(f"detector.{req} is required for explicit detectors")
+        _reject_unknown(spec, ("preset", "gate_rate_hz"), "detector")
+    else:
+        _reject_unknown(spec, ("efficiency", "dark_rate_hz", "gate_rate_hz",
+                               "label"), "detector")
+        for req in ("efficiency", "dark_rate_hz"):
+            if req not in spec:
+                raise ConfigError(f"detector.{req} is required for explicit detectors")
     gate = spec.get("gate_rate_hz", clock_hz)
     if "gate_rate_hz" not in spec:
         provenance["detector.gate_rate_hz"] = \
             DEFAULT_PROVENANCE["detector/gate_rate_hz"]
     try:
+        if "preset" in spec:
+            return detector_preset(spec["preset"], gate_rate_hz=gate)
         return DetectorModel(efficiency=spec["efficiency"],
                              dark_rate_hz=spec["dark_rate_hz"],
                              gate_rate_hz=gate,
@@ -171,22 +162,32 @@ def _detector_from_spec(spec, clock_hz: float, provenance: dict) -> DetectorMode
         raise ConfigError(f"detector: {exc}") from exc
 
 
+def _numbers(value, name: str) -> list:
+    """A number or a list of numbers (booleans and strings are rejected)."""
+    values = value if isinstance(value, list) else [value]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in values):
+        raise ConfigError(f"{name} must be a number or a list of numbers")
+    return values
+
+
 def _losses_from_spec(spec: dict, provenance: dict) -> list:
     if not isinstance(spec, dict):
         raise ConfigError("channel must be an object")
     if "loss_db" in spec:
-        losses = spec["loss_db"]
-        if isinstance(losses, (int, float)):
-            losses = [losses]
+        _reject_unknown(spec, ("loss_db",), "channel")
+        losses = _numbers(spec["loss_db"], "channel.loss_db")
     elif "length_km" in spec:
-        lengths = spec["length_km"]
-        if isinstance(lengths, (int, float)):
-            lengths = [lengths]
+        _reject_unknown(spec, ("length_km", "alpha_db_per_km"), "channel")
+        lengths = _numbers(spec["length_km"], "channel.length_km")
         alpha = spec.get("alpha_db_per_km", 0.2)
         if "alpha_db_per_km" not in spec:
             provenance["channel.alpha_db_per_km"] = \
                 DEFAULT_PROVENANCE["alpha_db_per_km"]
-        losses = [float(l) * alpha for l in lengths]
+        try:
+            losses = [ChannelModel.from_length(l, alpha).loss_db for l in lengths]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"channel.length_km: {exc}") from exc
     else:
         raise ConfigError("channel needs loss_db or length_km")
     if len(losses) == 0:
@@ -205,6 +206,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for req in ("protocol", "channel", "seed"):
         if req not in raw:
             raise ConfigError(f"{req} is a required config field")
+    # provenance is accepted so that an emitted config loads back; the loader
+    # recomputes it from the defaults it applies
+    _reject_unknown(raw, ("schema_version", "protocol", "detector", "channel",
+                          "pulses_per_point", "seed", "provenance"), "config")
     provenance = {}
     protocol = _protocol_from_dict(raw["protocol"], provenance)
     detector = _detector_from_spec(raw.get("detector", "snspd"),
@@ -214,7 +219,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(pulses, int) or pulses < 1_000:
         raise ConfigError("pulses_per_point must be an integer >= 1e3")
     seed = raw["seed"]
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("seed must be an integer (wall-clock seeding is not allowed)")
     return ExperimentConfig(protocol=protocol, detector=detector,
                             losses_db=losses, pulses_per_point=pulses,
@@ -250,6 +255,11 @@ class SweepRow:
     seed: int
 
 
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
+_CSV_PARSERS = {f.name: {"int": int, "float": float}[f.type]
+                for f in dataclasses.fields(SweepRow)}
+
+
 @dataclass
 class SweepTable:
     rows: list
@@ -270,17 +280,9 @@ class SweepTable:
         header = lines[0].split(",")
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected sweep CSV header: {header}")
-        rows = []
-        for line in lines[1:]:
-            vals = line.split(",")
-            kw = dict(zip(CSV_COLUMNS, vals))
-            rows.append(SweepRow(
-                loss_db=float(kw["loss_db"]), qber=float(kw["qber"]),
-                sifted_rate_hz=float(kw["sifted_rate_hz"]),
-                skr_bps=float(kw["skr_bps"]),
-                analytic_qber=float(kw["analytic_qber"]),
-                analytic_skr_bps=float(kw["analytic_skr_bps"]),
-                clicks=int(kw["clicks"]), seed=int(kw["seed"])))
+        rows = [SweepRow(**{c: _CSV_PARSERS[c](v)
+                            for c, v in zip(CSV_COLUMNS, line.split(","))})
+                for line in lines[1:]]
         return cls(rows)
 
 
@@ -290,26 +292,28 @@ def point_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def run_session(cfg: ExperimentConfig, loss_db: float,
+                index: int = 0) -> SessionResult:
+    """The configured protocol's Monte-Carlo session at one loss, seeded by
+    ``point_seed(cfg.seed, index)``."""
+    session = run_dps_session if cfg.protocol.kind == DPS else run_bb84_session
+    rng = np.random.Generator(np.random.PCG64(point_seed(cfg.seed, index)))
+    return session(cfg.protocol, ChannelModel(loss_db=loss_db), cfg.detector,
+                   cfg.pulses_per_point, rng)
+
+
 def run_point(cfg: ExperimentConfig, loss_db: float, index: int) -> SweepRow:
     """One sweep point: seeded Monte-Carlo session plus analytic column."""
-    channel = ChannelModel(loss_db=loss_db)
-    seed = point_seed(cfg.seed, index)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if cfg.protocol.kind == DPS:
-        session = run_dps_session(cfg.protocol, channel, cfg.detector,
-                                  cfg.pulses_per_point, rng)
-        clicks = session.per_intensity["signal"].clicks
-    else:
-        session = run_bb84_session(cfg.protocol, channel, cfg.detector,
-                                   cfg.pulses_per_point, rng)
-        clicks = sum(t.clicks for t in session.per_intensity.values())
-    exp = analytic_expectations(cfg.protocol, channel, cfg.detector)
+    session = run_session(cfg, loss_db, index)
+    exp = analytic_expectations(cfg.protocol, ChannelModel(loss_db=loss_db),
+                                cfg.detector)
+    clicks = sum(t.clicks for t in session.per_intensity.values())
     return SweepRow(loss_db=float(loss_db), qber=float(session.qber),
                     sifted_rate_hz=float(session.sifted_rate_hz),
                     skr_bps=float(session.skr_bps),
                     analytic_qber=float(exp.qber),
                     analytic_skr_bps=float(exp.skr_bps),
-                    clicks=int(clicks), seed=int(seed))
+                    clicks=int(clicks), seed=point_seed(cfg.seed, index))
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepTable:
@@ -327,18 +331,6 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepTable:
             rows = [f.result() for f in futures]
     rows.sort(key=lambda r: r.loss_db)
     return SweepTable(rows)
-
-
-def run_single_point(cfg: ExperimentConfig, loss_db=None) -> SessionResult:
-    """Run one session at a single loss (the first configured one by default)."""
-    loss = cfg.losses_db[0] if loss_db is None else float(loss_db)
-    channel = ChannelModel(loss_db=loss)
-    rng = np.random.Generator(np.random.PCG64(point_seed(cfg.seed, 0)))
-    if cfg.protocol.kind == DPS:
-        return run_dps_session(cfg.protocol, channel, cfg.detector,
-                               cfg.pulses_per_point, rng)
-    return run_bb84_session(cfg.protocol, channel, cfg.detector,
-                            cfg.pulses_per_point, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +357,11 @@ class ReferencePoint:
             raise ValueError("quantity must be skr_bps, qber or sifted_rate_hz")
 
 
-def load_reference_points(path) -> list:
-    raw = json.loads(Path(path).read_text())
+def load_reference_points(path=None) -> list:
+    """Reference points from a JSON file; the bundled set when path is None."""
+    source = (resources.files("qkdtx.data").joinpath("reference_points.json")
+              if path is None else Path(path))
+    raw = json.loads(source.read_text())
     return [ReferencePoint(**entry) for entry in raw["references"]]
 
 

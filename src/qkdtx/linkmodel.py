@@ -1,16 +1,13 @@
 """Lossy channel and threshold single-photon detectors.
 
 Attenuation acts on mean photon number; detectors are non-photon-number
-resolving with a per-gate dark probability. Weak coherent pulses give the
-textbook click probability 1 - (1-p_dark) * exp(-mu * eta).
+resolving with a per-gate dark probability. The click law these parameters
+feed, 1 - (1-p_dark) * exp(-mu * eta), lives in the protocols kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -81,81 +78,3 @@ def detector_preset(name: str, gate_rate_hz: float) -> DetectorModel:
         raise ValueError(f"unknown detector preset {name!r}; known presets: {options}")
     return DetectorModel(efficiency=eff, dark_rate_hz=dark,
                          gate_rate_hz=gate_rate_hz, label=name)
-
-
-def click_probability(mean_photons_at_amzi_output, channel: ChannelModel,
-                      det: DetectorModel) -> float:
-    """Click probability for a weak coherent pulse behind channel and detector.
-
-    p = 1 - (1 - p_dark) * exp(-mu * eta_ch * eta_det).
-    """
-    mu = mean_photons_at_amzi_output
-    if np.any(np.asarray(mu) < 0):
-        raise ValueError("mean photon number must be >= 0")
-    eta = transmittance(channel) * det.efficiency
-    return 1.0 - (1.0 - det.p_dark) * np.exp(-np.asarray(mu, dtype=float) * eta)
-
-
-@dataclass(frozen=True)
-class ClickRecord:
-    """Detection outcome for one slot; is_dark_only flags pure dark clicks."""
-
-    slot_index: int
-    clicked: bool
-    is_dark_only: bool
-
-    def __post_init__(self):
-        if self.is_dark_only and not self.clicked:
-            raise ValueError("is_dark_only implies clicked")
-
-
-class ClickRecordSet:
-    """Array-backed sequence of ClickRecord (cheap at millions of slots)."""
-
-    def __init__(self, clicked: np.ndarray, dark_only: np.ndarray):
-        clicked = np.asarray(clicked, dtype=bool)
-        dark_only = np.asarray(dark_only, dtype=bool)
-        if clicked.shape != dark_only.shape:
-            raise ValueError("clicked and dark_only must have equal shapes")
-        if np.any(dark_only & ~clicked):
-            raise ValueError("is_dark_only implies clicked")
-        self.clicked = clicked
-        self.dark_only = dark_only
-
-    @property
-    def click_count(self) -> int:
-        return int(self.clicked.sum())
-
-    @property
-    def dark_only_count(self) -> int:
-        return int(self.dark_only.sum())
-
-    def __len__(self) -> int:
-        return self.clicked.size
-
-    def __getitem__(self, i) -> ClickRecord:
-        return ClickRecord(int(i) if i >= 0 else len(self) + int(i),
-                           bool(self.clicked[i]), bool(self.dark_only[i]))
-
-    def __iter__(self) -> Iterator[ClickRecord]:
-        for i in range(len(self)):
-            yield ClickRecord(i, bool(self.clicked[i]), bool(self.dark_only[i]))
-
-
-def simulate_detection(intensities, channel: ChannelModel, det: DetectorModel,
-                       rng) -> ClickRecordSet:
-    """Monte-Carlo clicks for per-slot mean photon numbers.
-
-    Photon-induced and dark events are drawn independently per slot, which
-    realizes click_probability exactly; clicks with no photon branch are
-    tagged is_dark_only.
-    """
-    mu = np.asarray(intensities, dtype=float)
-    if np.any(mu < 0):
-        raise ValueError("intensities must be >= 0")
-    eta = transmittance(channel) * det.efficiency
-    p_photon = 1.0 - np.exp(-mu * eta)
-    photon = rng.random(mu.size) < p_photon
-    dark = rng.random(mu.size) < det.p_dark
-    clicked = photon | dark
-    return ClickRecordSet(clicked, dark & ~photon)

@@ -57,22 +57,6 @@ def sigma_phi_for_error_rate(e_opt: float) -> float:
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OpticalPulse:
-    """One gain-switched pulse: slot index, mean photon number, phase."""
-
-    slot_index: int
-    mean_photons: float
-    phase: float
-
-    def __post_init__(self):
-        if self.slot_index < 0:
-            raise ValueError("slot_index must be >= 0")
-        if self.mean_photons < 0:
-            raise ValueError("mean_photons must be >= 0")
-        object.__setattr__(self, "phase", reduce_phase(self.phase))
-
-
 class PulseTrain:
     """Equal-intensity pulse sequence with per-slot phases.
 
@@ -89,15 +73,11 @@ class PulseTrain:
         Mean photon number per pulse (equal for all pulses).
     period_s : float
         Slot period T in seconds.
-    clock_hz : float, optional
-        Repetition rate; defaults to 1/period_s and must satisfy
-        period_s * clock_hz == 1 within 1e-12 relative.
     diff_phases : array_like, optional
         Differential phases phase[k+1] - phase[k] as emitted (length n-1).
     """
 
-    def __init__(self, phases, mean_photons, period_s, clock_hz=None,
-                 diff_phases=None):
+    def __init__(self, phases, mean_photons, period_s, diff_phases=None):
         phases = np.atleast_1d(np.asarray(phases, dtype=float))
         if phases.ndim != 1 or phases.size == 0:
             raise ValueError("phases must be a non-empty 1-d array")
@@ -105,14 +85,9 @@ class PulseTrain:
             raise ValueError("mean_photons must be >= 0")
         if period_s <= 0:
             raise ValueError("period_s must be > 0")
-        if clock_hz is None:
-            clock_hz = 1.0 / period_s
-        elif abs(period_s * clock_hz - 1.0) > 1e-12:
-            raise ValueError("period_s * clock_hz must equal 1 within 1e-12")
         self.phases = reduce_phase(phases)
         self.mean_photons = float(mean_photons)
         self.period_s = float(period_s)
-        self.clock_hz = float(clock_hz)
         if diff_phases is not None:
             diff_phases = np.asarray(diff_phases, dtype=float)
             if diff_phases.shape != (phases.size - 1,):
@@ -123,29 +98,11 @@ class PulseTrain:
     def n_pulses(self) -> int:
         return self.phases.size
 
-    @property
-    def pulses(self) -> list[OpticalPulse]:
-        """Materialize the pulse list (slot indices 0..n-1)."""
-        mu = self.mean_photons
-        return [OpticalPulse(i, mu, p) for i, p in enumerate(self.phases)]
-
     def differential_phases(self) -> np.ndarray:
         """Phase increments between consecutive pulses, mod 2*pi."""
         if self._diff_phases is not None:
             return reduce_phase(self._diff_phases)
         return reduce_phase(np.diff(self.phases))
-
-    def __len__(self) -> int:
-        return self.n_pulses
-
-
-@dataclass(frozen=True)
-class DifferentialPhaseSymbol:
-    """One protocol symbol: the phase step to the next pulse."""
-
-    diff_phase: float
-    pair_boundary: bool = False
-    meta: Optional[dict] = None
 
 
 class DifferentialPhaseSequence:
@@ -158,8 +115,7 @@ class DifferentialPhaseSequence:
     2*pi*k/M grid.
     """
 
-    def __init__(self, diff_phases, modulation_levels, pair_boundary=None,
-                 meta=None):
+    def __init__(self, diff_phases, modulation_levels, pair_boundary=None):
         diff_phases = np.atleast_1d(np.asarray(diff_phases, dtype=float))
         if modulation_levels < 2:
             raise ValueError("modulation_levels must be >= 2")
@@ -179,7 +135,6 @@ class DifferentialPhaseSequence:
         self.diff_phases = dp
         self.pair_boundary = pair_boundary
         self.modulation_levels = int(modulation_levels)
-        self.meta = meta if meta is not None else {}
 
     @classmethod
     def mpsk(cls, levels: int, symbol_indices) -> "DifferentialPhaseSequence":
@@ -188,15 +143,6 @@ class DifferentialPhaseSequence:
         if np.any((idx < 0) | (idx >= levels)):
             raise ValueError("symbol indices must lie in [0, levels)")
         return cls(idx * (TWO_PI / levels), levels)
-
-    @property
-    def symbols(self) -> list[DifferentialPhaseSymbol]:
-        metas = self.meta.get("per_symbol")
-        return [
-            DifferentialPhaseSymbol(
-                float(d), bool(b), None if metas is None else metas[i])
-            for i, (d, b) in enumerate(zip(self.diff_phases, self.pair_boundary))
-        ]
 
     def __len__(self) -> int:
         return self.diff_phases.size

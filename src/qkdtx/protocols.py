@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class ProtocolConfig:
     clock_hz: float
     mu_signal: float = 0.5
     mu_decoy: float = 0.125
-    mu_vacuum: float = 0.0
     p_signal: float = 14 / 16
     p_decoy: float = 1 / 16
     p_vacuum: float = 1 / 16
@@ -80,7 +79,6 @@ class ProtocolConfig:
     temporal_efficiency: float = 1.0
     receiver_loss_db: float = 0.0
     visibility_floor: float = 1.0
-    dps_security: str = "waks-individual"
 
     def __post_init__(self):
         if self.kind not in (DPS, BB84_DECOY):
@@ -90,8 +88,6 @@ class ProtocolConfig:
         probs = self.p_vacuum + self.p_decoy + self.p_signal
         if abs(probs - 1.0) > 1e-12:
             raise ValueError("intensity probabilities must sum to 1")
-        if self.mu_vacuum != 0.0:
-            raise ValueError("mu_vacuum must be 0")
         if not 0.0 <= self.mu_decoy < self.mu_signal:
             raise ValueError("need 0 <= mu_decoy < mu_signal")
         if self.kind == BB84_DECOY and self.mu_decoy == 0.0:
@@ -109,10 +105,6 @@ class ProtocolConfig:
             raise ValueError("receiver_loss_db must be >= 0")
         if not 0.0 < self.visibility_floor <= 1.0:
             raise ValueError("visibility_floor must be in (0, 1]")
-        if self.dps_security not in DPS_SECURITY_STRATEGIES:
-            known = ", ".join(sorted(DPS_SECURITY_STRATEGIES))
-            raise ValueError(
-                f"unknown DPS security strategy {self.dps_security!r}; known: {known}")
 
     @classmethod
     def dps_default(cls, **overrides) -> "ProtocolConfig":
@@ -141,7 +133,7 @@ class ProtocolConfig:
         return np.array([self.p_vacuum, self.p_decoy, self.p_signal])
 
     def class_intensities(self) -> np.ndarray:
-        return np.array([self.mu_vacuum, self.mu_decoy, self.mu_signal])
+        return np.array([0.0, self.mu_decoy, self.mu_signal])
 
 
 @dataclass
@@ -288,25 +280,18 @@ def _waks_collision_probability(e: float) -> float:
     return 1.0 - e * e - (1.0 - 6.0 * e) ** 2 / 2.0
 
 
-#: Named, swappable asymptotic DPS security bounds mapping the measured
-#: error rate to Eve's collision probability per sifted bit.
-DPS_SECURITY_STRATEGIES: dict[str, Callable[[float], float]] = {
-    "waks-individual": _waks_collision_probability,
-}
-
-
 def skr_dps(sifted_rate_hz, error_rate, mu, cfg: ProtocolConfig) -> float:
     """Asymptotic DPS secure key rate.
 
     R = sifted_rate * [ -log2 p_c(e) - f_ec * h2(e) ], clamped at zero, with
-    p_c from the configured security strategy (p_c(0) = 1/2, so a noiseless
-    session keeps its full sifted rate).
+    p_c the individual-attack collision probability (p_c(0) = 1/2, so a
+    noiseless session keeps its full sifted rate).
     """
     if not 0.0 <= error_rate < 0.5:
         raise ValueError("error_rate must lie in [0, 0.5)")
     if sifted_rate_hz <= 0.0:
         return 0.0
-    p_c = DPS_SECURITY_STRATEGIES[cfg.dps_security](error_rate)
+    p_c = _waks_collision_probability(error_rate)
     if p_c <= 0.0:
         return 0.0
     fraction = -np.log2(p_c) - cfg.f_ec * binary_entropy(error_rate)

@@ -294,8 +294,3 @@ def extract_bits(byte_values, out_len_bits, seed_matrix_seed) -> np.ndarray:
         t = matrix_rng.integers(0, 2, size=int(size + m - 1), dtype=np.uint8)
         pieces.append(toeplitz_hash(bits[start:start + size], t, int(m)))
     return np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
-
-
-def bits_to_bytes(bits) -> bytes:
-    """Pack a bit array (zero-padded at the tail) into raw bytes."""
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()

@@ -13,7 +13,9 @@ from qkdtx.harness import (
     compare_to_reference,
     config_from_dict,
     load_config,
-    run_single_point,
+    load_reference_points,
+    run_point,
+    run_session,
     run_sweep,
     validate_provenance,
 )
@@ -89,6 +91,15 @@ def test_channel_validation():
     cfg = config_from_dict(minimal_dps(channel={"length_km": [50, 100]}))
     assert cfg.losses_db == [10.0, 20.0]
     assert "channel.alpha_db_per_km" in cfg.provenance
+    for channel, field in [({"loss_db": "10"}, "channel.loss_db"),
+                           ({"loss_db": [0, "5"]}, "channel.loss_db"),
+                           ({"length_km": "50"}, "channel.length_km"),
+                           ({"length_km": [-5]}, "channel.length_km"),
+                           ({"loss_db": [10], "length_km": [50]}, "length_km"),
+                           ({"length_km": [50], "alpha_db_per_kn": 0.3},
+                            "alpha_db_per_kn")]:
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(minimal_dps(channel=channel))
 
 
 def test_seed_is_mandatory_and_integer():
@@ -98,13 +109,18 @@ def test_seed_is_mandatory_and_integer():
         config_from_dict(raw)
     with pytest.raises(ConfigError, match="seed"):
         config_from_dict(minimal_dps(seed="now"))
+    with pytest.raises(ConfigError, match="seed"):
+        config_from_dict(minimal_dps(seed=True))
 
 
 def test_unknown_protocol_field_rejected():
-    raw = minimal_dps()
-    raw["protocol"]["wavelength_nm"] = 1550
-    with pytest.raises(ConfigError, match="wavelength_nm"):
-        config_from_dict(raw)
+    for field in ("wavelength_nm", "mu_vacuum", "dps_security"):
+        raw = minimal_dps()
+        raw["protocol"][field] = 0.0
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(raw)
+    with pytest.raises(ConfigError, match="pulses_per_pont"):
+        config_from_dict(minimal_dps(pulses_per_pont=10_000))
 
 
 def test_pulses_floor():
@@ -128,6 +144,9 @@ def test_explicit_detector():
     assert cfg.detector.gate_rate_hz == 2e9
     with pytest.raises(ConfigError, match="efficiency"):
         config_from_dict(minimal_dps(detector={"dark_rate_hz": 1.0}))
+    with pytest.raises(ConfigError, match="efficiency"):
+        config_from_dict(minimal_dps(detector={"preset": "snspd",
+                                               "efficiency": 0.5}))
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +178,17 @@ def test_sweep_csv_roundtrip():
     assert back.to_csv() == table.to_csv()
 
 
-def test_run_single_point():
+def test_run_session():
     cfg = config_from_dict(minimal_dps())
-    res = run_single_point(cfg, loss_db=10.0)
+    res = run_session(cfg, 10.0, 1)
     assert res.protocol == "dps"
     assert res.pulses_sent == 100_000
+    # the sweep point at the same index runs the same session
+    row = run_point(cfg, 10.0, 1)
+    assert (row.qber, row.clicks) == (res.qber, res.per_intensity["signal"].clicks)
+    raw = minimal_dps()
+    raw["protocol"]["kind"] = "bb84-decoy"
+    assert run_session(config_from_dict(raw), 10.0).protocol == "bb84-decoy"
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +253,11 @@ def test_cli_simulate(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["result"]["protocol"] == "dps"
     assert payload["config"]["seed"] == 11
+    # the emitted config, provenance block included, loads back unchanged
+    cfg, back = load_config(cfgp), config_from_dict(payload["config"])
+    assert (back.protocol, back.detector, back.losses_db, back.pulses_per_point,
+            back.seed) == (cfg.protocol, cfg.detector, cfg.losses_db,
+                           cfg.pulses_per_point, cfg.seed)
 
 
 def test_cli_sweep_and_compare_roundtrip(tmp_path):
@@ -292,6 +322,8 @@ def test_cli_qrng(tmp_path):
     assert report["p_value"] > 0.001
     assert len(report["autocorr"]) == 50
     assert 4.0 < report["min_entropy_bits"] < 5.0
+    with pytest.raises(SystemExit):  # --n is the only size option
+        cli.main(["qrng", "--points", "50000", "--seed", "5"])
 
 
 def test_cli_constellation(tmp_path):
@@ -321,6 +353,5 @@ def test_bundled_configs_load():
         with resources.files("qkdtx.data").joinpath(name).open() as f:
             cfg = config_from_dict(json.load(f))
         assert cfg.pulses_per_point >= 1_000_000
-    with resources.files("qkdtx.data").joinpath("reference_points.json").open() as f:
-        refs = [ReferencePoint(**e) for e in json.load(f)["references"]]
+    refs = load_reference_points()
     assert len(refs) == 10

@@ -1,4 +1,4 @@
-"""Tests for channel attenuation and threshold-detector clicks."""
+"""Tests for channel attenuation and the detectors' click law."""
 
 import numpy as np
 import pytest
@@ -7,17 +7,11 @@ from hypothesis import strategies as st
 
 from qkdtx.linkmodel import (
     ChannelModel,
-    ClickRecord,
     DetectorModel,
-    click_probability,
     detector_preset,
-    simulate_detection,
     transmittance,
 )
-
-
-def make_rng(seed=0):
-    return np.random.Generator(np.random.PCG64(seed))
+from qkdtx.protocols import ProtocolConfig, _click_probability, analytic_expectations
 
 
 def test_transmittance_reference_points():
@@ -62,71 +56,35 @@ def test_detector_validation():
         DetectorModel(efficiency=0.5, dark_rate_hz=2e9, gate_rate_hz=1e9)
 
 
+def p_click(mu, channel, det):
+    """Click probability of the protocols kernel for mu photons at the
+    channel input."""
+    lam = np.array([mu * transmittance(channel) * det.efficiency])
+    return float(_click_probability(lam, det.p_dark)[0])
+
+
 def test_click_probability_reference_points():
     clean = DetectorModel(efficiency=1.0, dark_rate_hz=0.0, gate_rate_hz=2e9)
-    assert click_probability(0.0, ChannelModel(0.0), clean) == 0.0
+    assert p_click(0.0, ChannelModel(0.0), clean) == 0.0
 
     snspd = detector_preset("snspd", gate_rate_hz=2e9)
-    assert click_probability(0.0, ChannelModel(0.0), snspd) == \
-        pytest.approx(4.5e-8, rel=1e-9)
+    assert p_click(0.0, ChannelModel(0.0), snspd) == pytest.approx(4.5e-8, rel=1e-9)
 
     det = DetectorModel(efficiency=0.8, dark_rate_hz=0.0, gate_rate_hz=2e9)
-    p = click_probability(0.5, ChannelModel(20.0), det)
+    p = p_click(0.5, ChannelModel(20.0), det)
     assert p == pytest.approx(1 - np.exp(-0.004), rel=1e-12)
     assert p == pytest.approx(3.992e-3, abs=1e-6)
 
 
 def test_click_probability_monotone():
-    base = click_probability(0.3, ChannelModel(10.0),
-                             DetectorModel(0.5, 100.0, 1e9))
+    # the analytic per-pulse gain rises with mu, efficiency and dark rate
+    # and falls with loss
+    def gain(mu, loss, eff, dark):
+        cfg = ProtocolConfig.dps_default(mu_signal=mu)
+        det = DetectorModel(eff, dark, cfg.clock_hz)
+        return analytic_expectations(cfg, ChannelModel(loss), det).gains["signal"]
+
+    base = gain(0.3, 10, 0.5, 100)
     for mu, loss, eff, dark in [(0.4, 10, 0.5, 100), (0.3, 5, 0.5, 100),
                                 (0.3, 10, 0.6, 100), (0.3, 10, 0.5, 500)]:
-        p = click_probability(mu, ChannelModel(loss), DetectorModel(eff, dark, 1e9))
-        assert p >= base
-
-
-def test_simulate_detection_dark_free_zero_intensity():
-    det = DetectorModel(efficiency=0.9, dark_rate_hz=0.0, gate_rate_hz=1e9)
-    recs = simulate_detection(np.zeros(10_000), ChannelModel(0.0), det, make_rng(1))
-    assert recs.click_count == 0
-
-
-def test_simulate_detection_binomial_oracle():
-    det = DetectorModel(efficiency=0.8, dark_rate_hz=0.0, gate_rate_hz=2e9)
-    ch = ChannelModel(20.0)
-    n = 10_000_000
-    p = click_probability(0.5, ch, det)
-    recs = simulate_detection(np.full(n, 0.5), ch, det, make_rng(2))
-    assert abs(recs.click_count - n * p) <= 3 * np.sqrt(n * p * (1 - p))
-
-
-def test_simulate_detection_dark_fraction():
-    # dark-only clicking at the SNSPD per-gate probability 4.5e-8
-    snspd = detector_preset("snspd", gate_rate_hz=2e9)
-    n = 100_000_000
-    total = 0
-    rng = make_rng(3)
-    for _ in range(10):
-        recs = simulate_detection(np.zeros(n // 10), ChannelModel(0.0), snspd, rng)
-        assert recs.dark_only_count == recs.click_count
-        total += recs.click_count
-    expect = n * snspd.p_dark
-    assert abs(total - expect) <= 3 * np.sqrt(expect) + 1
-
-
-def test_click_record_semantics():
-    recs = simulate_detection(np.full(2000, 5.0), ChannelModel(0.0),
-                              DetectorModel(0.9, 1e8, 1e9), make_rng(4))
-    assert len(recs) == 2000
-    sample = recs[5]
-    assert isinstance(sample, ClickRecord)
-    for rec in list(recs)[:50]:
-        assert rec.is_dark_only <= rec.clicked
-    with pytest.raises(ValueError):
-        ClickRecord(0, clicked=False, is_dark_only=True)
-
-
-def test_simulate_detection_validation():
-    det = detector_preset("snspd", gate_rate_hz=2e9)
-    with pytest.raises(ValueError):
-        simulate_detection(np.array([-1.0]), ChannelModel(0.0), det, make_rng(0))
+        assert gain(mu, loss, eff, dark) > base

@@ -12,7 +12,6 @@ from qkdtx.optics import (
     DifferentialPhaseSequence,
     InjectionMode,
     InterferenceRecord,
-    OpticalPulse,
     PulseTrain,
     SIGMA_PHI_REFERENCE_VISIBILITY,
     amzi_intensity,
@@ -47,21 +46,12 @@ def test_reduce_phase_exact_two_pi_maps_to_zero():
     assert reduce_phase(2 * TWO_PI) == 0.0
 
 
-def test_optical_pulse_validation():
-    p = OpticalPulse(3, 0.5, 7.0)
-    assert p.phase == pytest.approx(7.0 - TWO_PI)
-    with pytest.raises(ValueError):
-        OpticalPulse(-1, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        OpticalPulse(0, -0.5, 0.0)
-
-
 def test_pulse_train_invariants():
-    tr = PulseTrain([0.0, 1.0, 2.0], 0.5, 5e-10)
-    assert tr.clock_hz == pytest.approx(2e9)
-    assert [p.slot_index for p in tr.pulses] == [0, 1, 2]
+    tr = PulseTrain([0.0, 1.0, 7.0], 0.5, 5e-10)
+    assert tr.n_pulses == 3
+    assert tr.phases[2] == pytest.approx(7.0 - TWO_PI)
     with pytest.raises(ValueError):
-        PulseTrain([0.0], 0.5, 5e-10, clock_hz=3e9)
+        PulseTrain([0.0], -0.5, 5e-10)
     with pytest.raises(ValueError):
         PulseTrain([], 0.5, 5e-10)
     with pytest.raises(ValueError):
@@ -75,7 +65,7 @@ def test_sequence_grid_validation():
     with pytest.raises(ValueError):
         DifferentialPhaseSequence([0.0], 1)
     seq = DifferentialPhaseSequence.mpsk(4, [0, 1, 2, 3])
-    assert seq.symbols[1].diff_phase == pytest.approx(np.pi / 2)
+    assert seq.diff_phases[1] == pytest.approx(np.pi / 2)
 
 
 def test_injection_mode_validation():

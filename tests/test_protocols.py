@@ -63,13 +63,13 @@ def test_config_validation():
     with pytest.raises(ValueError, match="mu_decoy"):
         ProtocolConfig(kind=BB84_DECOY, clock_hz=1e9, mu_decoy=0.6)
     with pytest.raises(ValueError, match="mu_decoy"):
+        ProtocolConfig(kind=DPS, clock_hz=2e9, mu_decoy=-0.1)
+    with pytest.raises(ValueError, match="mu_decoy"):
         ProtocolConfig(kind=BB84_DECOY, clock_hz=1e9, mu_decoy=0.0)
     # DPS has no decoy class, so its unused mu_decoy may be 0
     assert ProtocolConfig(kind=DPS, clock_hz=2e9, mu_decoy=0.0).mu_decoy == 0.0
     with pytest.raises(ValueError, match="kind"):
         ProtocolConfig(kind="b92", clock_hz=1e9)
-    with pytest.raises(ValueError, match="strategy"):
-        ProtocolConfig(kind=DPS, clock_hz=2e9, dps_security="nonsense")
 
 
 def test_default_configs():
@@ -233,6 +233,25 @@ def test_bb84_vacuum_yield_matches_dark_rate():
     p_dark_unit = 1 - (1 - det.p_dark) ** 2
     expect = t.sent * p_dark_unit
     assert abs(t.clicks - expect) <= 3 * np.sqrt(expect)
+
+
+def test_dps_dark_only_click_rate():
+    # a blind detector clicks only on darks: never without them, and at
+    # the per-unit dark gain 1 - (1 - p_dark)^2 with random bits otherwise
+    cfg = ProtocolConfig.dps_default()
+    blind = DetectorModel(efficiency=0.0, dark_rate_hz=0.0, gate_rate_hz=2e9)
+    s = run_dps_session(cfg, ChannelModel(0.0), blind, 100_000, make_rng(5))
+    assert s.per_intensity["signal"].clicks == 0
+
+    dark = DetectorModel(efficiency=0.0, dark_rate_hz=2e5, gate_rate_hz=2e9)
+    a = analytic_expectations(cfg, ChannelModel(0.0), dark)
+    assert a.gains["signal"] == pytest.approx(1 - (1 - 1e-4) ** 2, rel=1e-12)
+    assert a.qber == pytest.approx(0.5)
+    t = run_dps_session(cfg, ChannelModel(0.0), dark, 1_000_000,
+                        make_rng(6)).per_intensity["signal"]
+    expect = t.sent * a.gains["signal"]
+    assert abs(t.clicks - expect) <= 5 * np.sqrt(expect)
+    assert abs(t.errors - t.clicks / 2) <= 5 * np.sqrt(t.clicks / 4)
 
 
 def test_bb84_qber_floor_dark_dominated():
