@@ -11,7 +11,16 @@ from qkdtx.linkmodel import (
     detector_preset,
     transmittance,
 )
-from qkdtx.protocols import ProtocolConfig, _click_probability, analytic_expectations
+from qkdtx.protocols import (
+    ProtocolConfig,
+    _click_probability,
+    _port_clicks,
+    analytic_expectations,
+)
+
+
+def make_rng(seed=0):
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def test_transmittance_reference_points():
@@ -54,6 +63,29 @@ def test_detector_validation():
         DetectorModel(efficiency=1.5, dark_rate_hz=0, gate_rate_hz=1e9)
     with pytest.raises(ValueError):
         DetectorModel(efficiency=0.5, dark_rate_hz=2e9, gate_rate_hz=1e9)
+
+
+def test_simulate_detection_dark_fraction():
+    # with no light both ports click only on darks, at the SNSPD per-gate
+    # probability 4.5e-8
+    snspd = detector_preset("snspd", gate_rate_hz=2e9)
+    n = 100_000_000  # detector gates, over both ports
+    chunk = n // 20
+    total = 0
+    rng = make_rng(3)
+    for _ in range(10):
+        bar, cross = _port_clicks(np.zeros(chunk), np.zeros(chunk),
+                                  snspd.p_dark, rng)
+        total += int(np.count_nonzero(bar)) + int(np.count_nonzero(cross))
+    expect = n * snspd.p_dark
+    assert abs(total - expect) <= 3 * np.sqrt(expect) + 1
+
+
+def test_simulate_detection_dark_free_zero_intensity():
+    det = DetectorModel(efficiency=0.9, dark_rate_hz=0.0, gate_rate_hz=1e9)
+    bar, cross = _port_clicks(np.zeros(10_000), np.zeros(10_000),
+                              det.p_dark, make_rng(1))
+    assert not bar.any() and not cross.any()
 
 
 def p_click(mu, channel, det):
