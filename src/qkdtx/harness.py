@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
@@ -123,7 +124,7 @@ def _protocol_from_dict(spec: dict, provenance: dict) -> ProtocolConfig:
     kwargs = {}
     for name in _PROTOCOL_FIELDS:
         if name in spec:
-            kwargs[name] = spec[name]
+            kwargs[name] = _number(spec[name], f"protocol.{name}")
         else:
             kwargs[name] = getattr(defaults, name)
             key = (f"{name}/{kind}" if name in _KIND_SPECIFIC else name)
@@ -141,12 +142,17 @@ def _detector_from_spec(spec, clock_hz: float, provenance: dict) -> DetectorMode
         raise ConfigError("detector must be a preset name or an object")
     if "preset" in spec:
         _reject_unknown(spec, ("preset", "gate_rate_hz"), "detector")
+        if not isinstance(spec["preset"], str):
+            raise ConfigError("detector.preset must be a preset name")
     else:
         _reject_unknown(spec, ("efficiency", "dark_rate_hz", "gate_rate_hz",
                                "label"), "detector")
         for req in ("efficiency", "dark_rate_hz"):
             if req not in spec:
                 raise ConfigError(f"detector.{req} is required for explicit detectors")
+    for name in ("efficiency", "dark_rate_hz", "gate_rate_hz"):
+        if name in spec:
+            _number(spec[name], f"detector.{name}")
     gate = spec.get("gate_rate_hz", clock_hz)
     if "gate_rate_hz" not in spec:
         provenance["detector.gate_rate_hz"] = \
@@ -162,11 +168,23 @@ def _detector_from_spec(spec, clock_hz: float, provenance: dict) -> DetectorMode
         raise ConfigError(f"detector: {exc}") from exc
 
 
+def _is_number(value) -> bool:
+    """A finite int or float; booleans, strings, null, NaN and inf are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
+
+
+def _number(value, name: str):
+    if not _is_number(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 def _numbers(value, name: str) -> list:
     """A number or a list of numbers (booleans and strings are rejected)."""
     values = value if isinstance(value, list) else [value]
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in values):
+    if not all(_is_number(v) for v in values):
         raise ConfigError(f"{name} must be a number or a list of numbers")
     return values
 

@@ -5,6 +5,9 @@ yields I_out = I_in/2 * (1 + cos(phi)), whose density is the arcsine law
 P(I) = 1 / (pi * sqrt(I * (I_in - I))). Raw samples are digitized to 8 bits,
 validated (chi-square, autocorrelation, min-entropy) and condensed with a
 Toeplitz extractor.
+
+Importing this module loads numpy only; scipy is imported inside
+goodness_of_fit, the one function that needs it.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
-from scipy.stats import chi2 as chi2_dist
 
 TWO_PI = 2.0 * np.pi
 
@@ -199,8 +200,12 @@ def goodness_of_fit(histogram, i_in, full_scale=None):
     if expected.size < 2:
         raise ValueError("degenerate histogram: all mass in one bin")
 
+    # chdtrc is the function scipy.stats.chi2.sf evaluates; imported here so
+    # that importing qkdtx does not pay for loading scipy.
+    from scipy.special import chdtrc
+
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
-    p = float(chi2_dist.sf(chi2, df=expected.size - 1))
+    p = float(chdtrc(expected.size - 1, chi2))
     return chi2, p
 
 
@@ -234,14 +239,36 @@ def entropy_budget_bits(byte_values) -> int:
     return max(budget, 0)
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, a length numpy's FFT handles fast."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def toeplitz_hash(bits, diagonal_bits, n_out) -> np.ndarray:
     """Multiply a bit vector by a binary Toeplitz matrix over GF(2).
 
     The matrix T (n_out x n_in) is defined by its diagonal sequence t of
     length n_in + n_out - 1 via T[i, j] = t[i - j + n_in - 1]; t[n_in-1:]
     is the first column and t[n_in-1::-1] the first row. Output bit i is the
-    parity of the masked input, computed exactly through an integer
-    convolution.
+    parity of entry n_in - 1 + i of the integer convolution t * x.
+
+    The convolution is one circular float64 FFT convolution of length
+    L = _fft_length(n_in + n_out - 1). Linear entries at or beyond L wrap
+    onto entries 0 .. n_in - 2 only, which are discarded, so the kept
+    entries are exact integer sums up to rounding error. If that error
+    reaches 0.25 the parity could be wrong, and ArithmeticError is raised
+    instead of returning bits.
     """
     x = np.asarray(bits, dtype=np.uint8) & 1
     t = np.asarray(diagonal_bits, dtype=np.uint8) & 1
@@ -250,13 +277,18 @@ def toeplitz_hash(bits, diagonal_bits, n_out) -> np.ndarray:
         raise ValueError("n_out must be >= 0")
     if n_out == 0:
         return np.zeros(0, dtype=np.uint8)
+    if n_in == 0:
+        raise ValueError("bits must not be empty")
     if t.size != n_in + n_out - 1:
         raise ValueError("diagonal sequence must have n_in + n_out - 1 bits")
-    if n_in * n_out <= 1 << 18:
-        conv = np.convolve(t.astype(np.int64), x.astype(np.int64))
-    else:
-        conv = np.rint(fftconvolve(t.astype(float), x.astype(float))).astype(np.int64)
-    return (conv[n_in - 1:n_in - 1 + n_out] & 1).astype(np.uint8)
+    n_fft = _fft_length(t.size)
+    spectrum = np.fft.rfft(t.astype(np.float64), n_fft)
+    spectrum *= np.fft.rfft(x.astype(np.float64), n_fft)
+    conv = np.fft.irfft(spectrum, n_fft)[n_in - 1:n_in - 1 + n_out]
+    counts = np.rint(conv)
+    if np.max(np.abs(conv - counts)) >= 0.25:
+        raise ArithmeticError("FFT rounding error too large for an exact parity")
+    return (counts.astype(np.int64) & 1).astype(np.uint8)
 
 
 def extract_bits(byte_values, out_len_bits, seed_matrix_seed) -> np.ndarray:

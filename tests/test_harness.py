@@ -58,6 +58,11 @@ def test_bad_probabilities_name_the_field():
                             "p_decoy": 0.05, "p_vacuum": 0.05})
     with pytest.raises(ConfigError, match="probabilities"):
         config_from_dict(raw)
+    for bad in ("0.5", True, None, float("nan"), float("inf")):
+        raw = minimal_dps()
+        raw["protocol"]["mu_signal"] = bad
+        with pytest.raises(ConfigError, match="protocol.mu_signal"):
+            config_from_dict(raw)
 
 
 def test_zero_decoy_intensity_rejected_before_any_session(tmp_path,
@@ -81,6 +86,8 @@ def test_unknown_preset_lists_options():
     with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
     assert "snspd" in str(err.value) and "apd" in str(err.value)
+    with pytest.raises(ConfigError, match="detector.preset"):
+        config_from_dict(minimal_dps(detector={"preset": ["snspd"]}))
 
 
 def test_channel_validation():
@@ -93,6 +100,7 @@ def test_channel_validation():
     assert "channel.alpha_db_per_km" in cfg.provenance
     for channel, field in [({"loss_db": "10"}, "channel.loss_db"),
                            ({"loss_db": [0, "5"]}, "channel.loss_db"),
+                           ({"loss_db": [float("nan")]}, "channel.loss_db"),
                            ({"length_km": "50"}, "channel.length_km"),
                            ({"length_km": [-5]}, "channel.length_km"),
                            ({"loss_db": [10], "length_km": [50]}, "length_km"),
@@ -147,6 +155,13 @@ def test_explicit_detector():
     with pytest.raises(ConfigError, match="efficiency"):
         config_from_dict(minimal_dps(detector={"preset": "snspd",
                                                "efficiency": 0.5}))
+    for bad in ("0.5", True, None, float("nan")):
+        with pytest.raises(ConfigError, match="detector.efficiency"):
+            config_from_dict(minimal_dps(
+                detector={"efficiency": bad, "dark_rate_hz": 100.0}))
+        with pytest.raises(ConfigError, match="detector.gate_rate_hz"):
+            config_from_dict(minimal_dps(
+                detector={"preset": "snspd", "gate_rate_hz": bad}))
 
 
 # ---------------------------------------------------------------------------

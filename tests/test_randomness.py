@@ -1,12 +1,19 @@
 """Tests for the arcsine QRNG statistics and extraction pipeline."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
+import qkdtx
 from qkdtx.randomness import (
     QrngSampleSet,
     analyze,
@@ -26,6 +33,19 @@ from qkdtx.randomness import (
 
 def make_rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+@pytest.fixture(scope="module")
+def seed7_samples():
+    """The qkdtx qrng default run: 1,025,000 events from PCG64(7)."""
+    return quantize(sample_interference(1_025_000, 1.0, make_rng(7)))
+
+
+def dense_toeplitz(t, n_in, n_out):
+    """The n_out x n_in matrix T[i, j] = t[i - j + n_in - 1], written out."""
+    rows = np.arange(n_out)[:, None]
+    cols = np.arange(n_in)[None, :]
+    return t[rows - cols + n_in - 1]
 
 
 class ConstantPhaseRng:
@@ -177,6 +197,14 @@ def test_goodness_of_fit_self_consistency():
     assert p > 0.01
 
 
+def test_goodness_of_fit_p_value_is_chi2_sf(seed7_samples):
+    hist = byte_histogram(seed7_samples.bytes)
+    chi2, p = goodness_of_fit(hist, 1.0)
+    assert p == 0.5465583074091717
+    # every bin expects over 2,500 events here, so none is merged: 255 dof
+    assert p == chi2_dist.sf(chi2, df=255)
+
+
 def test_goodness_of_fit_rejects_uniform():
     b = make_rng(8).integers(0, 256, 100_000)
     chi2, p = goodness_of_fit(byte_histogram(b), 1.0)
@@ -275,6 +303,60 @@ def test_toeplitz_matches_dense_matrix():
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 300), st.integers(0, 2**32 - 1))
+@example(1, 1, 0)
+@example(1, 300, 1)
+@example(300, 1, 2)
+def test_toeplitz_small_shapes_match_dense_product(n_in, n_out, seed):
+    rng = make_rng(seed)
+    x = rng.integers(0, 2, n_in).astype(np.uint8)
+    t = rng.integers(0, 2, n_in + n_out - 1).astype(np.uint8)
+    want = dense_toeplitz(t.astype(np.int64), n_in, n_out) @ x % 2
+    assert np.array_equal(toeplitz_hash(x, t, n_out), want)
+
+
+def test_toeplitz_full_size_block_sampled_rows():
+    # one extractor block of the qkdtx qrng default run
+    rng = make_rng(16)
+    n_in, n_out = 1 << 16, 37_851
+    x = rng.integers(0, 2, n_in).astype(np.uint8)
+    t = rng.integers(0, 2, n_in + n_out - 1).astype(np.uint8)
+    got = toeplitz_hash(x, t, n_out)
+    assert got.shape == (n_out,) and got.dtype == np.uint8
+    rows = np.concatenate(([0, n_out - 1], rng.choice(n_out, 254, replace=False)))
+    for i in rows:
+        # row i of T is t[i : i + n_in] reversed
+        assert got[i] == int(np.sum(t[i:i + n_in][::-1] & x)) % 2
+
+
+def test_toeplitz_validation():
+    with pytest.raises(ValueError, match="empty"):
+        toeplitz_hash(np.zeros(0, np.uint8), np.zeros(2, np.uint8), 3)
+    with pytest.raises(ValueError, match="n_out"):
+        toeplitz_hash(np.ones(4, np.uint8), np.ones(4, np.uint8), -1)
+    with pytest.raises(ValueError, match="diagonal"):
+        toeplitz_hash(np.ones(4, np.uint8), np.ones(4, np.uint8), 2)
+    assert toeplitz_hash(np.ones(4, np.uint8), np.ones(4, np.uint8), 0).size == 0
+
+
+def test_toeplitz_rounding_guard(monkeypatch):
+    # a convolution entry 0.3 away from an integer has no trustworthy parity
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + 0.3)
+    with pytest.raises(ArithmeticError):
+        toeplitz_hash(np.ones(8, np.uint8), np.ones(11, np.uint8), 4)
+
+
+def test_extract_pinned_output(seed7_samples):
+    budget = entropy_budget_bits(seed7_samples.bytes)
+    assert budget == 4_768_425
+    bits = extract_bits(seed7_samples.bytes, budget, seed_matrix_seed=7)
+    digest = hashlib.sha256(np.packbits(bits).tobytes()).hexdigest()
+    assert digest == ("38b66ee4549874c1b84c85ab3e65eef1"
+                      "32b7de4f8ff6a7ad93f386059eff3b1b")
+
+
 def test_extract_zero_length():
     b = make_rng(12).integers(0, 256, 1000).astype(np.uint8)
     assert extract_bits(b, 0, seed_matrix_seed=1).size == 0
@@ -306,3 +388,14 @@ def test_extracted_stream_uniformity():
     out_bytes = np.packbits(bits)[: (bits.size // 8)]
     c = byte_autocorrelation(out_bytes, 50)
     assert np.max(np.abs(c)) < 5e-3
+
+
+def test_package_import_leaves_out_scipy_stats_and_signal():
+    src = str(Path(qkdtx.__file__).resolve().parents[1])
+    code = ("import sys, qkdtx.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'])))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=src, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
