@@ -7,6 +7,7 @@ feed, 1 - (1-p_dark) * exp(-mu * eta), lives in the protocols kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -17,8 +18,8 @@ class ChannelModel:
     loss_db: float
 
     def __post_init__(self):
-        if self.loss_db < 0:
-            raise ValueError("loss_db must be >= 0")
+        if not 0.0 <= self.loss_db < math.inf:
+            raise ValueError("loss_db must be finite and >= 0")
 
     @classmethod
     def from_length(cls, length_km, alpha_db_per_km=0.2) -> "ChannelModel":
@@ -49,10 +50,10 @@ class DetectorModel:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must be in [0, 1]")
-        if self.dark_rate_hz < 0:
-            raise ValueError("dark_rate_hz must be >= 0")
-        if self.gate_rate_hz <= 0:
-            raise ValueError("gate_rate_hz must be > 0")
+        if not 0.0 <= self.dark_rate_hz < math.inf:
+            raise ValueError("dark_rate_hz must be finite and >= 0")
+        if not 0.0 < self.gate_rate_hz < math.inf:
+            raise ValueError("gate_rate_hz must be finite and > 0")
         if self.dark_rate_hz / self.gate_rate_hz >= 1.0:
             raise ValueError("per-gate dark probability must be < 1")
 

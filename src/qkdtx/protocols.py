@@ -1,9 +1,12 @@
 """End-to-end DPS and decoy-state BB84 sessions with asymptotic key rates.
 
 Sessions are deterministic functions of (config, channel, detector, seed).
-The Monte-Carlo path draws per-slot clicks from the same threshold-detector
+DPS is the one-class, always-sifted case of the decoy BB84 session: a
+per-kind encoder draws each unit's class, phase and sifting, and one
+Monte-Carlo loop draws per-slot clicks from the same threshold-detector
 model as the closed-form expectations, so tallies agree with
-:func:`analytic_expectations` to binomial noise at any loss.
+:func:`analytic_expectations` to binomial noise at any loss. Both paths take
+their key rate from :func:`_key_rate`.
 
 Intensity convention: ``mu_signal``/``mu_decoy`` are mean photon numbers per
 encoded unit (one pulse for DPS, one pulse pair for BB84). The decoy-state
@@ -14,6 +17,7 @@ the yield bounds mutually consistent.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -83,26 +87,26 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.kind not in (DPS, BB84_DECOY):
             raise ValueError(f"unknown protocol kind {self.kind!r}")
-        if self.clock_hz <= 0:
-            raise ValueError("clock_hz must be > 0")
+        if not 0.0 < self.clock_hz < math.inf:
+            raise ValueError("clock_hz must be finite and > 0")
         probs = self.p_vacuum + self.p_decoy + self.p_signal
-        if abs(probs - 1.0) > 1e-12:
+        if not abs(probs - 1.0) <= 1e-12:
             raise ValueError("intensity probabilities must sum to 1")
-        if not 0.0 <= self.mu_decoy < self.mu_signal:
-            raise ValueError("need 0 <= mu_decoy < mu_signal")
+        if not 0.0 <= self.mu_decoy < self.mu_signal < math.inf:
+            raise ValueError("need 0 <= mu_decoy < mu_signal, both finite")
         if self.kind == BB84_DECOY and self.mu_decoy == 0.0:
             # the vacuum + weak-decoy bounds divide by the decoy intensity
             raise ValueError("mu_decoy must be > 0 for bb84-decoy")
         if not 0.0 < self.basis_prob_x < 1.0:
             raise ValueError("basis_prob_x must be in (0, 1)")
-        if self.f_ec < 1.0:
-            raise ValueError("f_ec must be >= 1")
-        if self.sigma_phi < 0:
-            raise ValueError("sigma_phi must be >= 0")
+        if not 1.0 <= self.f_ec < math.inf:
+            raise ValueError("f_ec must be finite and >= 1")
+        if not 0.0 <= self.sigma_phi < math.inf:
+            raise ValueError("sigma_phi must be finite and >= 0")
         if not 0.0 < self.temporal_efficiency <= 1.0:
             raise ValueError("temporal_efficiency must be in (0, 1]")
-        if self.receiver_loss_db < 0:
-            raise ValueError("receiver_loss_db must be >= 0")
+        if not 0.0 <= self.receiver_loss_db < math.inf:
+            raise ValueError("receiver_loss_db must be finite and >= 0")
         if not 0.0 < self.visibility_floor <= 1.0:
             raise ValueError("visibility_floor must be in (0, 1]")
 
@@ -126,14 +130,22 @@ class ProtocolConfig:
         return cls(**kw)
 
     def basis_match_probability(self) -> float:
+        """Probability that a detection is sifted (1 for DPS: no bases)."""
+        if self.kind == DPS:
+            return 1.0
         p = self.basis_prob_x
         return p * p + (1 - p) * (1 - p)
 
     def class_probabilities(self) -> np.ndarray:
         return np.array([self.p_vacuum, self.p_decoy, self.p_signal])
 
-    def class_intensities(self) -> np.ndarray:
-        return np.array([0.0, self.mu_decoy, self.mu_signal])
+    def classes(self) -> tuple:
+        """Intensity classes a unit is drawn from: names, emission
+        probabilities and mean photon numbers. DPS sends one class."""
+        if self.kind == DPS:
+            return ("signal",), np.array([1.0]), np.array([self.mu_signal])
+        return (INTENSITY_CLASSES, self.class_probabilities(),
+                np.array([0.0, self.mu_decoy, self.mu_signal]))
 
 
 @dataclass
@@ -168,25 +180,8 @@ class SessionResult:
     photon_truth: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        d = {
-            "protocol": self.protocol,
-            "pulses_sent": self.pulses_sent,
-            "per_intensity": {
-                k: dataclasses.asdict(v) for k, v in self.per_intensity.items()
-            },
-            "sifted_bits": self.sifted_bits,
-            "errors": self.errors,
-            "qber": self.qber,
-            "raw_rate_hz": self.raw_rate_hz,
-            "sifted_rate_hz": self.sifted_rate_hz,
-            "skr_bps": self.skr_bps,
-            "flags": list(self.flags),
-        }
-        if self.decoy is not None:
-            d["decoy"] = dataclasses.asdict(self.decoy)
-        if self.photon_truth is not None:
-            d["photon_truth"] = dict(self.photon_truth)
-        return d
+        return {k: v for k, v in dataclasses.asdict(self).items()
+                if v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +307,22 @@ def skr_bb84(estimates: DecoyEstimates, q_signal, e_signal,
     return float(max(rate, 0.0))
 
 
+def _key_rate(cfg: ProtocolConfig, gains, errors, qber, sifted_rate,
+              sent_counts=None):
+    """Secure key rate and decoy estimates (None for DPS): the collision
+    bound on the QBER for DPS, the vacuum + weak-decoy bound for BB84, where
+    sent_counts (units sent per class name) adds the Y1 standard error."""
+    if cfg.kind == DPS:
+        return skr_dps(sifted_rate, min(qber, 0.5 - 1e-15), cfg.mu_signal,
+                       cfg), None
+    if sent_counts is not None:
+        sent_counts = tuple(sent_counts[c] for c in ("signal", "decoy", "vacuum"))
+    est = decoy_estimate(gains["signal"], gains["decoy"], gains["vacuum"],
+                         errors["signal"], errors["decoy"], errors["vacuum"],
+                         cfg.mu_signal, cfg.mu_decoy, sent_counts=sent_counts)
+    return skr_bb84(est, gains["signal"], errors["signal"], cfg), est
+
+
 # ---------------------------------------------------------------------------
 # shared click model
 # ---------------------------------------------------------------------------
@@ -421,40 +432,23 @@ def analytic_expectations(cfg: ProtocolConfig, channel: ChannelModel,
     quadrature; to leading order this is the familiar
     E = [e_opt (Q - Q_dark) + Q_dark/2] / Q with
     e_opt = (1 - exp(-sigma^2/2) * V_floor) / 2, but the quadrature keeps the
-    expectation exact in the high-flux regime too. The same key-rate
-    formulas as the Monte-Carlo path are applied to the expected tallies.
+    expectation exact in the high-flux regime too. The same key-rate step as
+    the Monte-Carlo path is applied to the expected tallies.
     """
     eta = _system_efficiency(cfg, channel, det)
-    p_dark = det.p_dark
-
-    if cfg.kind == DPS:
-        flux = cfg.mu_signal * cfg.temporal_efficiency * eta
-        q = _unit_gain(flux, p_dark)
-        err = _gh_error_numerator(flux, cfg.sigma_phi, cfg.visibility_floor,
-                                  p_dark)
-        e = err / q if q > 0 else 0.5
-        sifted = cfg.clock_hz * q
-        skr = skr_dps(sifted, min(e, 0.5 - 1e-15), cfg.mu_signal, cfg)
-        return AnalyticExpectations(
-            gains={"signal": q}, error_rates={"signal": e},
-            raw_rate_hz=sifted, sifted_rate_hz=sifted, qber=e, skr_bps=skr)
+    names, p_cls, mus = cfg.classes()
 
     gains, errors = {}, {}
-    for name, mu in zip(INTENSITY_CLASSES, cfg.class_intensities()):
+    for name, mu in zip(names, mus):
         flux = mu * cfg.temporal_efficiency * eta
-        q = _unit_gain(flux, p_dark)
+        q = _unit_gain(flux, det.p_dark)
         err = _gh_error_numerator(flux, cfg.sigma_phi, cfg.visibility_floor,
-                                  p_dark)
+                                  det.p_dark)
         gains[name] = q
         errors[name] = err / q if q > 0 else 0.5
-    p_cls = cfg.class_probabilities()
-    q_mean = float(np.dot(p_cls, [gains[c] for c in INTENSITY_CLASSES]))
-    raw = cfg.clock_hz * q_mean
+    raw = cfg.clock_hz * float(np.dot(p_cls, [gains[c] for c in names]))
     sifted = raw * cfg.basis_match_probability()
-    est = decoy_estimate(gains["signal"], gains["decoy"], gains["vacuum"],
-                         errors["signal"], errors["decoy"], errors["vacuum"],
-                         cfg.mu_signal, cfg.mu_decoy)
-    skr = skr_bb84(est, gains["signal"], errors["signal"], cfg)
+    skr, est = _key_rate(cfg, gains, errors, errors["signal"], sifted)
     return AnalyticExpectations(
         gains=gains, error_rates=errors, raw_rate_hz=raw,
         sifted_rate_hz=sifted, qber=errors["signal"], skr_bps=skr, decoy=est)
@@ -464,115 +458,52 @@ def analytic_expectations(cfg: ProtocolConfig, channel: ChannelModel,
 # Monte-Carlo sessions
 # ---------------------------------------------------------------------------
 
-def run_dps_session(cfg: ProtocolConfig, channel: ChannelModel,
-                    det: DetectorModel, n_pulses, rng) -> SessionResult:
-    """Monte-Carlo DPS session.
-
-    Key bits set the differential phase of consecutive pulses to 0 or pi
-    (constructive events decode as '1'); phase noise, channel and both
-    detector ports are applied per interference slot and every detection is
-    sifted. Double clicks resolve to a random bit.
-    """
-    if cfg.kind != DPS:
-        raise ValueError(f"run_dps_session needs a {DPS!r} config")
-    if n_pulses < 1_000:
-        raise ValueError("n_pulses must be >= 1e3")
-
-    eta = _system_efficiency(cfg, channel, det)
-    flux = cfg.mu_signal * cfg.temporal_efficiency * eta
-    n_slots = int(n_pulses) - 1
-
-    clicks = errors = 0
-    done = 0
-    while done < n_slots:
-        m = min(_CHUNK, n_slots - done)
-        bits = rng.integers(0, 2, m)
-        # bit 1 -> dphi = 0 (constructive at theta_A = 0), bit 0 -> dphi = pi
-        cos_phi = np.pi * (1 - bits)
-        if cfg.sigma_phi > 0:
-            cos_phi += rng.normal(0.0, cfg.sigma_phi, m)
-        np.cos(cos_phi, out=cos_phi)
-        cos_phi *= cfg.visibility_floor
-        lam_bar, lam_cross = _port_means(cos_phi, 0.5 * flux)
-        bar, cross = _port_clicks(lam_bar, lam_cross, det.p_dark, rng)
-        clicked, wrong = _decode(bar, cross, bits == 1, rng)
-        clicks += int(np.count_nonzero(clicked))
-        errors += int(np.count_nonzero(wrong))
-        done += m
-
-    flags = []
-    if clicks == 0:
-        flags.append("no-detections")
-        qber = 0.0
-    else:
-        qber = errors / clicks
-        if qber >= 0.5:
-            qber = 0.5
-            flags.append("qber-clamped")
-    sifted_rate = cfg.clock_hz * clicks / n_slots if n_slots else 0.0
-    skr = skr_dps(sifted_rate, min(qber, 0.5 - 1e-15), cfg.mu_signal, cfg)
-    tally = IntensityTally(sent=n_slots, clicks=clicks, sifted=clicks,
-                           errors=errors)
-    return SessionResult(
-        protocol=DPS, pulses_sent=int(n_pulses),
-        per_intensity={"signal": tally}, sifted_bits=clicks, errors=errors,
-        qber=qber, raw_rate_hz=sifted_rate, sifted_rate_hz=sifted_rate,
-        skr_bps=skr, flags=flags)
+def _encode_dps(cfg: ProtocolConfig, m, rng):
+    """(class, dphi, bar_value, sifted) of m DPS slots: one class, all sifted."""
+    bits = rng.integers(0, 2, m)
+    # bit 1 -> dphi = 0 (constructive at theta_A = 0), bit 0 -> dphi = pi
+    return (np.zeros(m, dtype=np.uint8), np.pi * (1 - bits), bits == 1,
+            np.ones(m, dtype=bool))
 
 
-def run_bb84_session(cfg: ProtocolConfig, channel: ChannelModel,
-                     det: DetectorModel, n_pairs, rng,
-                     record_photon_truth=False) -> SessionResult:
-    """Monte-Carlo decoy-state BB84 session over pulse pairs.
-
-    Per pair: an intensity class is drawn, basis and bit are encoded in the
-    within-pair differential phase (global phase re-randomized between
-    pairs), and the receiver measures in a random basis. The bar and cross
-    ports of the central time bin see independent Poisson light (Poisson
-    thinning of the pair's photon number), so clicks follow the same port
-    kernel and closed form as the DPS session and
-    :func:`analytic_expectations`, with independent dark counts. Sifting
-    keeps basis matches; per-intensity gains and errors feed the decoy
-    bounds.
-
-    ``record_photon_truth`` draws the photon numbers as well: Poisson counts
-    at the bar port, the cross port and lost, which is the same joint law,
-    and clicks follow whether each port received a photon. The returned
-    ``photon_truth`` tallies pairs that carried zero and one photon.
-    """
-    if cfg.kind != BB84_DECOY:
-        raise ValueError(f"run_bb84_session needs a {BB84_DECOY!r} config")
-    if n_pairs < 1_000:
-        raise ValueError("n_pairs must be >= 1e3")
-
-    eta = _system_efficiency(cfg, channel, det)
-    q_unit = cfg.temporal_efficiency * eta  # per-photon usable-detection prob
-    mus = cfg.class_intensities()
-    half_flux = 0.5 * q_unit * mus
-    lost_mean = (1.0 - q_unit) * mus
+def _encode_bb84(cfg: ProtocolConfig, m, rng):
+    """(class, dphi + theta_B, bar_value, basis match) of m BB84 pairs."""
     bounds = np.cumsum(cfg.class_probabilities())[:2]
+    u = rng.random(m)
+    # class index = class boundaries at or below u (vacuum, decoy, signal)
+    cls = np.add(u >= bounds[0], u >= bounds[1], dtype=np.uint8)
+    basis_a = rng.random(m) < cfg.basis_prob_x      # True -> X
+    bits = rng.integers(0, 2, m, dtype=np.int8)
+    basis_b = rng.random(m) < cfg.basis_prob_x
+    # X: dphi in {0, pi} read at theta_A = 0; Z: {pi/2, 3pi/2} at -pi/2,
+    # so dphi + theta_B is (2 bit + [B in X] - [A in X]) quarter turns
+    quarter_turns = bits << 1
+    quarter_turns += basis_b
+    quarter_turns -= basis_a
+    # bit 0 lights the bar port
+    return cls, (np.pi / 2.0) * quarter_turns, bits == 0, basis_a == basis_b
+
+
+def _run_session(cfg: ProtocolConfig, channel: ChannelModel,
+                 det: DetectorModel, n_units, rng, encode,
+                 record_photon_truth) -> SessionResult:
+    """Monte-Carlo session over n_units interference units, chunk by chunk:
+    ``encode(cfg, m, rng)`` draws what m units send, and per-class tallies
+    of clicks, sifting and errors feed :func:`_key_rate`."""
+    names, _, mus = cfg.classes()
+    eta = _system_efficiency(cfg, channel, det)
+    half_flux = 0.5 * (mus * cfg.temporal_efficiency * eta)
+    lost_mean = (1.0 - cfg.temporal_efficiency * eta) * mus  # never detected
 
     # per class: [no click, clicked not sifted, sifted right, sifted wrong]
-    counts = np.zeros(4 * len(INTENSITY_CLASSES), dtype=np.int64)
+    counts = np.zeros(4 * len(names), dtype=np.int64)
     truth = {"sent_n0": 0, "clicked_n0": 0, "sent_n1": 0, "clicked_n1": 0,
              "sifted_n1": 0, "errors_n1": 0}
 
     done = 0
-    n_pairs = int(n_pairs)
-    while done < n_pairs:
-        m = min(_CHUNK, n_pairs - done)
-        u = rng.random(m)
-        # class index = class boundaries at or below u (vacuum, decoy, signal)
-        cls = np.add(u >= bounds[0], u >= bounds[1], dtype=np.uint8)
-        basis_a = rng.random(m) < cfg.basis_prob_x      # True -> X
-        bits = rng.integers(0, 2, m, dtype=np.int8)
-        basis_b = rng.random(m) < cfg.basis_prob_x
-        # X: dphi in {0, pi} read at theta_A = 0; Z: {pi/2, 3pi/2} at -pi/2,
-        # so dphi + theta_B is (2 bit + [B in X] - [A in X]) quarter turns
-        quarter_turns = bits << 1
-        quarter_turns += basis_b
-        quarter_turns -= basis_a
-        cos_phi = (np.pi / 2.0) * quarter_turns
+    while done < n_units:
+        m = min(_CHUNK, n_units - done)
+        cls, cos_phi, bar_value, matched = encode(cfg, m, rng)
         if cfg.sigma_phi > 0:
             cos_phi += rng.normal(0.0, cfg.sigma_phi, m)
         np.cos(cos_phi, out=cos_phi)
@@ -587,8 +518,8 @@ def run_bb84_session(cfg: ProtocolConfig, channel: ChannelModel,
             lam_cross = np.where(n_cross > 0, np.inf, 0.0)
 
         bar, cross = _port_clicks(lam_bar, lam_cross, det.p_dark, rng)
-        clicked, wrong = _decode(bar, cross, bits == 0, rng)  # bar reads 0
-        matched = basis_a == basis_b
+        del cos_phi, lam_bar, lam_cross  # spent; free them before the next chunk
+        clicked, wrong = _decode(bar, cross, bar_value, rng)
         sifted = clicked & matched
         err = wrong & matched
 
@@ -596,7 +527,9 @@ def run_bb84_session(cfg: ProtocolConfig, channel: ChannelModel,
         code += clicked
         code += sifted
         code += err
-        counts += np.bincount(code, minlength=counts.size)
+        # count_nonzero per code keeps the uint8 codes (bincount casts to intp)
+        for v in range(counts.size):
+            counts[v] += np.count_nonzero(code == v)
 
         if record_photon_truth:
             n0 = n_photons == 0
@@ -609,18 +542,14 @@ def run_bb84_session(cfg: ProtocolConfig, channel: ChannelModel,
             truth["errors_n1"] += int(err[n1].sum())
         done += m
 
-    per_class = counts.reshape(len(INTENSITY_CLASSES), 4)
     tallies = {
         name: IntensityTally(sent=int(row.sum()), clicks=int(row[1:].sum()),
                              sifted=int(row[2:].sum()), errors=int(row[3]))
-        for name, row in zip(INTENSITY_CLASSES, per_class)}
+        for name, row in zip(names, counts.reshape(len(names), 4))}
 
     flags = []
-    gains, errs = {}, {}
-    for name in INTENSITY_CLASSES:
-        t = tallies[name]
-        gains[name] = t.clicks / t.sent if t.sent else 0.0
-        errs[name] = t.errors / t.sifted if t.sifted else 0.5
+    gains = {n: t.clicks / t.sent if t.sent else 0.0 for n, t in tallies.items()}
+    errs = {n: t.errors / t.sifted if t.sifted else 0.5 for n, t in tallies.items()}
     sig = tallies["signal"]
     if sig.sifted == 0:
         flags.append("no-detections")
@@ -631,20 +560,60 @@ def run_bb84_session(cfg: ProtocolConfig, channel: ChannelModel,
             qber = 0.5
             flags.append("qber-clamped")
 
-    est = decoy_estimate(
-        gains["signal"], gains["decoy"], gains["vacuum"],
-        errs["signal"], errs["decoy"], errs["vacuum"],
-        cfg.mu_signal, cfg.mu_decoy,
-        sent_counts=(sig.sent, tallies["decoy"].sent, tallies["vacuum"].sent))
-    flags.extend(est.flags)
-    skr = skr_bb84(est, gains["signal"], errs["signal"], cfg)
-
     total_clicks = sum(t.clicks for t in tallies.values())
     total_sifted = sum(t.sifted for t in tallies.values())
+    sifted_rate = cfg.clock_hz * total_sifted / n_units
+    skr, est = _key_rate(cfg, gains, errs, qber, sifted_rate,
+                         sent_counts={n: t.sent for n, t in tallies.items()})
+    if est is not None:
+        flags.extend(est.flags)
     return SessionResult(
-        protocol=BB84_DECOY, pulses_sent=n_pairs, per_intensity=tallies,
+        protocol=cfg.kind, pulses_sent=n_units, per_intensity=tallies,
         sifted_bits=total_sifted, errors=sig.errors, qber=qber,
-        raw_rate_hz=cfg.clock_hz * total_clicks / n_pairs,
-        sifted_rate_hz=cfg.clock_hz * total_sifted / n_pairs,
-        skr_bps=skr, flags=flags, decoy=est,
+        raw_rate_hz=cfg.clock_hz * total_clicks / n_units,
+        sifted_rate_hz=sifted_rate, skr_bps=skr, flags=flags, decoy=est,
         photon_truth=truth if record_photon_truth else None)
+
+
+def run_dps_session(cfg: ProtocolConfig, channel: ChannelModel,
+                    det: DetectorModel, n_pulses, rng) -> SessionResult:
+    """Monte-Carlo DPS session.
+
+    Key bits set the differential phase of consecutive pulses to 0 or pi
+    (constructive events decode as '1'); phase noise, channel and both
+    detector ports are applied per interference slot and every detection is
+    sifted. Double clicks resolve to a random bit.
+    """
+    if cfg.kind != DPS:
+        raise ValueError(f"run_dps_session needs a {DPS!r} config")
+    if n_pulses < 1_000:
+        raise ValueError("n_pulses must be >= 1e3")
+    # n pulses make n - 1 interference slots
+    result = _run_session(cfg, channel, det, int(n_pulses) - 1, rng,
+                          _encode_dps, record_photon_truth=False)
+    return dataclasses.replace(result, pulses_sent=int(n_pulses))
+
+
+def run_bb84_session(cfg: ProtocolConfig, channel: ChannelModel,
+                     det: DetectorModel, n_pairs, rng,
+                     record_photon_truth=False) -> SessionResult:
+    """Monte-Carlo decoy-state BB84 session over pulse pairs.
+
+    Per pair: an intensity class is drawn, basis and bit are encoded in the
+    within-pair differential phase (global phase re-randomized between
+    pairs), and the receiver measures in a random basis. Clicks come from
+    the session loop and port kernel shared with DPS and the closed form;
+    sifting keeps basis matches, and per-intensity gains and errors feed
+    the decoy bounds.
+
+    ``record_photon_truth`` draws the photon numbers as well: Poisson counts
+    at the bar port, the cross port and lost, which is the same joint law,
+    and clicks follow whether each port received a photon. The returned
+    ``photon_truth`` tallies pairs that carried zero and one photon.
+    """
+    if cfg.kind != BB84_DECOY:
+        raise ValueError(f"run_bb84_session needs a {BB84_DECOY!r} config")
+    if n_pairs < 1_000:
+        raise ValueError("n_pairs must be >= 1e3")
+    return _run_session(cfg, channel, det, int(n_pairs), rng, _encode_bb84,
+                        record_photon_truth)

@@ -1,17 +1,21 @@
-"""The demos import only names the package exports.
+"""The demos import only names the package exports, and run to completion.
 
-pytest does not run the demo scripts, so a deleted public name would
-otherwise break them unnoticed.
+Each demo runs in a subprocess with ``src`` on ``PYTHONPATH`` and its working
+directory in a temporary folder, where any figure it writes lands.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import qkdtx
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
@@ -22,3 +26,12 @@ def test_demo_imports_exist(path):
              for alias in node.names]
     missing = [n for n in names if not hasattr(qkdtx, n)]
     assert not missing, f"{path.name} imports missing names: {missing}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, tmp_path):
+    path_entries = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
+    done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]

@@ -36,6 +36,9 @@ def test_channel_validation():
         ChannelModel(-1.0)
     with pytest.raises(ValueError):
         ChannelModel.from_length(-5.0)
+    for loss in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="loss_db"):
+            ChannelModel(loss)
 
 
 @given(st.floats(min_value=0.0, max_value=60.0),
@@ -63,6 +66,12 @@ def test_detector_validation():
         DetectorModel(efficiency=1.5, dark_rate_hz=0, gate_rate_hz=1e9)
     with pytest.raises(ValueError):
         DetectorModel(efficiency=0.5, dark_rate_hz=2e9, gate_rate_hz=1e9)
+    nan, inf = float("nan"), float("inf")
+    for field, value in (("dark_rate_hz", nan), ("gate_rate_hz", nan),
+                         ("gate_rate_hz", inf)):
+        with pytest.raises(ValueError, match=field):
+            DetectorModel(**{"efficiency": 0.5, "dark_rate_hz": 90.0,
+                             "gate_rate_hz": 1e9, field: value})
 
 
 def test_simulate_detection_dark_fraction():

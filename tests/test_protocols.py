@@ -70,6 +70,15 @@ def test_config_validation():
     assert ProtocolConfig(kind=DPS, clock_hz=2e9, mu_decoy=0.0).mu_decoy == 0.0
     with pytest.raises(ValueError, match="kind"):
         ProtocolConfig(kind="b92", clock_hz=1e9)
+    # NaN and inf fail each field's check, not only through the loader
+    nan, inf = float("nan"), float("inf")
+    for field, value, message in (
+            ("sigma_phi", nan, "sigma_phi"), ("clock_hz", nan, "clock_hz"),
+            ("clock_hz", inf, "clock_hz"), ("f_ec", nan, "f_ec"),
+            ("receiver_loss_db", nan, "receiver_loss_db"),
+            ("p_signal", nan, "probabilities")):
+        with pytest.raises(ValueError, match=message):
+            ProtocolConfig.dps_default(**{field: value})
 
 
 def test_default_configs():
@@ -274,6 +283,31 @@ def test_session_rng_determinism():
     assert r1.to_dict() == r2.to_dict()
 
 
+def test_session_streams_pinned():
+    # per-class (sent, clicks, sifted, errors) at one seed: a change to the
+    # order or kind of the random draws of either session shows up here
+    def tallies(s):
+        return {name: (t.sent, t.clicks, t.sifted, t.errors)
+                for name, t in s.per_intensity.items()}
+
+    ch = ChannelModel(10.0)
+    dps = ProtocolConfig.dps_default()
+    s = run_dps_session(dps, ch, snspd(dps.clock_hz), 200_000, make_rng(123))
+    assert tallies(s) == {"signal": (199999, 1102, 1102, 30)}
+
+    bb = ProtocolConfig.bb84_default()
+    s = run_bb84_session(bb, ch, snspd(bb.clock_hz), 200_000, make_rng(123))
+    assert tallies(s) == {"vacuum": (12448, 0, 0, 0), "decoy": (12393, 44, 27, 1),
+                          "signal": (175159, 3472, 1725, 31)}
+    s = run_bb84_session(bb, ch, snspd(bb.clock_hz), 200_000, make_rng(123),
+                         record_photon_truth=True)
+    assert tallies(s) == {"vacuum": (12448, 0, 0, 0), "decoy": (12393, 64, 32, 1),
+                          "signal": (175159, 3445, 1656, 52)}
+    assert s.photon_truth == {"sent_n0": 129605, "clicked_n0": 0,
+                              "sent_n1": 54475, "clicked_n1": 2140,
+                              "sifted_n1": 1013, "errors_n1": 31}
+
+
 def test_session_minimum_size():
     cfg = ProtocolConfig.dps_default()
     with pytest.raises(ValueError):
@@ -431,3 +465,15 @@ def test_session_result_serializes():
     assert set(d["per_intensity"]) == {"vacuum", "decoy", "signal"}
     assert d["qber"] == s.qber
     assert isinstance(d["decoy"]["y1_lower"], float)
+    assert "photon_truth" not in d
+
+    cfg = ProtocolConfig.dps_default()
+    s = run_dps_session(cfg, ChannelModel(5.0), snspd(2e9), 20_000, make_rng(8))
+    d = s.to_dict()
+    assert list(d) == ["protocol", "pulses_sent", "per_intensity",
+                       "sifted_bits", "errors", "qber", "raw_rate_hz",
+                       "sifted_rate_hz", "skr_bps", "flags"]
+    assert d["pulses_sent"] == 20_000
+    assert d["per_intensity"] == {"signal": {
+        "sent": 19_999, "clicks": s.sifted_bits, "sifted": s.sifted_bits,
+        "errors": s.errors}}
