@@ -80,7 +80,6 @@ from .harness import (
     load_reference_points,
     run_session,
     run_sweep,
-    validate_provenance,
 )
 
 __version__ = "0.1.0"

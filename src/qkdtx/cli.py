@@ -34,6 +34,7 @@ def _load_experiment(args):
         if args.points < 1_000:
             raise ConfigError("--points must be >= 1e3")
         cfg.pulses_per_point = args.points
+        cfg.provenance.pop("pulses_per_point", None)  # no longer a default
     return cfg
 
 

@@ -1,10 +1,10 @@
 """Experiment configuration, loss sweeps, and reference comparison.
 
-Configs are versioned JSON; every numeric default applied during loading is
-tagged in a provenance block so emitted configs are self-describing. Sweeps
-run one Monte-Carlo session plus closed-form expectations per loss point,
-with per-point seeds derived from the master seed so results are identical
-for any worker count.
+Configs are versioned JSON; every default applied during loading is tagged
+with its source in a provenance block so emitted configs are
+self-describing. Sweeps run one Monte-Carlo session plus closed-form
+expectations per loss point, with per-point seeds derived from the master
+seed so results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -19,67 +19,36 @@ from pathlib import Path
 
 import numpy as np
 
-from .linkmodel import ChannelModel, DetectorModel, detector_preset
-from .protocols import (BB84_DECOY, DPS, ProtocolConfig, SessionResult,
-                        analytic_expectations, run_bb84_session,
-                        run_dps_session)
+from .linkmodel import (FIBER_ALPHA_DEFAULT, ChannelModel, DetectorModel,
+                        detector_preset)
+from .protocols import (BB84_DECOY, DPS, KIND_DEFAULTS, ProtocolConfig,
+                        SessionResult, analytic_expectations,
+                        run_bb84_session, run_dps_session)
 
 SCHEMA_VERSION = 1
+
+#: The loader's own defaults as (value, source); the gate rate defaults to
+#: the protocol clock. Protocol and fiber defaults live in their modules.
+_DETECTOR_DEFAULT = ("snspd", "reference receiver: superconducting nanowire detectors")
+_LABEL_DEFAULT = ("custom", "explicit detector given without a label")
+_PULSES_DEFAULT = (1_000_000, "1e6 encoded units per loss point: a quick sweep")
+_GATE_SOURCE = "detectors gated at the protocol clock"
 
 
 class ConfigError(ValueError):
     """Raised when an experiment config fails validation."""
 
 
-#: Source tags for every numeric default the loader may apply.
-DEFAULT_PROVENANCE = {
-    "clock_hz/dps": "reference transmitter: 2 GHz gain-switched pulse train",
-    "clock_hz/bb84-decoy": "reference transmitter: pulse pairs at 1 GHz",
-    "mu_signal": "reference run: signal intensity 0.5 photons per encoded unit",
-    "mu_decoy": "reference run: decoy intensity 0.125 photons per encoded unit",
-    "p_signal": "reference run: signal emission probability 14/16",
-    "p_decoy": "reference run: decoy emission probability 1/16",
-    "p_vacuum": "reference run: vacuum emission probability 1/16",
-    "basis_prob_x": "symmetric active basis choice",
-    "f_ec": "error-correction efficiency 90%, f_ec = 1/0.9",
-    "sigma_phi/dps": ("calibrated: reproduces the reference 2.5% error rate "
-                      "at 20 dB channel loss"),
-    "sigma_phi/bb84-decoy": ("calibrated: reproduces the reference 2.2% error "
-                             "rate at 20 dB channel loss within tolerance"),
-    "temporal_efficiency/dps": "every DPS slot interferes",
-    "temporal_efficiency/bb84-decoy": ("time-bin decoding: only the central "
-                                       "AMZI slot interferes"),
-    "receiver_loss_db/dps": ("calibrated against the reference 400 kb/s "
-                             "secure rate at 20 dB"),
-    "receiver_loss_db/bb84-decoy": "no receiver insertion loss applied",
-    "visibility_floor": "no residual contrast penalty beyond phase noise",
-    "alpha_db_per_km": "standard single-mode fiber: 0.2 dB/km",
-    "detector/gate_rate_hz": "detectors gated at the protocol clock",
-}
-
-_KIND_SPECIFIC = {"clock_hz", "sigma_phi", "temporal_efficiency",
-                  "receiver_loss_db"}
-
-#: Every protocol field the loader may default: all but the required kind.
-_PROTOCOL_FIELDS = tuple(f.name for f in dataclasses.fields(ProtocolConfig)
-                         if f.name != "kind")
-
-
-def validate_provenance() -> None:
-    """Lint: every defaultable protocol field must carry a provenance tag."""
-    missing = []
-    for name in _PROTOCOL_FIELDS:
-        if name in _KIND_SPECIFIC:
-            for kind in (DPS, BB84_DECOY):
-                if f"{name}/{kind}" not in DEFAULT_PROVENANCE:
-                    missing.append(f"{name}/{kind}")
-        elif name not in DEFAULT_PROVENANCE:
-            missing.append(name)
-    for extra in ("alpha_db_per_km", "detector/gate_rate_hz"):
-        if extra not in DEFAULT_PROVENANCE:
-            missing.append(extra)
-    if missing:
-        raise ConfigError(f"untagged defaults: {', '.join(missing)}")
+def _default(spec: dict, path: str, default: tuple, provenance: dict):
+    """spec's value at path (whose last part is its key in spec), or else the
+    (value, source) default's value with its source tagged as
+    provenance[path]: every default the loader applies goes through here."""
+    key = path.rpartition(".")[2]
+    if key in spec:
+        return spec[key]
+    value, source = default
+    provenance[path] = source
+    return value
 
 
 def _reject_unknown(spec: dict, known, where: str) -> None:
@@ -117,18 +86,13 @@ def _protocol_from_dict(spec: dict, provenance: dict) -> ProtocolConfig:
     kind = spec["kind"]
     if kind not in (DPS, BB84_DECOY):
         raise ConfigError(f"protocol.kind must be 'dps' or 'bb84-decoy', got {kind!r}")
-    factory = (ProtocolConfig.dps_default if kind == DPS
-               else ProtocolConfig.bb84_default)
-    defaults = factory()
-    _reject_unknown(spec, ("kind", *_PROTOCOL_FIELDS), "protocol")
+    optional = [f for f in dataclasses.fields(ProtocolConfig) if f.name != "kind"]
+    _reject_unknown(spec, ("kind", *(f.name for f in optional)), "protocol")
     kwargs = {}
-    for name in _PROTOCOL_FIELDS:
-        if name in spec:
-            kwargs[name] = _number(spec[name], f"protocol.{name}")
-        else:
-            kwargs[name] = getattr(defaults, name)
-            key = (f"{name}/{kind}" if name in _KIND_SPECIFIC else name)
-            provenance[f"protocol.{name}"] = DEFAULT_PROVENANCE[key]
+    for f in optional:
+        default = KIND_DEFAULTS[kind].get(f.name) or (f.default, f.metadata["source"])
+        where = f"protocol.{f.name}"
+        kwargs[f.name] = _number(_default(spec, where, default, provenance), where)
     try:
         return ProtocolConfig(kind=kind, **kwargs)
     except ValueError as exc:
@@ -153,17 +117,16 @@ def _detector_from_spec(spec, clock_hz: float, provenance: dict) -> DetectorMode
     for name in ("efficiency", "dark_rate_hz", "gate_rate_hz"):
         if name in spec:
             _number(spec[name], f"detector.{name}")
-    gate = spec.get("gate_rate_hz", clock_hz)
-    if "gate_rate_hz" not in spec:
-        provenance["detector.gate_rate_hz"] = \
-            DEFAULT_PROVENANCE["detector/gate_rate_hz"]
+    gate = _default(spec, "detector.gate_rate_hz", (clock_hz, _GATE_SOURCE),
+                    provenance)
     try:
         if "preset" in spec:
             return detector_preset(spec["preset"], gate_rate_hz=gate)
         return DetectorModel(efficiency=spec["efficiency"],
                              dark_rate_hz=spec["dark_rate_hz"],
                              gate_rate_hz=gate,
-                             label=spec.get("label", "custom"))
+                             label=_default(spec, "detector.label",
+                                            _LABEL_DEFAULT, provenance))
     except ValueError as exc:
         raise ConfigError(f"detector: {exc}") from exc
 
@@ -198,14 +161,14 @@ def _losses_from_spec(spec: dict, provenance: dict) -> list:
     elif "length_km" in spec:
         _reject_unknown(spec, ("length_km", "alpha_db_per_km"), "channel")
         lengths = _numbers(spec["length_km"], "channel.length_km")
-        alpha = spec.get("alpha_db_per_km", 0.2)
-        if "alpha_db_per_km" not in spec:
-            provenance["channel.alpha_db_per_km"] = \
-                DEFAULT_PROVENANCE["alpha_db_per_km"]
+        where = "channel.alpha_db_per_km"
+        alpha = _number(_default(spec, where, FIBER_ALPHA_DEFAULT, provenance),
+                        where)
         try:
             losses = [ChannelModel.from_length(l, alpha).loss_db for l in lengths]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"channel.length_km: {exc}") from exc
+        except ValueError as exc:
+            # linkmodel's messages open with the field's name
+            raise ConfigError(f"channel.{exc}") from exc
     else:
         raise ConfigError("channel needs loss_db or length_km")
     if len(losses) == 0:
@@ -230,10 +193,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                           "pulses_per_point", "seed", "provenance"), "config")
     provenance = {}
     protocol = _protocol_from_dict(raw["protocol"], provenance)
-    detector = _detector_from_spec(raw.get("detector", "snspd"),
-                                   protocol.clock_hz, provenance)
+    detector = _detector_from_spec(
+        _default(raw, "detector", _DETECTOR_DEFAULT, provenance),
+        protocol.clock_hz, provenance)
     losses = _losses_from_spec(raw["channel"], provenance)
-    pulses = raw.get("pulses_per_point", 1_000_000)
+    pulses = _default(raw, "pulses_per_point", _PULSES_DEFAULT, provenance)
     if not isinstance(pulses, int) or pulses < 1_000:
         raise ConfigError("pulses_per_point must be an integer >= 1e3")
     seed = raw["seed"]

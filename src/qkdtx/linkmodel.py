@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+#: Default fiber attenuation: (dB/km of standard single-mode fiber, source).
+FIBER_ALPHA_DEFAULT = (0.2, "standard single-mode fiber: 0.2 dB/km")
+
 
 @dataclass(frozen=True)
 class ChannelModel:
@@ -22,8 +25,9 @@ class ChannelModel:
             raise ValueError("loss_db must be finite and >= 0")
 
     @classmethod
-    def from_length(cls, length_km, alpha_db_per_km=0.2) -> "ChannelModel":
-        """Standard single-mode fiber: loss = length * alpha (default 0.2 dB/km)."""
+    def from_length(cls, length_km,
+                    alpha_db_per_km=FIBER_ALPHA_DEFAULT[0]) -> "ChannelModel":
+        """Fiber loss = length * alpha, by default standard single-mode fiber."""
         if length_km < 0:
             raise ValueError("length_km must be >= 0")
         if alpha_db_per_km < 0:
@@ -33,8 +37,6 @@ class ChannelModel:
 
 def transmittance(channel: ChannelModel) -> float:
     """Power transmittance 10^(-loss_db / 10), in (0, 1]."""
-    if channel.loss_db < 0:
-        raise ValueError("loss_db must be >= 0")
     return 10.0 ** (-channel.loss_db / 10.0)
 
 

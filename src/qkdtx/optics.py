@@ -335,15 +335,27 @@ def emit_pulse_train(n_pulses, mean_photons, mode, rng, period_s=5e-10,
 # demodulation
 # ---------------------------------------------------------------------------
 
+def port_intensities(cos_phi, half_input):
+    """Bar and cross port intensities I_in/2 * (1 +/- cos) of a balanced
+    interferometer, given half_input = I_in/2 (scalar or array) and the
+    float array cos_phi (visibility included), which is overwritten by the
+    cross-port intensity."""
+    bar = cos_phi + 1.0
+    bar *= half_input
+    cross = np.subtract(1.0, cos_phi, out=cos_phi)
+    cross *= half_input
+    return bar, cross
+
+
 def amzi_intensity(diff_phases, input_intensity, phase_offset=0.0, port="bar"):
     """Port intensity for given differential phases (vectorized core).
 
     Implements I_out = I_in/2 * [1 +/- cos(dphi + theta_A)] for the bar (+)
     and cross (-) port of a balanced one-slot-delay interferometer.
     """
-    c = np.cos(np.asarray(diff_phases, dtype=float) + phase_offset)
-    half = 0.5 * input_intensity
-    return half * (1.0 + c) if port == "bar" else half * (1.0 - c)
+    c = np.asarray(np.cos(np.asarray(diff_phases, dtype=float) + phase_offset))
+    bar, cross = port_intensities(c, 0.5 * input_intensity)
+    return (bar if port == "bar" else cross)[()]  # a scalar for scalar input
 
 
 def amzi_interfere(train: PulseTrain, cfg: AmziConfig) -> list[InterferenceRecord]:

@@ -6,8 +6,8 @@ P(I) = 1 / (pi * sqrt(I * (I_in - I))). Raw samples are digitized to 8 bits,
 validated (chi-square, autocorrelation, min-entropy) and condensed with a
 Toeplitz extractor.
 
-Importing this module loads numpy only; scipy is imported inside
-goodness_of_fit, the one function that needs it.
+Importing this module loads numpy and qkdtx.optics only; scipy is imported
+inside goodness_of_fit, the one function that needs it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
+from .optics import TWO_PI, port_intensities
 
 QUANT_LEVELS = 256           # 8-bit digitizer
 EXTRACTOR_MARGIN_BITS = 64   # security margin subtracted from the entropy budget
@@ -107,8 +107,8 @@ def sample_interference(n, i_in, rng) -> QrngSampleSet:
         raise ValueError("n must be >= 1")
     if i_in <= 0:
         raise ValueError("i_in must be > 0")
-    phases = rng.uniform(0.0, TWO_PI, int(n))
-    intensities = 0.5 * i_in * (1.0 + np.cos(phases))
+    cos_phi = np.cos(rng.uniform(0.0, TWO_PI, int(n)))
+    intensities, _ = port_intensities(cos_phi, 0.5 * i_in)
     return QrngSampleSet(intensities, i_in)
 
 
@@ -159,7 +159,7 @@ def _bin_masses(i_in, full_scale) -> np.ndarray:
     """Exact arcsine probability mass of each of the 256 digitizer bins."""
     edges = np.arange(QUANT_LEVELS + 1) * (full_scale / QUANT_LEVELS)
     edges = np.minimum(edges, i_in)
-    cdf = (2.0 / np.pi) * np.arcsin(np.sqrt(edges / i_in))
+    cdf = arcsine_cdf(edges, i_in)
     masses = np.diff(cdf)
     masses[-1] += 1.0 - cdf[-1]  # clamp path: top bin absorbs I == full_scale
     return masses

@@ -1,5 +1,6 @@
 """Tests for config loading, sweeps, reference comparison, and the CLI."""
 
+import itertools
 import json
 
 import numpy as np
@@ -17,8 +18,8 @@ from qkdtx.harness import (
     run_point,
     run_session,
     run_sweep,
-    validate_provenance,
 )
+from qkdtx.protocols import ProtocolConfig
 
 
 def minimal_dps(**extra):
@@ -48,8 +49,46 @@ def test_minimal_dps_defaults_applied():
     assert emitted["provenance"] == cfg.provenance
 
 
-def test_provenance_lint():
-    validate_provenance()
+#: Every optional protocol field; kind is the one required field.
+PROTOCOL_OPTIONAL = ("clock_hz", "mu_signal", "mu_decoy", "p_signal", "p_decoy",
+                     "p_vacuum", "basis_prob_x", "f_ec", "sigma_phi",
+                     "temporal_efficiency", "receiver_loss_db",
+                     "visibility_floor")
+
+
+def test_provenance_tags_exactly_the_omitted_fields():
+    # each option: (what the config gives, the optional paths it leaves out)
+    template = ProtocolConfig.bb84_default()
+    protocols = [({n: getattr(template, n) for n in given},
+                  {f"protocol.{n}" for n in PROTOCOL_OPTIONAL if n not in given})
+                 for given in ((), ("mu_signal", "sigma_phi"), PROTOCOL_OPTIONAL)]
+    detectors = [({}, {"detector", "detector.gate_rate_hz"}),
+                 ({"detector": "apd"}, {"detector.gate_rate_hz"}),
+                 ({"detector": {"preset": "snspd", "gate_rate_hz": 1e9}}, set()),
+                 ({"detector": {"efficiency": 0.3, "dark_rate_hz": 100.0}},
+                  {"detector.gate_rate_hz", "detector.label"}),
+                 ({"detector": {"efficiency": 0.3, "dark_rate_hz": 100.0,
+                                "gate_rate_hz": 1e9, "label": "lab"}}, set())]
+    channels = [({"loss_db": 10}, set()),
+                ({"length_km": [50]}, {"channel.alpha_db_per_km"}),
+                ({"length_km": [50], "alpha_db_per_km": 0.25}, set())]
+    pulses = [({}, {"pulses_per_point"}), ({"pulses_per_point": 20_000}, set())]
+    for kind, (proto, p_out), (det, d_out), (channel, c_out), (n, n_out) in \
+            itertools.product(("dps", "bb84-decoy"), protocols, detectors,
+                              channels, pulses):
+        raw = {"protocol": {"kind": kind, **proto}, "channel": channel,
+               "seed": 1, **det, **n}
+        cfg = config_from_dict(raw)
+        assert set(cfg.provenance) == p_out | d_out | c_out | n_out, raw
+        assert all(isinstance(v, str) and v for v in cfg.provenance.values())
+    # the loaded defaults are the kind's defaults, field by field
+    for kind, factory in (("dps", ProtocolConfig.dps_default),
+                          ("bb84-decoy", ProtocolConfig.bb84_default)):
+        cfg = config_from_dict({"protocol": {"kind": kind},
+                                "channel": {"loss_db": 10}, "seed": 1})
+        assert cfg.protocol == factory()
+        assert cfg.detector.label == "snspd"
+        assert cfg.pulses_per_point == 1_000_000
 
 
 def test_bad_probabilities_name_the_field():
@@ -57,6 +96,10 @@ def test_bad_probabilities_name_the_field():
     raw["protocol"].update({"kind": "bb84-decoy", "p_signal": 0.8,
                             "p_decoy": 0.05, "p_vacuum": 0.05})
     with pytest.raises(ConfigError, match="probabilities"):
+        config_from_dict(raw)
+    # each probability lies in [0, 1], not only their sum at 1
+    raw["protocol"].update({"p_vacuum": -0.25, "p_decoy": 0.25, "p_signal": 1.0})
+    with pytest.raises(ConfigError, match="p_vacuum"):
         config_from_dict(raw)
     for bad in ("0.5", True, None, float("nan"), float("inf")):
         raw = minimal_dps()
@@ -105,7 +148,15 @@ def test_channel_validation():
                            ({"length_km": [-5]}, "channel.length_km"),
                            ({"loss_db": [10], "length_km": [50]}, "length_km"),
                            ({"length_km": [50], "alpha_db_per_kn": 0.3},
-                            "alpha_db_per_kn")]:
+                            "alpha_db_per_kn"),
+                           ({"length_km": [50], "alpha_db_per_km": True},
+                            "channel.alpha_db_per_km"),
+                           ({"length_km": [50], "alpha_db_per_km": "0.2"},
+                            "channel.alpha_db_per_km"),
+                           ({"length_km": [50], "alpha_db_per_km": float("nan")},
+                            "channel.alpha_db_per_km"),
+                           ({"length_km": [50], "alpha_db_per_km": -0.2},
+                            "channel.alpha_db_per_km")]:
         with pytest.raises(ConfigError, match=field):
             config_from_dict(minimal_dps(channel=channel))
 
@@ -273,6 +324,21 @@ def test_cli_simulate(tmp_path, capsys):
     assert (back.protocol, back.detector, back.losses_db, back.pulses_per_point,
             back.seed) == (cfg.protocol, cfg.detector, cfg.losses_db,
                            cfg.pulses_per_point, cfg.seed)
+
+
+def test_cli_points_override_is_not_tagged_as_default(tmp_path):
+    raw = minimal_dps()
+    del raw["pulses_per_point"]
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(raw))
+    out = tmp_path / "result.json"
+    assert cli.main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 0
+    assert "pulses_per_point" in json.loads(out.read_text())["config"]["provenance"]
+    assert cli.main(["simulate", "--config", str(cfgp), "--points", "5000",
+                     "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["pulses_per_point"] == 5000
+    assert "pulses_per_point" not in config["provenance"]
 
 
 def test_cli_sweep_and_compare_roundtrip(tmp_path):

@@ -7,6 +7,9 @@ from scipy import stats
 
 from qkdtx.linkmodel import (DETECTOR_PRESETS, ChannelModel, DetectorModel,
                              detector_preset)
+from qkdtx.optics import (DifferentialPhaseSequence, InjectionMode,
+                          amzi_intensity, emit_pulse_train,
+                          sigma_phi_for_error_rate)
 from qkdtx.protocols import (
     BB84_DECOY,
     DPS,
@@ -70,6 +73,11 @@ def test_config_validation():
     assert ProtocolConfig(kind=DPS, clock_hz=2e9, mu_decoy=0.0).mu_decoy == 0.0
     with pytest.raises(ValueError, match="kind"):
         ProtocolConfig(kind="b92", clock_hz=1e9)
+    # each class probability lies in [0, 1], not only their sum at 1
+    with pytest.raises(ValueError, match="p_vacuum"):
+        ProtocolConfig.bb84_default(p_vacuum=-0.25, p_decoy=0.25, p_signal=1.0)
+    with pytest.raises(ValueError, match="p_decoy"):
+        ProtocolConfig.bb84_default(p_vacuum=0.25, p_decoy=-0.25, p_signal=1.0)
     # NaN and inf fail each field's check, not only through the loader
     nan, inf = float("nan"), float("inf")
     for field, value, message in (
@@ -306,6 +314,39 @@ def test_session_streams_pinned():
     assert s.photon_truth == {"sent_n0": 129605, "clicked_n0": 0,
                               "sent_n1": 54475, "clicked_n1": 2140,
                               "sifted_n1": 1013, "errors_n1": 31}
+
+
+@pytest.mark.parametrize("kind, e_opt", [(DPS, 0.025), (BB84_DECOY, 0.023)])
+def test_transmitter_phase_noise_is_the_session_law(kind, e_opt):
+    # Sessions draw each unit's differential phase as the programmed one plus
+    # N(0, sigma_phi) instead of emitting pulse trains; the injection-locked
+    # transmitter must give that law. BB84 sends pulse pairs whose absolute
+    # phase is redrawn between pairs, so only within-pair steps carry data.
+    rng = make_rng(41)
+    n = 200_000
+    if kind == DPS:
+        cfg = ProtocolConfig.dps_default()
+        seq = DifferentialPhaseSequence(np.pi * rng.integers(0, 2, n), 2)
+        data = np.ones(n, dtype=bool)
+    else:
+        cfg = ProtocolConfig.bb84_default()
+        steps = (np.pi / 2) * rng.integers(0, 4, 2 * n)
+        boundary = np.arange(2 * n) % 2 == 1
+        seq = DifferentialPhaseSequence(steps, 4, pair_boundary=boundary)
+        data = ~boundary
+    assert cfg.sigma_phi == sigma_phi_for_error_rate(e_opt)
+    mode = InjectionMode.modulated(seq, phase_noise_sigma=cfg.sigma_phi,
+                                   pair_randomization=kind == BB84_DECOY)
+    train = emit_pulse_train(len(seq) + 1, cfg.mu_signal, mode, rng)
+    emitted = train.differential_phases()[data]
+    programmed = seq.diff_phases[data]
+    delta = np.angle(np.exp(1j * (emitted - programmed)))
+    assert stats.kstest(delta, "norm", args=(0.0, cfg.sigma_phi)).pvalue > 0.01
+    # a demodulator set to the programmed phase sends (1 - cos delta)/2 of
+    # the light to the wrong port, on average (1 - exp(-sigma^2/2))/2
+    wrong = amzi_intensity(emitted, 1.0, -programmed, "cross")
+    assert (1.0 - np.exp(-cfg.sigma_phi ** 2 / 2)) / 2 == pytest.approx(e_opt)
+    assert abs(wrong.mean() - e_opt) < 5 * wrong.std() / np.sqrt(wrong.size)
 
 
 def test_session_minimum_size():
