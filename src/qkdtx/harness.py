@@ -81,6 +81,8 @@ class ExperimentConfig:
 
 
 def _protocol_from_dict(spec: dict, provenance: dict) -> ProtocolConfig:
+    if not isinstance(spec, dict):
+        raise ConfigError("protocol must be an object")
     if "kind" not in spec:
         raise ConfigError("protocol.kind is required ('dps' or 'bb84-decoy')")
     kind = spec["kind"]
@@ -117,6 +119,8 @@ def _detector_from_spec(spec, clock_hz: float, provenance: dict) -> DetectorMode
     for name in ("efficiency", "dark_rate_hz", "gate_rate_hz"):
         if name in spec:
             _number(spec[name], f"detector.{name}")
+    if not isinstance(spec.get("label", ""), str):
+        raise ConfigError("detector.label must be a string")
     gate = _default(spec, "detector.gate_rate_hz", (clock_hz, _GATE_SOURCE),
                     provenance)
     try:
@@ -181,6 +185,8 @@ def _losses_from_spec(spec: dict, provenance: dict) -> list:
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a raw config dict and apply documented defaults."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     if raw.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version: expected {SCHEMA_VERSION}, got {raw.get('schema_version')}")

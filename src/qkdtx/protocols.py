@@ -1,18 +1,21 @@
 """End-to-end DPS and decoy-state BB84 sessions with asymptotic key rates.
 
-Sessions are deterministic functions of (config, channel, detector, seed).
-DPS is the one-class, always-sifted case of the decoy BB84 session: a
-per-kind encoder draws each unit's class, phase and sifting, and one
-Monte-Carlo loop draws per-slot clicks from the same threshold-detector
-model as the closed-form expectations, so tallies agree with
-:func:`analytic_expectations` to binomial noise at any loss. Both paths take
-their key rate from :func:`_key_rate`.
+Sessions are deterministic functions of (config, channel, detector, seed)
+and event-driven. A unit's two detector ports share its whole usable flux,
+so its click probability Q = 1 - (1 - p_dark)^2 exp(-flux) does not depend
+on its bit, basis or phase. Per intensity class a session therefore draws
+the units sent (one multinomial), their clicks ~ Binomial(sent, Q) and the
+sifted clicks ~ Binomial(clicks, basis match); only sifted clicks draw a
+phase error delta ~ N(0, sigma_phi), and each decodes wrongly with
+probability w(V cos delta) / Q (:func:`_wrong_click`). The closed form
+averages the same w over the phase noise, so tallies agree with
+:func:`analytic_expectations` to binomial noise at any loss, and a session
+costs in clicks, not units. DPS is the one-class, always-sifted case of the
+decoy BB84 session; both take their key rate from :func:`_key_rate`.
 
 Sessions bypass the injection-locked transmitter (``optics.emit_pulse_train``)
-and draw each differential phase as the programmed one plus N(0, sigma_phi),
-the law its modulated injection gives (the tests check both agree): a 2M-slot
-train takes 0.3-0.47 s to emit, the direct draw 0.05 s and a whole 2M-pulse
-DPS session at 10 dB 0.13 s (2 vCPUs).
+and take each differential phase as the programmed one plus N(0, sigma_phi),
+the law its modulated injection gives (the tests check both agree).
 
 Intensity convention: ``mu_signal``/``mu_decoy`` are mean photon numbers per
 encoded unit (one pulse for DPS, one pulse pair for BB84). The decoy-state
@@ -71,7 +74,8 @@ def _kind_values(kind: str) -> dict:
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(64)
 _GH_WEIGHTS = _GH_WEIGHTS / np.sqrt(2.0 * np.pi)
 
-_CHUNK = 2_000_000
+#: Most sifted clicks whose phase errors a session draws at once.
+_BLOCK = 1_000_000
 
 
 def binary_entropy(x):
@@ -375,50 +379,30 @@ def _click_probability(lam, p_dark):
     return np.subtract(1.0, lam, out=lam)
 
 
-def _port_clicks(lam_bar, lam_cross, p_dark, rng):
-    """Click indicators of the bar and cross detectors, slot by slot.
+def _wrong_click(cos_d, flux, p_dark):
+    """Probability w that a unit of usable flux clicks and decodes wrongly.
 
-    By Poisson thinning the two ports receive independent Poisson light of
-    means lam_bar and lam_cross (np.inf marks a port known to be lit, 0 one
-    known to be dark), so each detector clicks independently with
-    :func:`_click_probability`. Both arrays are overwritten.
+    With cos_d = V cos(delta), the right and wrong ports get independent
+    Poisson light of means flux*(1 +/- cos_d)/2 and click with p_r and p_w;
+    a single click reads its own port and a double click a random one, so
+    w = p_w (1 - p_r) + p_r p_w / 2. cos_d is left unchanged.
     """
-    bar = rng.random(lam_bar.size) < _click_probability(lam_bar, p_dark)
-    cross = rng.random(lam_cross.size) < _click_probability(lam_cross, p_dark)
-    return bar, cross
-
-
-def _decode(bar, cross, bar_value, rng):
-    """Clicked slots, and the clicked slots that decode wrongly.
-
-    A single click reads its own port; a double click reads a random one.
-    bar_value is True where the value sent lights the bar port.
-    """
-    clicked = bar | cross
-    read_bar = bar & ~cross
-    double = bar & cross
-    n_double = int(np.count_nonzero(double))
-    if n_double:
-        read_bar[double] = rng.random(n_double) < 0.5
-    return clicked, clicked & (read_bar != bar_value)
+    lam_r, lam_w = port_intensities(np.array(cos_d, dtype=float), 0.5 * flux)
+    p_r = _click_probability(lam_r, p_dark)
+    p_w = _click_probability(lam_w, p_dark)
+    return p_w * (1.0 - p_r) + 0.5 * p_r * p_w
 
 
 def _gh_error_numerator(flux, sigma, v_floor, p_dark):
-    """E_delta[ P(wrong-port click) + P(double)/2 ] by Gauss-Hermite quadrature.
-
-    flux is the usable mean photon number of the unit after all efficiencies;
-    the two complementary ports see flux*(1 +/- V cos(delta))/2.
-    """
+    """E_delta[w(V cos delta)] of :func:`_wrong_click` over the phase noise
+    delta ~ N(0, sigma), by Gauss-Hermite quadrature."""
     if sigma > 0:
         cos_d = v_floor * np.cos(_GH_NODES * sigma)
         w = _GH_WEIGHTS
     else:
         cos_d = np.array([v_floor])
         w = np.array([1.0])
-    lam_b, lam_c = port_intensities(cos_d, 0.5 * flux)
-    b = _click_probability(lam_b, p_dark)
-    c = _click_probability(lam_c, p_dark)
-    return float(np.sum(w * (c * (1.0 - b) + 0.5 * b * c)))
+    return float(np.sum(w * _wrong_click(cos_d, flux, p_dark)))
 
 
 def _unit_gain(flux, p_dark) -> float:
@@ -479,94 +463,83 @@ def analytic_expectations(cfg: ProtocolConfig, channel: ChannelModel,
 # Monte-Carlo sessions
 # ---------------------------------------------------------------------------
 
-def _encode_dps(cfg: ProtocolConfig, m, rng):
-    """(class, dphi, bar_value, sifted) of m DPS slots: one class, all sifted."""
-    bits = rng.integers(0, 2, m)
-    # bit 1 -> dphi = 0 (constructive at theta_A = 0), bit 0 -> dphi = pi
-    return (np.zeros(m, dtype=np.uint8), np.pi * (1 - bits), bits == 1,
-            np.ones(m, dtype=bool))
+def _groups(mu, eta_t, p_dark, by_photons):
+    """(mass, gain, wrong numerator) of the groups a class's units fall in:
+    one group of all units, or by_photons those that emit 0, 1 and >= 2
+    photons, with Poisson masses P_n of mean mu. A photon is usable with
+    probability eta_t; the numerators take cos_d = V cos(delta) as in
+    :func:`_wrong_click`, and the >= 2 group holds what the class's gain
+    and numerator leave over."""
+    flux = mu * eta_t
+    q = _unit_gain(flux, p_dark)
+    if not by_photons:
+        return [(1.0, q, lambda c: _wrong_click(c, flux, p_dark))]
+    p0, p1 = math.exp(-mu), mu * math.exp(-mu)
+    p2 = max(-math.expm1(-mu) - p1, 0.0)
+    y0 = 1.0 - (1.0 - p_dark) ** 2
+    y1 = 1.0 - (1.0 - p_dark) ** 2 * (1.0 - eta_t)
+    y2 = min(max((q - p0 * y0 - p1 * y1) / p2, 0.0), 1.0) if p2 > 0 else 0.0
+
+    def w1(c):
+        # the photon lights the right port with probability
+        # eta_t (1 + c) / 2, the wrong one with eta_t (1 - c) / 2, or is lost
+        return 0.5 * (eta_t * (1.0 - (1.0 - p_dark) * c) + (1.0 - eta_t) * y0)
+
+    def w2(c):
+        return (_wrong_click(c, flux, p_dark) - 0.5 * p0 * y0 - p1 * w1(c)) / p2
+
+    return [(p0, y0, lambda c: 0.5 * y0), (p1, y1, w1), (p2, y2, w2)]
 
 
-def _encode_bb84(cfg: ProtocolConfig, m, rng):
-    """(class, dphi + theta_B, bar_value, basis match) of m BB84 pairs."""
-    bounds = np.cumsum(cfg.class_probabilities())[:2]
-    u = rng.random(m)
-    # class index = class boundaries at or below u (vacuum, decoy, signal)
-    cls = np.add(u >= bounds[0], u >= bounds[1], dtype=np.uint8)
-    basis_a = rng.random(m) < cfg.basis_prob_x      # True -> X
-    bits = rng.integers(0, 2, m, dtype=np.int8)
-    basis_b = rng.random(m) < cfg.basis_prob_x
-    # X: dphi in {0, pi} read at theta_A = 0; Z: {pi/2, 3pi/2} at -pi/2,
-    # so dphi + theta_B is (2 bit + [B in X] - [A in X]) quarter turns
-    quarter_turns = bits << 1
-    quarter_turns += basis_b
-    quarter_turns -= basis_a
-    # bit 0 lights the bar port
-    return cls, (np.pi / 2.0) * quarter_turns, bits == 0, basis_a == basis_b
+def _count_errors(sifted, gain, wrong, cfg: ProtocolConfig, rng) -> int:
+    """Wrong decodes among the sifted clicks of a group of the given gain,
+    drawn in blocks of at most _BLOCK clicks: whether a unit clicks does not
+    depend on its phase error delta ~ N(0, sigma_phi), so each click decodes
+    wrongly with probability wrong(V cos delta) / gain."""
+    errors = 0
+    while sifted > 0:
+        m = min(sifted, _BLOCK)
+        cos_d = np.cos(rng.normal(0.0, cfg.sigma_phi, m))
+        cos_d *= cfg.visibility_floor
+        errors += int(np.count_nonzero(rng.random(m) * gain < wrong(cos_d)))
+        sifted -= m
+    return errors
+
+
+#: photon_truth keys filled from the tallies of the 0- and 1-photon groups.
+_TRUTH_KEYS = (("sent_n0", "clicked_n0"),
+               ("sent_n1", "clicked_n1", "sifted_n1", "errors_n1"))
 
 
 def _run_session(cfg: ProtocolConfig, channel: ChannelModel,
-                 det: DetectorModel, n_units, rng, encode,
+                 det: DetectorModel, n_units, rng,
                  record_photon_truth) -> SessionResult:
-    """Monte-Carlo session over n_units interference units, chunk by chunk:
-    ``encode(cfg, m, rng)`` draws what m units send, and per-class tallies
-    of clicks, sifting and errors feed :func:`_key_rate`."""
-    names, _, mus = cfg.classes()
-    eta = _system_efficiency(cfg, channel, det)
-    half_flux = 0.5 * (mus * cfg.temporal_efficiency * eta)
-    lost_mean = (1.0 - cfg.temporal_efficiency * eta) * mus  # never detected
+    """Event-driven session over n_units interference units.
 
-    # per class: [no click, clicked not sifted, sifted right, sifted wrong]
-    counts = np.zeros(4 * len(names), dtype=np.int64)
-    truth = {"sent_n0": 0, "clicked_n0": 0, "sent_n1": 0, "clicked_n1": 0,
-             "sifted_n1": 0, "errors_n1": 0}
-
-    done = 0
-    while done < n_units:
-        m = min(_CHUNK, n_units - done)
-        cls, cos_phi, bar_value, matched = encode(cfg, m, rng)
-        if cfg.sigma_phi > 0:
-            cos_phi += rng.normal(0.0, cfg.sigma_phi, m)
-        np.cos(cos_phi, out=cos_phi)
-        cos_phi *= cfg.visibility_floor
-        lam_bar, lam_cross = port_intensities(cos_phi, half_flux[cls])
-
+    Per class, the units sent come from one multinomial draw, the clicks
+    from Binomial(sent, gain) and the sifted clicks from Binomial(clicks,
+    basis match); only the sifted clicks draw a phase error, in
+    :func:`_count_errors`. Per-class tallies feed :func:`_key_rate`.
+    """
+    names, p_cls, mus = cfg.classes()
+    eta_t = cfg.temporal_efficiency * _system_efficiency(cfg, channel, det)
+    match = cfg.basis_match_probability()
+    tallies = {}
+    truth = {k: 0 for keys in _TRUTH_KEYS for k in keys}
+    for name, mu, sent in zip(names, mus, rng.multinomial(n_units, p_cls)):
+        groups = _groups(mu, eta_t, det.p_dark, record_photon_truth)
+        rows = []
+        for (_, gain, wrong), n in zip(
+                groups, rng.multinomial(sent, [g[0] for g in groups])):
+            clicks = int(rng.binomial(n, gain))
+            sifted = int(rng.binomial(clicks, match))
+            rows.append((int(n), clicks, sifted,
+                         _count_errors(sifted, gain, wrong, cfg, rng)))
+        tallies[name] = IntensityTally(*map(sum, zip(*rows)))
         if record_photon_truth:
-            n_bar = rng.poisson(lam_bar)
-            n_cross = rng.poisson(lam_cross)
-            n_photons = n_bar + n_cross + rng.poisson(lost_mean[cls])
-            lam_bar = np.where(n_bar > 0, np.inf, 0.0)
-            lam_cross = np.where(n_cross > 0, np.inf, 0.0)
-
-        bar, cross = _port_clicks(lam_bar, lam_cross, det.p_dark, rng)
-        del cos_phi, lam_bar, lam_cross  # spent; free them before the next chunk
-        clicked, wrong = _decode(bar, cross, bar_value, rng)
-        sifted = clicked & matched
-        err = wrong & matched
-
-        code = cls << 2
-        code += clicked
-        code += sifted
-        code += err
-        # count_nonzero per code keeps the uint8 codes (bincount casts to intp)
-        for v in range(counts.size):
-            counts[v] += np.count_nonzero(code == v)
-
-        if record_photon_truth:
-            n0 = n_photons == 0
-            n1 = n_photons == 1
-            truth["sent_n0"] += int(n0.sum())
-            truth["clicked_n0"] += int(clicked[n0].sum())
-            truth["sent_n1"] += int(n1.sum())
-            truth["clicked_n1"] += int(clicked[n1].sum())
-            truth["sifted_n1"] += int(sifted[n1].sum())
-            truth["errors_n1"] += int(err[n1].sum())
-        done += m
-
-    tallies = {
-        name: IntensityTally(sent=int(row.sum()), clicks=int(row[1:].sum()),
-                             sifted=int(row[2:].sum()), errors=int(row[3]))
-        for name, row in zip(names, counts.reshape(len(names), 4))}
+            for keys, row in zip(_TRUTH_KEYS, rows):
+                for k, v in zip(keys, row):
+                    truth[k] += v
 
     flags = []
     gains = {n: t.clicks / t.sent if t.sent else 0.0 for n, t in tallies.items()}
@@ -600,18 +573,16 @@ def run_dps_session(cfg: ProtocolConfig, channel: ChannelModel,
                     det: DetectorModel, n_pulses, rng) -> SessionResult:
     """Monte-Carlo DPS session.
 
-    Key bits set the differential phase of consecutive pulses to 0 or pi
-    (constructive events decode as '1'); phase noise, channel and both
-    detector ports are applied per interference slot and every detection is
-    sifted. Double clicks resolve to a random bit.
+    n_pulses pulses make n_pulses - 1 interference slots, the session's
+    units: key bits set the differential phase of consecutive pulses to 0
+    or pi, every detection is sifted, and a double click reads a random bit.
     """
     if cfg.kind != DPS:
         raise ValueError(f"run_dps_session needs a {DPS!r} config")
     if n_pulses < 1_000:
         raise ValueError("n_pulses must be >= 1e3")
-    # n pulses make n - 1 interference slots
     result = _run_session(cfg, channel, det, int(n_pulses) - 1, rng,
-                          _encode_dps, record_photon_truth=False)
+                          record_photon_truth=False)
     return dataclasses.replace(result, pulses_sent=int(n_pulses))
 
 
@@ -620,21 +591,20 @@ def run_bb84_session(cfg: ProtocolConfig, channel: ChannelModel,
                      record_photon_truth=False) -> SessionResult:
     """Monte-Carlo decoy-state BB84 session over pulse pairs.
 
-    Per pair: an intensity class is drawn, basis and bit are encoded in the
+    Per pair: an intensity class, a basis and a bit encoded in the
     within-pair differential phase (global phase re-randomized between
-    pairs), and the receiver measures in a random basis. Clicks come from
-    the session loop and port kernel shared with DPS and the closed form;
-    sifting keeps basis matches, and per-intensity gains and errors feed
-    the decoy bounds.
+    pairs); the receiver measures in a random basis, and sifting keeps
+    basis matches. Per-class gains and errors feed the decoy bounds.
 
-    ``record_photon_truth`` draws the photon numbers as well: Poisson counts
-    at the bar port, the cross port and lost, which is the same joint law,
-    and clicks follow whether each port received a photon. The returned
-    ``photon_truth`` tallies pairs that carried zero and one photon.
+    ``record_photon_truth`` splits each class's pairs by emitted photon
+    number into 0, 1 and >= 2 photons with one multinomial draw, and draws
+    each group's clicks and errors from its own yield and wrong-decode
+    numerator (:func:`_groups`). The class tallies are the group sums, with
+    the same law; ``photon_truth`` tallies the 0- and 1-photon pairs.
     """
     if cfg.kind != BB84_DECOY:
         raise ValueError(f"run_bb84_session needs a {BB84_DECOY!r} config")
     if n_pairs < 1_000:
         raise ValueError("n_pairs must be >= 1e3")
-    return _run_session(cfg, channel, det, int(n_pairs), rng, _encode_bb84,
+    return _run_session(cfg, channel, det, int(n_pairs), rng,
                         record_photon_truth)

@@ -194,6 +194,15 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{\n  broken\n}")
     with pytest.raises(ConfigError, match="line"):
         load_config(bad)
+    # valid JSON of the wrong shape fails validation too, and simulate
+    # exits with the validation code
+    for raw, field in (([minimal_dps()], "config"),
+                       (minimal_dps(protocol=5), "protocol"),
+                       (minimal_dps(protocol=["dps"]), "protocol")):
+        bad.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=field):
+            load_config(bad)
+        assert cli.main(["simulate", "--config", str(bad)]) == 1
 
 
 def test_explicit_detector():
@@ -206,6 +215,10 @@ def test_explicit_detector():
     with pytest.raises(ConfigError, match="efficiency"):
         config_from_dict(minimal_dps(detector={"preset": "snspd",
                                                "efficiency": 0.5}))
+    for label in ([1], 5, None):
+        with pytest.raises(ConfigError, match="detector.label"):
+            config_from_dict(minimal_dps(detector={
+                "efficiency": 0.3, "dark_rate_hz": 100.0, "label": label}))
     for bad in ("0.5", True, None, float("nan")):
         with pytest.raises(ConfigError, match="detector.efficiency"):
             config_from_dict(minimal_dps(

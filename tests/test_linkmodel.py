@@ -1,5 +1,7 @@
 """Tests for channel attenuation and the detectors' click law."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,8 +16,9 @@ from qkdtx.linkmodel import (
 from qkdtx.protocols import (
     ProtocolConfig,
     _click_probability,
-    _port_clicks,
     analytic_expectations,
+    run_bb84_session,
+    run_dps_session,
 )
 
 
@@ -76,25 +79,24 @@ def test_detector_validation():
 
 def test_simulate_detection_dark_fraction():
     # with no light both ports click only on darks, at the SNSPD per-gate
-    # probability 4.5e-8
-    snspd = detector_preset("snspd", gate_rate_hz=2e9)
-    n = 100_000_000  # detector gates, over both ports
-    chunk = n // 20
-    total = 0
-    rng = make_rng(3)
-    for _ in range(10):
-        bar, cross = _port_clicks(np.zeros(chunk), np.zeros(chunk),
-                                  snspd.p_dark, rng)
-        total += int(np.count_nonzero(bar)) + int(np.count_nonzero(cross))
-    expect = n * snspd.p_dark
-    assert abs(total - expect) <= 3 * np.sqrt(expect) + 1
+    # probability 4.5e-8: 5e7 DPS slots are 1e8 detector gates
+    cfg = ProtocolConfig.dps_default()
+    blind = dataclasses.replace(detector_preset("snspd", cfg.clock_hz),
+                                efficiency=0.0)
+    n = 50_000_000
+    s = run_dps_session(cfg, ChannelModel(0.0), blind, n + 1, make_rng(3))
+    p = 1 - (1 - blind.p_dark) ** 2
+    expect = n * p
+    clicks = s.per_intensity["signal"].clicks
+    assert abs(clicks - expect) <= 3 * np.sqrt(expect * (1 - p)) + 1
 
 
 def test_simulate_detection_dark_free_zero_intensity():
-    det = DetectorModel(efficiency=0.9, dark_rate_hz=0.0, gate_rate_hz=1e9)
-    bar, cross = _port_clicks(np.zeros(10_000), np.zeros(10_000),
-                              det.p_dark, make_rng(1))
-    assert not bar.any() and not cross.any()
+    det = DetectorModel(efficiency=0.0, dark_rate_hz=0.0, gate_rate_hz=1e9)
+    for cfg, session in ((ProtocolConfig.dps_default(), run_dps_session),
+                         (ProtocolConfig.bb84_default(), run_bb84_session)):
+        s = session(cfg, ChannelModel(0.0), det, 1_000_000, make_rng(1))
+        assert all(t.clicks == 0 for t in s.per_intensity.values())
 
 
 def p_click(mu, channel, det):

@@ -8,7 +8,7 @@ from scipy import stats
 from qkdtx.linkmodel import (DETECTOR_PRESETS, ChannelModel, DetectorModel,
                              detector_preset)
 from qkdtx.optics import (DifferentialPhaseSequence, InjectionMode,
-                          amzi_intensity, emit_pulse_train,
+                          amzi_intensity, emit_pulse_train, port_intensities,
                           sigma_phi_for_error_rate)
 from qkdtx.protocols import (
     BB84_DECOY,
@@ -16,6 +16,8 @@ from qkdtx.protocols import (
     INTENSITY_CLASSES,
     DecoyEstimates,
     ProtocolConfig,
+    _click_probability,
+    _system_efficiency,
     analytic_expectations,
     binary_entropy,
     decoy_estimate,
@@ -301,19 +303,19 @@ def test_session_streams_pinned():
     ch = ChannelModel(10.0)
     dps = ProtocolConfig.dps_default()
     s = run_dps_session(dps, ch, snspd(dps.clock_hz), 200_000, make_rng(123))
-    assert tallies(s) == {"signal": (199999, 1102, 1102, 30)}
+    assert tallies(s) == {"signal": (199999, 1187, 1187, 38)}
 
     bb = ProtocolConfig.bb84_default()
     s = run_bb84_session(bb, ch, snspd(bb.clock_hz), 200_000, make_rng(123))
-    assert tallies(s) == {"vacuum": (12448, 0, 0, 0), "decoy": (12393, 44, 27, 1),
-                          "signal": (175159, 3472, 1725, 31)}
+    assert tallies(s) == {"vacuum": (12699, 0, 0, 0), "decoy": (12511, 59, 34, 2),
+                          "signal": (174790, 3495, 1701, 59)}
     s = run_bb84_session(bb, ch, snspd(bb.clock_hz), 200_000, make_rng(123),
                          record_photon_truth=True)
-    assert tallies(s) == {"vacuum": (12448, 0, 0, 0), "decoy": (12393, 64, 32, 1),
-                          "signal": (175159, 3445, 1656, 52)}
-    assert s.photon_truth == {"sent_n0": 129605, "clicked_n0": 0,
-                              "sent_n1": 54475, "clicked_n1": 2140,
-                              "sifted_n1": 1013, "errors_n1": 31}
+    assert tallies(s) == {"vacuum": (12699, 0, 0, 0), "decoy": (12511, 57, 29, 2),
+                          "signal": (174790, 3336, 1650, 47)}
+    assert s.photon_truth == {"sent_n0": 130056, "clicked_n0": 0,
+                              "sent_n1": 54244, "clicked_n1": 2122,
+                              "sifted_n1": 1046, "errors_n1": 28}
 
 
 @pytest.mark.parametrize("kind, e_opt", [(DPS, 0.025), (BB84_DECOY, 0.023)])
@@ -402,6 +404,37 @@ def _binomial_5_sigma(k, n, p):
     return lo <= k <= hi
 
 
+def dense_tallies(cfg, channel, det, n_units, rng):
+    """Per-class (sent, clicks, sifted, errors) drawn slot by slot, with no
+    use of the sessions' per-class gains or the quadrature: each unit draws
+    its class, bit, bases and phase noise; its bar and cross ports get the
+    means flux*(1 +/- V cos(phase))/2 and click on one uniform each against
+    _click_probability; a double click reads a coin."""
+    names, p_cls, mus = cfg.classes()
+    flux = mus * cfg.temporal_efficiency * _system_efficiency(cfg, channel, det)
+    cls = rng.choice(len(names), n_units, p=p_cls)
+    bit = rng.integers(0, 2, n_units)
+    if cfg.kind == DPS:
+        x_a = x_b = np.ones(n_units, dtype=bool)
+    else:
+        x_a = rng.random(n_units) < cfg.basis_prob_x
+        x_b = rng.random(n_units) < cfg.basis_prob_x
+    # (2 bit + [B in X] - [A in X]) quarter turns: with matched bases bit 0
+    # lights the bar port
+    phase = np.pi / 2 * (2 * bit + x_b.astype(int) - x_a)
+    phase += rng.normal(0.0, cfg.sigma_phi, n_units)
+    bar_lam, cross_lam = port_intensities(
+        cfg.visibility_floor * np.cos(phase), 0.5 * flux[cls])
+    bar = rng.random(n_units) < _click_probability(bar_lam, det.p_dark)
+    cross = rng.random(n_units) < _click_probability(cross_lam, det.p_dark)
+    read_bar = np.where(bar & cross, rng.random(n_units) < 0.5, bar)
+    sifted = (bar | cross) & (x_a == x_b)
+    wrong = sifted & (read_bar != (bit == 0))
+    return {name: (int(np.sum(cls == i)), int(np.sum((bar | cross)[cls == i])),
+                   int(np.sum(sifted[cls == i])), int(np.sum(wrong[cls == i])))
+            for i, name in enumerate(names)}
+
+
 @settings(max_examples=20, deadline=None)
 @given(kind=st.sampled_from([DPS, BB84_DECOY]),
        mu=st.floats(0.05, 1.0),
@@ -416,9 +449,10 @@ def _binomial_5_sigma(k, n, p):
 def test_mc_tallies_match_analytic_across_configs(
         kind, mu, nu_fraction, p_decoy, p_vacuum, sigma_phi, visibility_floor,
         loss_db, preset, seed):
-    # per class, each tally lies in the exact 5-sigma range of its binomial
-    # law given the tally it is drawn from: sent of the units, clicks of
-    # sent, sifted of clicks, errors of sifted
+    # per class, each tally of the session and of the slot-by-slot
+    # reference sampler lies in the exact 5-sigma range of its binomial law
+    # given the tally it is drawn from: sent of the units, clicks of sent,
+    # sifted of clicks, errors of sifted
     kw = dict(mu_signal=mu, mu_decoy=mu * nu_fraction, p_decoy=p_decoy,
               p_vacuum=p_vacuum, p_signal=1.0 - p_decoy - p_vacuum,
               sigma_phi=sigma_phi, visibility_floor=visibility_floor)
@@ -436,11 +470,35 @@ def test_mc_tallies_match_analytic_across_configs(
     ch = ChannelModel(loss_db)
     a = analytic_expectations(cfg, ch, det)
     s = session(cfg, ch, det, n, make_rng(seed))
+    session_tallies = {name: (t.sent, t.clicks, t.sifted, t.errors)
+                       for name, t in s.per_intensity.items()}
+    dense = dense_tallies(cfg, ch, det, units, make_rng(seed))
 
-    assert set(s.per_intensity) == set(send)
-    for name, p_send in send.items():
+    for tallies in (session_tallies, dense):
+        assert set(tallies) == set(send)
+        for name, p_send in send.items():
+            sent, clicks, sifted, errors = tallies[name]
+            assert _binomial_5_sigma(sent, units, p_send), name
+            assert _binomial_5_sigma(clicks, sent, a.gains[name]), name
+            assert _binomial_5_sigma(sifted, clicks, match), name
+            assert _binomial_5_sigma(errors, sifted, a.error_rates[name]), name
+
+
+def test_bb84_session_past_int32_counts():
+    # 1e10 pairs: the signal class alone sends about 8.75e9 > 2^31, so an
+    # int32 count in the multinomial or binomial draws would show here
+    cfg = ProtocolConfig.bb84_default()
+    ch = ChannelModel(30.0)
+    det = snspd(cfg.clock_hz)
+    n = 10_000_000_000
+    s = run_bb84_session(cfg, ch, det, n, make_rng(12))
+    a = analytic_expectations(cfg, ch, det)
+    match = cfg.basis_match_probability()
+    assert s.per_intensity["signal"].sent > 2 ** 31
+    assert sum(t.sent for t in s.per_intensity.values()) == n
+    for name, p_send in zip(INTENSITY_CLASSES, cfg.class_probabilities()):
         t = s.per_intensity[name]
-        assert _binomial_5_sigma(t.sent, units, p_send), name
+        assert _binomial_5_sigma(t.sent, n, p_send), name
         assert _binomial_5_sigma(t.clicks, t.sent, a.gains[name]), name
         assert _binomial_5_sigma(t.sifted, t.clicks, match), name
         assert _binomial_5_sigma(t.errors, t.sifted, a.error_rates[name]), name
