@@ -48,6 +48,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError("--workers must be >= 1")
     cfg = _load_experiment(args)
     table = harness.run_sweep(cfg, workers=args.workers)
     if args.format == "csv":

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -242,12 +243,20 @@ def test_sweep_rows_sorted_and_monotone():
     assert all(r.analytic_skr_bps > 0 for r in table.rows)
 
 
-def test_sweep_deterministic_across_workers():
-    cfg = config_from_dict(minimal_dps())
-    csv1 = run_sweep(cfg, workers=1).to_csv()
-    csv2 = run_sweep(cfg, workers=2).to_csv()
-    csv3 = run_sweep(cfg, workers=1).to_csv()
-    assert csv1 == csv2 == csv3
+@pytest.mark.parametrize("kind", ["dps", "bb84-decoy"], ids=["dps", "bb84"])
+def test_sweep_deterministic_across_workers(kind):
+    raw = minimal_dps()
+    raw["protocol"]["kind"] = kind
+    cfg = config_from_dict(raw)
+    # more worker threads than cores, switching as often as the interpreter
+    # allows, so that any state the points shared would show in the bytes
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        csvs = [run_sweep(cfg, workers=w).to_csv() for w in (1, 2, 8, 1)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(set(csvs)) == 1
 
 
 def test_sweep_csv_roundtrip():
@@ -378,11 +387,16 @@ def test_cli_sweep_and_compare_roundtrip(tmp_path):
     assert rc == 2  # reference-comparison failure exit code
 
 
-def test_cli_validation_error_exit_code(tmp_path):
+def test_cli_validation_error_exit_code(tmp_path, capsys):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(minimal_dps(seed="later")))
     rc = cli.main(["sweep", "--config", str(cfgp)])
     assert rc == 1
+    cfgp.write_text(json.dumps(minimal_dps()))
+    for workers in ("0", "-3"):
+        rc = cli.main(["sweep", "--config", str(cfgp), "--workers", workers])
+        assert rc == 1
+        assert "--workers must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_compare_select_filter(tmp_path, capsys):

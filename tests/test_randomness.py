@@ -390,11 +390,13 @@ def test_extracted_stream_uniformity():
     assert np.max(np.abs(c)) < 5e-3
 
 
-def test_package_import_leaves_out_scipy_stats_and_signal():
+def test_cli_import_leaves_out_scipy_stats_and_process_pool():
     src = str(Path(qkdtx.__file__).resolve().parents[1])
     code = ("import sys, qkdtx.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'])))")
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'])"
+            " or m.split('.')[0] == 'multiprocessing'"
+            " or m == 'concurrent.futures.process'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=src, timeout=120,
                          env=dict(os.environ, PYTHONPATH=src))
