@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Phase-randomization QRNG end to end.
 
-Samples interference intensities of phase-random pulses, digitizes them to
-8 bits, checks the arcsine shape (chi-square), the byte autocorrelation and
-the min-entropy, then condenses the bytes into nearly uniform bits with the
-Toeplitz extractor.
+Samples interference intensities of phase-random pulses (in units of the
+input intensity I_in), digitizes them to 8 bits, checks the arcsine shape
+(chi-square), the byte autocorrelation and the min-entropy, then condenses
+the bytes into nearly uniform bits with the Toeplitz extractor.
 """
 
 import numpy as np
@@ -22,8 +22,8 @@ from qkdtx import (
 N = 1_025_000
 rng = np.random.default_rng(22)
 
-samples = quantize(sample_interference(N, 1.0, rng))
-report = analyze(samples, max_lag=50)
+raw = quantize(sample_interference(N, rng))
+report = analyze(raw, max_lag=50)
 
 print(f"{N} interference events, 8-bit digitizer")
 print(f"  chi-square vs arcsine bin masses: {report.chi_square:.1f} "
@@ -31,10 +31,10 @@ print(f"  chi-square vs arcsine bin masses: {report.chi_square:.1f} "
 print(f"  max |autocorrelation| lags 1-50: {np.max(np.abs(report.autocorr)):.2e}")
 print(f"  min-entropy: {report.min_entropy_bits:.3f} bits/byte")
 
-budget = entropy_budget_bits(samples.bytes)
-bits = extract_bits(samples.bytes, budget, seed_matrix_seed=99)
+budget = entropy_budget_bits(raw)
+bits = extract_bits(raw, budget, seed_matrix_seed=99)
 ones = int(bits.sum())
-print(f"\nToeplitz extraction: {samples.bytes.size} bytes -> {budget} bits")
+print(f"\nToeplitz extraction: {raw.size} bytes -> {budget} bits")
 print(f"  ones fraction {ones / bits.size:.5f} (ideal 0.5)")
 out_bytes = np.packbits(bits)[: bits.size // 8]
 print(f"  extracted-byte max |autocorrelation|: "
@@ -54,7 +54,7 @@ else:
     interior = np.linspace(0.002, 0.998, 400)
     ax.plot(interior, arcsine_pdf(interior, 1.0), "k-", lw=1.5,
             label="arcsine density")
-    ax.set_xlabel("normalized output intensity")
+    ax.set_xlabel("output intensity / I_in")
     ax.set_ylabel("density")
     ax.set_ylim(0, 8)
     ax.legend()

@@ -30,7 +30,6 @@ from .optics import (
     sigma_phi_for_visibility,
 )
 from .randomness import (
-    QrngSampleSet,
     RandomnessReport,
     analyze,
     arcsine_cdf,

@@ -26,10 +26,14 @@ def _write_or_print(text: str, out):
         sys.stdout.write(text)
 
 
+def _rng(seed):
+    return np.random.Generator(np.random.PCG64(harness.check_seed(seed, "--seed")))
+
+
 def _load_experiment(args):
     cfg = harness.load_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = harness.check_seed(args.seed, "--seed")
     if args.points is not None:
         if args.points < 1_000:
             raise ConfigError("--points must be >= 1e3")
@@ -60,21 +64,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_qrng(args) -> int:
-    if args.n < 1:
-        raise ConfigError("qrng needs at least one sample")
-    rng = np.random.Generator(np.random.PCG64(args.seed))
-    samples = randomness.sample_interference(args.n, args.intensity, rng)
-    samples = randomness.quantize(samples)
-    report = randomness.analyze(samples, max_lag=args.lags)
+    intensities = randomness.sample_interference(args.n, _rng(args.seed))
+    byte_values = randomness.quantize(intensities)
+    report = randomness.analyze(byte_values, max_lag=args.lags)
     if args.out_bytes:
-        Path(args.out_bytes).write_bytes(samples.bytes.tobytes())
+        Path(args.out_bytes).write_bytes(byte_values.tobytes())
     _write_or_print(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
     return 0
 
 
 def _cmd_constellation(args) -> int:
-    rng = np.random.Generator(np.random.PCG64(args.seed))
-    report = optics.constellation_eye(args.levels, args.sigma, args.symbols, rng)
+    report = optics.constellation_eye(args.levels, args.sigma, args.symbols,
+                                      _rng(args.seed))
     payload = {
         "modulation_levels": report.modulation_levels,
         "n_symbols": len(report.points),
@@ -126,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, default=1_025_000,
                    help="number of interference events")
     q.add_argument("--seed", type=int, required=True)
-    q.add_argument("--intensity", type=float, default=1.0)
     q.add_argument("--lags", type=int, default=50)
     q.add_argument("--out-bytes", default=None, help="raw byte stream output path")
     q.add_argument("--out", default=None, help="JSON report output path")

@@ -206,12 +206,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     pulses = _default(raw, "pulses_per_point", _PULSES_DEFAULT, provenance)
     if not isinstance(pulses, int) or pulses < 1_000:
         raise ConfigError("pulses_per_point must be an integer >= 1e3")
-    seed = raw["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed must be an integer (wall-clock seeding is not allowed)")
     return ExperimentConfig(protocol=protocol, detector=detector,
                             losses_db=losses, pulses_per_point=pulses,
-                            seed=seed, provenance=provenance)
+                            seed=check_seed(raw["seed"]), provenance=provenance)
+
+
+def check_seed(seed, name: str = "seed") -> int:
+    """The seed if it is an integer >= 0, else a ConfigError naming ``name``."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError(f"{name} must be an integer (wall-clock seeding is not allowed)")
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0")
+    return seed
 
 
 def load_config(path) -> ExperimentConfig:

@@ -2,9 +2,10 @@
 
 Interfering equal-intensity pulses with uniformly random phase difference
 yields I_out = I_in/2 * (1 + cos(phi)), whose density is the arcsine law
-P(I) = 1 / (pi * sqrt(I * (I_in - I))). Raw samples are digitized to 8 bits,
-validated (chi-square, autocorrelation, min-entropy) and condensed with a
-Toeplitz extractor.
+P(I) = 1 / (pi * sqrt(I * (I_in - I))). The digitizer spans [0, I_in], so
+samples are float arrays of I/I_in in [0, 1]. They are digitized to uint8
+bytes, validated (chi-square, autocorrelation, min-entropy) and condensed
+with a Toeplitz extractor.
 
 Importing this module loads numpy and qkdtx.optics only; scipy is imported
 inside goodness_of_fit, the one function that needs it.
@@ -13,7 +14,6 @@ inside goodness_of_fit, the one function that needs it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -25,32 +25,8 @@ _BLOCK_BITS = 1 << 16        # Toeplitz hashing block size (input bits)
 
 
 @dataclass
-class QrngSampleSet:
-    """Raw interference intensities plus (after quantization) their bytes."""
-
-    intensities: np.ndarray
-    input_intensity: float
-    bytes: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.intensities = np.asarray(self.intensities, dtype=float)
-        if self.input_intensity <= 0:
-            raise ValueError("input_intensity must be > 0")
-        if np.any((self.intensities < 0) | (self.intensities > self.input_intensity)):
-            raise ValueError("intensities must lie in [0, input_intensity]")
-        if self.bytes is not None:
-            self.bytes = np.asarray(self.bytes, dtype=np.uint8)
-            if self.bytes.size != self.intensities.size:
-                raise ValueError("bytes and intensities must have equal length")
-
-    @property
-    def sample_count(self) -> int:
-        return int(self.intensities.size)
-
-
-@dataclass
 class RandomnessReport:
-    """Statistical summary of a quantized sample set."""
+    """Statistical summary of a quantized byte stream."""
 
     histogram: np.ndarray
     chi_square: float
@@ -59,13 +35,8 @@ class RandomnessReport:
     min_entropy_bits: float
 
     def to_dict(self) -> dict:
-        return {
-            "histogram": self.histogram.tolist(),
-            "chi_square": self.chi_square,
-            "p_value": self.p_value,
-            "autocorr": self.autocorr.tolist(),
-            "min_entropy_bits": self.min_entropy_bits,
-        }
+        return {name: value.tolist() if isinstance(value, np.ndarray) else value
+                for name, value in vars(self).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -98,39 +69,31 @@ def arcsine_cdf(i_out, i_in):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_interference(n, i_in, rng) -> QrngSampleSet:
-    """Draw n interference intensities with uniformly random phase.
+def sample_interference(n, rng) -> np.ndarray:
+    """Draw n interference intensities I/I_in in [0, 1] with random phase.
 
     Equivalent in distribution to inverse-CDF sampling of the arcsine law.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if i_in <= 0:
-        raise ValueError("i_in must be > 0")
     cos_phi = np.cos(rng.uniform(0.0, TWO_PI, int(n)))
-    intensities, _ = port_intensities(cos_phi, 0.5 * i_in)
-    return QrngSampleSet(intensities, i_in)
+    return port_intensities(cos_phi, 0.5)[0]  # the bar port
 
 
 # ---------------------------------------------------------------------------
 # quantization and statistics
 # ---------------------------------------------------------------------------
 
-def quantize(samples: QrngSampleSet, full_scale=None) -> QrngSampleSet:
-    """Digitize to 8 bits: byte = floor(256 * I / full_scale), clamped to 255.
+def quantize(intensities) -> np.ndarray:
+    """Digitize I/I_in to 8 bits: byte = floor(256 * I/I_in), clamped to 255.
 
-    full_scale defaults to the input intensity (digitizer exactly spans the
-    interference range) and must not truncate the distribution.
+    Values off [0, 1], NaN included, miss the digitizer and are rejected.
     """
-    if full_scale is None:
-        full_scale = samples.input_intensity
-    if full_scale <= 0:
-        raise ValueError("full_scale must be > 0")
-    if full_scale < samples.input_intensity:
-        raise ValueError("full_scale must be >= the input intensity")
-    raw = np.floor(QUANT_LEVELS * samples.intensities / full_scale)
-    byte_vals = np.minimum(raw, QUANT_LEVELS - 1).astype(np.uint8)
-    return QrngSampleSet(samples.intensities, samples.input_intensity, byte_vals)
+    x = np.asarray(intensities, dtype=float)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError("intensities must lie in [0, 1] (units of I_in)")
+    raw = np.floor(QUANT_LEVELS * x)
+    return np.minimum(raw, QUANT_LEVELS - 1).astype(np.uint8)
 
 
 def byte_histogram(byte_values) -> np.ndarray:
@@ -142,9 +105,11 @@ def byte_autocorrelation(byte_values, max_lag=50) -> np.ndarray:
     """Lag 1..max_lag Pearson autocorrelation coefficients.
 
     Uses the standard autocovariance estimator normalized by the total
-    variance. Raises on constant streams (undefined variance) and on streams
-    too short for the requested lag.
+    variance. Raises on max_lag below 1, on constant streams (undefined
+    variance) and on streams too short for the requested lag.
     """
+    if max_lag < 1:
+        raise ValueError("max_lag must be >= 1")
     x = np.asarray(byte_values, dtype=float)
     if x.size <= max_lag + 1:
         raise ValueError(f"need more than {max_lag + 1} samples for lag {max_lag}")
@@ -155,26 +120,20 @@ def byte_autocorrelation(byte_values, max_lag=50) -> np.ndarray:
     return np.array([np.dot(x[:-k], x[k:]) / denom for k in range(1, max_lag + 1)])
 
 
-def _bin_masses(i_in, full_scale) -> np.ndarray:
+def _bin_masses() -> np.ndarray:
     """Exact arcsine probability mass of each of the 256 digitizer bins."""
-    edges = np.arange(QUANT_LEVELS + 1) * (full_scale / QUANT_LEVELS)
-    edges = np.minimum(edges, i_in)
-    cdf = arcsine_cdf(edges, i_in)
-    masses = np.diff(cdf)
-    masses[-1] += 1.0 - cdf[-1]  # clamp path: top bin absorbs I == full_scale
-    return masses
+    return np.diff(arcsine_cdf(np.arange(QUANT_LEVELS + 1) / QUANT_LEVELS, 1.0))
 
 
-def goodness_of_fit(histogram, i_in, full_scale=None):
-    """Chi-square of an 8-bit histogram against the exact arcsine bin masses.
+def goodness_of_fit(histogram) -> tuple[float, float]:
+    """(chi_square, p_value) of an 8-bit histogram against the exact arcsine
+    bin masses.
 
-    Edge bins are merged inward until every counted bin expects at least 5
-    events (the asymptotes otherwise break the chi-square approximation);
-    the p-value uses bins_used - 1 degrees of freedom.
-
-    Returns
-    -------
-    (chi_square, p_value)
+    All 256 bins are counted, with no merging, and the p-value uses 255
+    degrees of freedom. The lightest bins are the two central ones (mass
+    0.00249 each) and the edge bins the heaviest (0.0398 each), so at the
+    required 1e4 samples or more every bin expects at least 24.9 events,
+    well above the 5 the chi-square approximation needs.
     """
     hist = np.asarray(histogram, dtype=float)
     if hist.size != QUANT_LEVELS:
@@ -182,30 +141,14 @@ def goodness_of_fit(histogram, i_in, full_scale=None):
     n = hist.sum()
     if n < 1e4:
         raise ValueError("need at least 1e4 samples for a stable chi-square")
-    if full_scale is None:
-        full_scale = i_in
-    expected = n * _bin_masses(i_in, full_scale)
-
-    lo, hi = 0, QUANT_LEVELS - 1
-    while hi > lo and expected[lo] < 5.0:
-        expected[lo + 1] += expected[lo]
-        hist[lo + 1] += hist[lo]
-        lo += 1
-    while hi > lo and expected[hi] < 5.0:
-        expected[hi - 1] += expected[hi]
-        hist[hi - 1] += hist[hi]
-        hi -= 1
-    expected = expected[lo:hi + 1]
-    observed = hist[lo:hi + 1]
-    if expected.size < 2:
-        raise ValueError("degenerate histogram: all mass in one bin")
+    expected = n * _bin_masses()
 
     # chdtrc is the function scipy.stats.chi2.sf evaluates; imported here so
     # that importing qkdtx does not pay for loading scipy.
     from scipy.special import chdtrc
 
-    chi2 = float(np.sum((observed - expected) ** 2 / expected))
-    p = float(chdtrc(expected.size - 1, chi2))
+    chi2 = float(np.sum((hist - expected) ** 2 / expected))
+    p = float(chdtrc(QUANT_LEVELS - 1, chi2))
     return chi2, p
 
 
@@ -218,13 +161,14 @@ def min_entropy(histogram) -> float:
     return float(-np.log2(hist.max() / n))
 
 
-def analyze(samples: QrngSampleSet, max_lag=50, full_scale=None) -> RandomnessReport:
-    """Full statistical report for a quantized sample set."""
-    if samples.bytes is None:
-        raise ValueError("samples must be quantized first")
-    hist = byte_histogram(samples.bytes)
-    chi2, p = goodness_of_fit(hist, samples.input_intensity, full_scale)
-    ac = byte_autocorrelation(samples.bytes, max_lag)
+def analyze(byte_values, max_lag=50) -> RandomnessReport:
+    """Full statistical report for the uint8 output of quantize."""
+    byte_values = np.asarray(byte_values)
+    if byte_values.dtype != np.uint8:
+        raise ValueError(f"analyze needs the uint8 bytes of quantize, not {byte_values.dtype}")
+    hist = byte_histogram(byte_values)
+    chi2, p = goodness_of_fit(hist)
+    ac = byte_autocorrelation(byte_values, max_lag)
     return RandomnessReport(hist, chi2, p, ac, min_entropy(hist))
 
 

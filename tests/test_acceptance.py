@@ -100,9 +100,9 @@ def test_criterion_1_amzi_amplitude_oracle():
 def test_criterion_2_arcsine_statistics():
     t0 = time.perf_counter()
     n = 1_025_000
-    samples = quantize(sample_interference(n, 1.0, make_rng(102)))
-    chi2, p = goodness_of_fit(byte_histogram(samples.bytes), 1.0)
-    autocorr = byte_autocorrelation(samples.bytes, 50)
+    raw = quantize(sample_interference(n, make_rng(102)))
+    chi2, p = goodness_of_fit(byte_histogram(raw))
+    autocorr = byte_autocorrelation(raw, 50)
     worst_ac = float(np.max(np.abs(autocorr)))
     elapsed = time.perf_counter() - t0
     ok = p > 0.01 and worst_ac < 5e-3 and elapsed < 5.0

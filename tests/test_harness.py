@@ -1,5 +1,6 @@
 """Tests for config loading, sweeps, reference comparison, and the CLI."""
 
+import hashlib
 import itertools
 import json
 import sys
@@ -171,6 +172,9 @@ def test_seed_is_mandatory_and_integer():
         config_from_dict(minimal_dps(seed="now"))
     with pytest.raises(ConfigError, match="seed"):
         config_from_dict(minimal_dps(seed=True))
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        config_from_dict(minimal_dps(seed=-1))
+    assert config_from_dict(minimal_dps(seed=0)).seed == 0
 
 
 def test_unknown_protocol_field_rejected():
@@ -397,6 +401,22 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
         rc = cli.main(["sweep", "--config", str(cfgp), "--workers", workers])
         assert rc == 1
         assert "--workers must be >= 1" in capsys.readouterr().err
+    # a negative seed is named, whether it comes from the config or --seed
+    cfgp.write_text(json.dumps(minimal_dps(seed=-1)))
+    for command in ("sweep", "simulate"):
+        assert cli.main([command, "--config", str(cfgp)]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+    cfgp.write_text(json.dumps(minimal_dps()))
+    for argv in (["sweep", "--config", str(cfgp), "--seed", "-3"],
+                 ["simulate", "--config", str(cfgp), "--seed", "-3"],
+                 ["qrng", "--n", "20000", "--seed", "-3"],
+                 ["constellation", "--symbols", "64", "--seed", "-3"]):
+        assert cli.main(argv) == 1
+        assert "--seed must be >= 0" in capsys.readouterr().err
+    for argv, message in ((["--n", "0"], "n must be >= 1"),
+                          (["--n", "20000", "--lags", "0"], "max_lag must be >= 1")):
+        assert cli.main(["qrng", "--seed", "5", *argv]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_cli_compare_select_filter(tmp_path, capsys):
@@ -426,6 +446,8 @@ def test_cli_qrng(tmp_path):
     assert rc == 0
     blob = bytes_path.read_bytes()
     assert len(blob) == 50000
+    assert hashlib.sha256(blob).hexdigest() == (
+        "4186a282938d80d9c90fdaf527621dec9919bcd2b94ecc28d03e9ee2e4bc2df2")
     report = json.loads(report_path.read_text())
     assert report["p_value"] > 0.001
     assert len(report["autocorr"]) == 50

@@ -15,7 +15,7 @@ from scipy.stats import kstest
 
 import qkdtx
 from qkdtx.randomness import (
-    QrngSampleSet,
+    _bin_masses,
     analyze,
     arcsine_cdf,
     arcsine_pdf,
@@ -36,9 +36,9 @@ def make_rng(seed=0):
 
 
 @pytest.fixture(scope="module")
-def seed7_samples():
+def seed7_bytes():
     """The qkdtx qrng default run: 1,025,000 events from PCG64(7)."""
-    return quantize(sample_interference(1_025_000, 1.0, make_rng(7)))
+    return quantize(sample_interference(1_025_000, make_rng(7)))
 
 
 def dense_toeplitz(t, n_in, n_out):
@@ -95,27 +95,27 @@ def test_cdf_pdf_consistency():
 
 def test_sample_mean_is_half_input():
     n = 1_025_000
-    s = sample_interference(n, 1.0, make_rng(1))
+    s = sample_interference(n, make_rng(1))
     sigma = 0.5 / np.sqrt(2)  # std of I/I_in under the arcsine law
-    assert abs(s.intensities.mean() - 0.5) < 3 * sigma / np.sqrt(n)
+    assert abs(s.mean() - 0.5) < 3 * sigma / np.sqrt(n)
 
 
 def test_degenerate_phase_gives_zero_output():
-    s = sample_interference(100, 1.0, ConstantPhaseRng(np.pi))
-    assert np.allclose(s.intensities, 0.0, atol=1e-12)
+    s = sample_interference(100, ConstantPhaseRng(np.pi))
+    assert np.allclose(s, 0.0, atol=1e-12)
 
 
 def test_sample_matches_arcsine_ks():
     n = 1_000_000
-    s = sample_interference(n, 1.0, make_rng(2))
-    stat = kstest(s.intensities, lambda x: arcsine_cdf(x, 1.0)).statistic
+    s = sample_interference(n, make_rng(2))
+    stat = kstest(s, lambda x: arcsine_cdf(x, 1.0)).statistic
     assert stat < 1.63 / np.sqrt(n)  # Kolmogorov critical value at alpha = 0.01
 
 
 def test_sampling_equivalence_inverse_cdf():
     # same distribution via inverse-CDF draws: I = I_in sin^2(pi u / 2)
     n = 100_000
-    direct = sample_interference(n, 1.0, make_rng(3)).intensities
+    direct = sample_interference(n, make_rng(3))
     u = make_rng(4).uniform(0, 1, n)
     inverse = np.sin(np.pi * u / 2.0) ** 2
     def ecdf(data):
@@ -130,9 +130,7 @@ def test_sampling_equivalence_inverse_cdf():
 
 def test_sample_validation():
     with pytest.raises(ValueError):
-        sample_interference(0, 1.0, make_rng(0))
-    with pytest.raises(ValueError):
-        sample_interference(10, 0.0, make_rng(0))
+        sample_interference(0, make_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -140,24 +138,21 @@ def test_sample_validation():
 # ---------------------------------------------------------------------------
 
 def test_quantize_reference_points():
-    s = QrngSampleSet(np.array([0.0, 1.0, 0.5]), 1.0)
-    qs = quantize(s, full_scale=1.0)
-    assert qs.bytes.tolist() == [0, 255, 128]
-    assert qs.sample_count == 3
+    b = quantize(np.array([0.0, 1.0, 0.5, 255 / 256, np.nextafter(1 / 256, 0)]))
+    assert b.dtype == np.uint8
+    assert b.tolist() == [0, 255, 128, 255, 0]
 
 
 def test_quantize_validation():
-    s = QrngSampleSet(np.array([0.5]), 1.0)
-    with pytest.raises(ValueError):
-        quantize(s, full_scale=0.0)
-    with pytest.raises(ValueError):
-        quantize(s, full_scale=0.5)
+    # intensities are in units of I_in: anything off [0, 1] misses the digitizer
+    for bad in (-0.1, 1.5, np.nan):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            quantize(np.array([0.5, bad]))
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=50))
 def test_quantizer_monotone(vals):
-    s = QrngSampleSet(np.array(vals), 1.0)
-    b = quantize(s).bytes.astype(int)
+    b = quantize(np.array(vals)).astype(int)
     order = np.argsort(vals, kind="stable")
     assert np.all(np.diff(b[order]) >= 0)
 
@@ -174,6 +169,9 @@ def test_autocorr_constant_stream_errors():
 def test_autocorr_insufficient_samples():
     with pytest.raises(ValueError):
         byte_autocorrelation(np.arange(10, dtype=np.uint8), 20)
+    for lag in (0, -5):
+        with pytest.raises(ValueError, match="max_lag"):
+            byte_autocorrelation(np.arange(1000, dtype=np.uint8), lag)
 
 
 def test_autocorr_duplicated_stream():
@@ -192,50 +190,46 @@ def test_autocorr_iid_small():
 
 
 def test_goodness_of_fit_self_consistency():
-    s = quantize(sample_interference(100_000, 1.0, make_rng(7)))
-    chi2, p = goodness_of_fit(byte_histogram(s.bytes), 1.0)
+    b = quantize(sample_interference(100_000, make_rng(7)))
+    chi2, p = goodness_of_fit(byte_histogram(b))
     assert p > 0.01
 
 
-def test_goodness_of_fit_p_value_is_chi2_sf(seed7_samples):
-    hist = byte_histogram(seed7_samples.bytes)
-    chi2, p = goodness_of_fit(hist, 1.0)
+def test_goodness_of_fit_p_value_is_chi2_sf(seed7_bytes):
+    hist = byte_histogram(seed7_bytes)
+    chi2, p = goodness_of_fit(hist)
     assert p == 0.5465583074091717
-    # every bin expects over 2,500 events here, so none is merged: 255 dof
+    # all 256 bins are counted: 255 degrees of freedom
     assert p == chi2_dist.sf(chi2, df=255)
 
 
 def test_goodness_of_fit_rejects_uniform():
     b = make_rng(8).integers(0, 256, 100_000)
-    chi2, p = goodness_of_fit(byte_histogram(b), 1.0)
+    chi2, p = goodness_of_fit(byte_histogram(b))
     assert p < 1e-6
 
 
 def test_goodness_of_fit_exact_expected_counts():
     # histogram equal to the exact expected counts scores chi-square zero
-    from qkdtx.randomness import _bin_masses
     n = 1_000_000
-    hist = n * _bin_masses(1.0, 1.0)
-    chi2, p = goodness_of_fit(hist, 1.0)
+    hist = n * _bin_masses()
+    chi2, p = goodness_of_fit(hist)
     assert chi2 == pytest.approx(0.0, abs=1e-18)
     assert p == pytest.approx(1.0)
 
 
 def test_goodness_of_fit_degenerate():
+    # all mass in one bin is a valid input that fails the fit outright
     hist = np.zeros(256)
     hist[0] = 1e6
-    with pytest.raises(ValueError):
-        goodness_of_fit(hist, 1.0, full_scale=1e9)
-    with pytest.raises(ValueError):
-        goodness_of_fit(np.ones(10), 1.0)
-    with pytest.raises(ValueError):
-        goodness_of_fit(np.ones(256), 1.0)  # fewer than 1e4 samples
-
-
-def test_goodness_of_fit_oversized_full_scale_merges_empty_bins():
-    s = quantize(sample_interference(100_000, 1.0, make_rng(9)), full_scale=2.0)
-    chi2, p = goodness_of_fit(byte_histogram(s.bytes), 1.0, full_scale=2.0)
-    assert p > 0.01
+    assert goodness_of_fit(hist)[1] == 0.0
+    with pytest.raises(ValueError, match="256 bins"):
+        goodness_of_fit(np.ones(10))
+    with pytest.raises(ValueError, match="1e4"):
+        goodness_of_fit(np.ones(256))  # fewer than 1e4 samples
+    # at exactly 1e4 samples the lightest bin still expects 24.9 events
+    assert 1e4 * _bin_masses().min() == pytest.approx(24.87, abs=0.01)
+    assert goodness_of_fit(1e4 * _bin_masses())[1] == pytest.approx(1.0)
 
 
 def test_min_entropy_reference_points():
@@ -246,8 +240,7 @@ def test_min_entropy_reference_points():
     with pytest.raises(ValueError):
         min_entropy(np.zeros(256))
     # ideal arcsine at full scale: the top bin dominates
-    from qkdtx.randomness import _bin_masses
-    masses = _bin_masses(1.0, 1.0)
+    masses = _bin_masses()
     want = -np.log2(1 - arcsine_cdf(255 / 256, 1.0))
     assert -np.log2(masses.max()) == pytest.approx(want, rel=1e-12)
     assert want == pytest.approx(4.65055, abs=1e-4)
@@ -256,10 +249,9 @@ def test_min_entropy_reference_points():
 
 def test_histogram_symmetry_about_center():
     # I and I_in - I are identically distributed
-    s = sample_interference(200_000, 1.0, make_rng(10))
-    h1 = byte_histogram(quantize(s).bytes).astype(float)
-    mirrored = QrngSampleSet(1.0 - s.intensities, 1.0)
-    h2 = byte_histogram(quantize(mirrored).bytes).astype(float)
+    s = sample_interference(200_000, make_rng(10))
+    h1 = byte_histogram(quantize(s)).astype(float)
+    h2 = byte_histogram(quantize(1.0 - s)).astype(float)
     # chi-square homogeneity on pooled bins with enough mass
     keep = (h1 + h2) >= 10
     expected = (h1[keep] + h2[keep]) / 2
@@ -270,9 +262,13 @@ def test_histogram_symmetry_about_center():
 
 
 def test_analyze_requires_quantized():
-    s = sample_interference(100, 1.0, make_rng(0))
-    with pytest.raises(ValueError):
+    s = sample_interference(100_000, make_rng(0))
+    with pytest.raises(ValueError, match="uint8"):
         analyze(s)
+    with pytest.raises(ValueError, match="uint8"):
+        analyze(quantize(s).astype(np.int64))
+    report = analyze(quantize(s), max_lag=3)
+    assert report.histogram.sum() == 100_000 and report.autocorr.size == 3
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +344,10 @@ def test_toeplitz_rounding_guard(monkeypatch):
         toeplitz_hash(np.ones(8, np.uint8), np.ones(11, np.uint8), 4)
 
 
-def test_extract_pinned_output(seed7_samples):
-    budget = entropy_budget_bits(seed7_samples.bytes)
+def test_extract_pinned_output(seed7_bytes):
+    budget = entropy_budget_bits(seed7_bytes)
     assert budget == 4_768_425
-    bits = extract_bits(seed7_samples.bytes, budget, seed_matrix_seed=7)
+    bits = extract_bits(seed7_bytes, budget, seed_matrix_seed=7)
     digest = hashlib.sha256(np.packbits(bits).tobytes()).hexdigest()
     assert digest == ("38b66ee4549874c1b84c85ab3e65eef1"
                       "32b7de4f8ff6a7ad93f386059eff3b1b")
@@ -370,7 +366,7 @@ def test_extract_budget_enforced():
 
 
 def test_extract_deterministic():
-    b = quantize(sample_interference(50_000, 1.0, make_rng(14))).bytes
+    b = quantize(sample_interference(50_000, make_rng(14)))
     out1 = extract_bits(b, 10_000, seed_matrix_seed=99)
     out2 = extract_bits(b, 10_000, seed_matrix_seed=99)
     assert np.array_equal(out1, out2)
@@ -380,9 +376,9 @@ def test_extract_deterministic():
 
 def test_extracted_stream_uniformity():
     # arcsine-biased bytes in, balanced and uncorrelated bits out
-    samples = quantize(sample_interference(1_000_000, 1.0, make_rng(15)))
-    out_len = entropy_budget_bits(samples.bytes)
-    bits = extract_bits(samples.bytes, out_len, seed_matrix_seed=7)
+    b = quantize(sample_interference(1_000_000, make_rng(15)))
+    out_len = entropy_budget_bits(b)
+    bits = extract_bits(b, out_len, seed_matrix_seed=7)
     ones = int(bits.sum())
     assert abs(ones - out_len / 2) < 3 * np.sqrt(out_len) / 2
     out_bytes = np.packbits(bits)[: (bits.size // 8)]
