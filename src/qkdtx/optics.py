@@ -5,12 +5,16 @@ master laser (no injection, CW injection, directly modulated injection) and
 the delay-line interferometer that converts differential phase into intensity.
 Each pulse is a point event carrying a mean photon number and an optical
 phase; pulse shape, chirp and jitter are below the abstraction level.
+The per-slot records (``InterferenceRecord``, ``IqPoint``) are immutable
+named tuples built in one pass from the demodulators' arrays; they also
+unpack and compare equal to plain tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -81,10 +85,10 @@ class PulseTrain:
         phases = np.atleast_1d(np.asarray(phases, dtype=float))
         if phases.ndim != 1 or phases.size == 0:
             raise ValueError("phases must be a non-empty 1-d array")
-        if mean_photons < 0:
-            raise ValueError("mean_photons must be >= 0")
-        if period_s <= 0:
-            raise ValueError("period_s must be > 0")
+        if not 0.0 <= mean_photons < np.inf:
+            raise ValueError("mean_photons must be finite and >= 0")
+        if not 0.0 < period_s < np.inf:
+            raise ValueError("period_s must be finite and > 0")
         self.phases = reduce_phase(phases)
         self.mean_photons = float(mean_photons)
         self.period_s = float(period_s)
@@ -123,7 +127,7 @@ class DifferentialPhaseSequence:
         k = np.rint(dp * modulation_levels / TWO_PI)
         on_grid = np.abs(dp - k * TWO_PI / modulation_levels)
         on_grid = np.minimum(on_grid, TWO_PI - on_grid)
-        if np.any(on_grid > 1e-9):
+        if not np.all(on_grid <= 1e-9):  # NaN is off the grid too
             raise ValueError(
                 f"differential phases must lie on the 2*pi*k/{modulation_levels} grid")
         if pair_boundary is None:
@@ -169,8 +173,8 @@ class InjectionMode:
     def __post_init__(self):
         if self.variant not in ("off", "cw", "modulated"):
             raise ValueError(f"unknown injection variant {self.variant!r}")
-        if self.phase_noise_sigma < 0:
-            raise ValueError("phase_noise_sigma must be >= 0")
+        if not 0.0 <= self.phase_noise_sigma < np.inf:
+            raise ValueError("phase_noise_sigma must be finite and >= 0")
         if self.variant == "off" and self.phase_sequence is not None:
             raise ValueError("no phase sequence is allowed with injection off")
         if self.variant == "modulated" and self.phase_sequence is None:
@@ -207,14 +211,13 @@ class AmziConfig:
     output_port: str = "bar"
 
     def __post_init__(self):
-        if self.delay_s <= 0:
-            raise ValueError("delay_s must be > 0")
+        if not 0.0 < self.delay_s < np.inf:
+            raise ValueError("delay_s must be finite and > 0")
         if self.output_port not in ("bar", "cross"):
             raise ValueError("output_port must be 'bar' or 'cross'")
 
 
-@dataclass(frozen=True)
-class InterferenceRecord:
+class InterferenceRecord(NamedTuple):
     """Intensity leaving one AMZI port for one interference slot."""
 
     slot_index: int
@@ -222,17 +225,15 @@ class InterferenceRecord:
     input_intensity: float
 
 
-@dataclass(frozen=True)
-class IqPoint:
-    """Demodulated symbol as a vector (radius, angle) in the complex plane."""
+class IqPoint(NamedTuple):
+    """Demodulated symbol as a vector (radius, angle) in the complex plane.
+
+    ``dual_basis_demodulate`` emits a non-negative radius and an angle
+    reduced into [0, 2*pi); the record itself checks neither.
+    """
 
     radius: float
     angle: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
-        object.__setattr__(self, "angle", reduce_phase(self.angle))
 
 
 @dataclass
@@ -284,8 +285,6 @@ def emit_pulse_train(n_pulses, mean_photons, mode, rng, period_s=5e-10,
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
-    if mean_photons < 0:
-        raise ValueError("mean_photons must be >= 0")
 
     if mode.variant == "off":
         raw = rng.uniform(0.0, TWO_PI, n_pulses)
@@ -373,7 +372,8 @@ def amzi_interfere(train: PulseTrain, cfg: AmziConfig) -> list[InterferenceRecor
     i_in = train.mean_photons
     out = amzi_intensity(train.differential_phases(), i_in,
                          cfg.phase_offset, cfg.output_port)
-    return [InterferenceRecord(k + 1, float(v), i_in) for k, v in enumerate(out)]
+    return list(map(InterferenceRecord._make,
+                    zip(range(1, train.n_pulses), out.tolist(), repeat(i_in))))
 
 
 def dual_basis_demodulate(train: PulseTrain) -> list[IqPoint]:
@@ -388,11 +388,11 @@ def dual_basis_demodulate(train: PulseTrain) -> list[IqPoint]:
     diffs = train.differential_phases()
     i_in = train.mean_photons
     if i_in == 0.0:
-        return [IqPoint(0.0, 0.0) for _ in diffs]
+        return [IqPoint(0.0, 0.0)] * diffs.size
     i_i = amzi_intensity(diffs, i_in, 0.0, "bar")
     i_q = amzi_intensity(diffs, i_in, -np.pi / 2.0, "bar")
     theta = np.arctan2(2.0 * i_q / i_in - 1.0, 2.0 * i_i / i_in - 1.0)
-    return [IqPoint(i_in, t) for t in reduce_phase(theta)]
+    return list(map(IqPoint._make, zip(repeat(i_in), reduce_phase(theta).tolist())))
 
 
 def fringe_scan(mode, mean_photons, theta_grid, pulses_per_point, rng,

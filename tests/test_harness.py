@@ -417,6 +417,11 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
                           (["--n", "20000", "--lags", "0"], "max_lag must be >= 1")):
         assert cli.main(["qrng", "--seed", "5", *argv]) == 1
         assert message in capsys.readouterr().err
+    # a non-finite phase noise is named, not run as a noiseless or NaN eye
+    for sigma in ("nan", "inf"):
+        assert cli.main(["constellation", "--symbols", "64", "--seed", "5",
+                         "--sigma", sigma]) == 1
+        assert "phase_noise_sigma must be finite" in capsys.readouterr().err
 
 
 def test_cli_compare_select_filter(tmp_path, capsys):

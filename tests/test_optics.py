@@ -12,6 +12,7 @@ from qkdtx.optics import (
     DifferentialPhaseSequence,
     InjectionMode,
     InterferenceRecord,
+    IqPoint,
     PulseTrain,
     SIGMA_PHI_REFERENCE_VISIBILITY,
     amzi_intensity,
@@ -46,12 +47,26 @@ def test_reduce_phase_exact_two_pi_maps_to_zero():
     assert reduce_phase(2 * TWO_PI) == 0.0
 
 
+def test_iq_point_is_an_immutable_named_tuple():
+    pt = IqPoint(0.5, 1.0)
+    assert pt == (0.5, 1.0)
+    radius, angle = pt
+    assert (radius, angle) == (pt.radius, pt.angle)
+    with pytest.raises(AttributeError):
+        pt.angle = 2.0
+
+
 def test_pulse_train_invariants():
     tr = PulseTrain([0.0, 1.0, 7.0], 0.5, 5e-10)
     assert tr.n_pulses == 3
     assert tr.phases[2] == pytest.approx(7.0 - TWO_PI)
     with pytest.raises(ValueError):
         PulseTrain([0.0], -0.5, 5e-10)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="mean_photons"):
+            PulseTrain([0.0], bad, 5e-10)
+        with pytest.raises(ValueError, match="period_s"):
+            PulseTrain([0.0], 0.5, bad)
     with pytest.raises(ValueError):
         PulseTrain([], 0.5, 5e-10)
     with pytest.raises(ValueError):
@@ -60,8 +75,9 @@ def test_pulse_train_invariants():
 
 def test_sequence_grid_validation():
     DifferentialPhaseSequence([0.0, np.pi], 2)
-    with pytest.raises(ValueError):
-        DifferentialPhaseSequence([0.3], 2)
+    for off_grid in (0.3, np.nan):
+        with pytest.raises(ValueError, match="grid"):
+            DifferentialPhaseSequence([off_grid], 2)
     with pytest.raises(ValueError):
         DifferentialPhaseSequence([0.0], 1)
     seq = DifferentialPhaseSequence.mpsk(4, [0, 1, 2, 3])
@@ -73,8 +89,9 @@ def test_injection_mode_validation():
         InjectionMode("off", phase_sequence=DifferentialPhaseSequence([0.0], 2))
     with pytest.raises(ValueError):
         InjectionMode("modulated")
-    with pytest.raises(ValueError):
-        InjectionMode("cw", phase_noise_sigma=-0.1)
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="phase_noise_sigma"):
+            InjectionMode("cw", phase_noise_sigma=bad)
     with pytest.raises(ValueError):
         InjectionMode("squeezed")
 
@@ -122,6 +139,12 @@ def test_off_mode_differences_uniform():
     diffs = tr.differential_phases()
     stat = kstest(diffs / TWO_PI, "uniform").statistic
     assert stat < 2.0 / np.sqrt(n - 1)
+
+
+def test_emit_rejects_non_finite_mean_photons():
+    for bad in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="mean_photons"):
+            emit_pulse_train(4, bad, InjectionMode.off(), make_rng(0))
 
 
 def test_modulated_sequence_too_short():
@@ -188,10 +211,32 @@ def test_amzi_errors():
     single = PulseTrain([0.0], 0.5, 5e-10)
     with pytest.raises(ValueError, match="2 pulses"):
         amzi_interfere(single, AmziConfig(delay_s=5e-10))
-    with pytest.raises(ValueError):
-        AmziConfig(delay_s=-1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="delay_s"):
+            AmziConfig(delay_s=bad)
     with pytest.raises(ValueError):
         AmziConfig(delay_s=5e-10, output_port="diagonal")
+
+
+def test_bulk_records_equal_the_array_law_exactly():
+    rng = make_rng(22)
+    n = 1000
+    tr = emit_pulse_train(n, 0.7, InjectionMode.off(), rng)
+    diffs = tr.differential_phases()
+    for port in ("bar", "cross"):
+        recs = amzi_interfere(tr, AmziConfig(5e-10, 0.4, port))
+        assert ([r.intensity_out for r in recs]
+                == amzi_intensity(diffs, 0.7, 0.4, port).tolist())
+        assert [r.slot_index for r in recs] == list(range(1, n))
+        assert all(r.input_intensity == 0.7 for r in recs)
+    pts = dual_basis_demodulate(tr)
+    i_i = amzi_intensity(diffs, 0.7, 0.0, "bar")
+    i_q = amzi_intensity(diffs, 0.7, -np.pi / 2.0, "bar")
+    want = reduce_phase(np.arctan2(2.0 * i_q / 0.7 - 1.0, 2.0 * i_i / 0.7 - 1.0))
+    assert [p.angle for p in pts] == want.tolist()
+    assert all(p.radius == 0.7 for p in pts)
+    dark = dual_basis_demodulate(PulseTrain(rng.uniform(0, TWO_PI, 5), 0.0, 5e-10))
+    assert dark == [IqPoint(0.0, 0.0)] * 4
 
 
 def test_port_complementarity():
