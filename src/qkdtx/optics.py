@@ -83,8 +83,8 @@ class PulseTrain:
 
     def __init__(self, phases, mean_photons, period_s, diff_phases=None):
         phases = np.atleast_1d(np.asarray(phases, dtype=float))
-        if phases.ndim != 1 or phases.size == 0:
-            raise ValueError("phases must be a non-empty 1-d array")
+        if phases.ndim != 1 or phases.size == 0 or not np.isfinite(phases).all():
+            raise ValueError("phases must be a non-empty 1-d array of finite values")
         if not 0.0 <= mean_photons < np.inf:
             raise ValueError("mean_photons must be finite and >= 0")
         if not 0.0 < period_s < np.inf:
@@ -94,8 +94,9 @@ class PulseTrain:
         self.period_s = float(period_s)
         if diff_phases is not None:
             diff_phases = np.asarray(diff_phases, dtype=float)
-            if diff_phases.shape != (phases.size - 1,):
-                raise ValueError("diff_phases must have length n_pulses - 1")
+            if (diff_phases.shape != (phases.size - 1,)
+                    or not np.isfinite(diff_phases).all()):
+                raise ValueError("diff_phases must be n_pulses - 1 finite values")
         self._diff_phases = diff_phases
 
     @property
@@ -175,6 +176,8 @@ class InjectionMode:
             raise ValueError(f"unknown injection variant {self.variant!r}")
         if not 0.0 <= self.phase_noise_sigma < np.inf:
             raise ValueError("phase_noise_sigma must be finite and >= 0")
+        if not np.isfinite(self.master_angular_freq):
+            raise ValueError("master_angular_freq must be finite")
         if self.variant == "off" and self.phase_sequence is not None:
             raise ValueError("no phase sequence is allowed with injection off")
         if self.variant == "modulated" and self.phase_sequence is None:
@@ -213,6 +216,8 @@ class AmziConfig:
     def __post_init__(self):
         if not 0.0 < self.delay_s < np.inf:
             raise ValueError("delay_s must be finite and > 0")
+        if not np.isfinite(self.phase_offset):
+            raise ValueError("phase_offset must be finite")
         if self.output_port not in ("bar", "cross"):
             raise ValueError("output_port must be 'bar' or 'cross'")
 

@@ -3,15 +3,15 @@
 Sessions are deterministic functions of (config, channel, detector, seed)
 and event-driven. A unit's two detector ports share its whole usable flux,
 so its click probability Q = 1 - (1 - p_dark)^2 exp(-flux) does not depend
-on its bit, basis or phase. Per intensity class a session therefore draws
-the units sent (one multinomial), their clicks ~ Binomial(sent, Q) and the
-sifted clicks ~ Binomial(clicks, basis match); only sifted clicks draw a
-phase error delta ~ N(0, sigma_phi), and each decodes wrongly with
-probability w(V cos delta) / Q (:func:`_wrong_click`). The closed form
-averages the same w over the phase noise, so tallies agree with
-:func:`analytic_expectations` to binomial noise at any loss, and a session
-costs in clicks, not units. DPS is the one-class, always-sifted case of the
-decoy BB84 session; both take their key rate from :func:`_key_rate`.
+on its bit, basis or phase error, and phase errors are independent across
+units. Per intensity class a session therefore draws the units sent (one
+multinomial), their clicks ~ Binomial(sent, Q), the sifted clicks ~
+Binomial(clicks, basis match) and the wrong decodes ~ Binomial(sifted,
+W / Q), with W the wrong-decode probability averaged over the phase noise
+once (:func:`_mean_wrong_click`). :func:`analytic_expectations` reads the
+same Q and W from :func:`_groups`, and a session costs the same at any
+number of units. DPS is the one-class, always-sifted case of the decoy
+BB84 session; both take their key rate from :func:`_key_rate`.
 
 Sessions bypass the injection-locked transmitter (``optics.emit_pulse_train``)
 and take each differential phase as the programmed one plus N(0, sigma_phi),
@@ -71,11 +71,17 @@ def _kind_values(kind: str) -> dict:
     return dict(kind=kind, **{n: v for n, (v, _) in KIND_DEFAULTS[kind].items()})
 
 
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite_e.hermegauss(64)
-_GH_WEIGHTS = _GH_WEIGHTS / np.sqrt(2.0 * np.pi)
+#: Largest mu_signal a config may set: the phase average below is exact to
+#: 1e-9 relative up to this many photons per unit.
+MU_SIGNAL_MAX = 20.0
 
-#: Most sifted clicks whose phase errors a session draws at once.
-_BLOCK = 1_000_000
+#: The phase average's M = 64 phases theta_j = 2 pi j / M, its frequencies
+#: k = 1 .. M/2 and the cosine transform 2 cos(k theta_j) / M, whose Nyquist
+#: row k = M/2 takes half weight.
+_PHASES = 2.0 * np.pi * np.arange(64) / 64
+_FREQS = np.arange(1, 33)
+_COS_TRANSFORM = np.cos(np.outer(_FREQS, _PHASES)) / 32
+_COS_TRANSFORM[-1] /= 2
 
 
 def binary_entropy(x):
@@ -139,6 +145,10 @@ class ProtocolConfig:
                 raise ValueError(f"intensity probability {name} must be in [0, 1]")
         if not 0.0 <= self.mu_decoy < self.mu_signal < math.inf:
             raise ValueError("need 0 <= mu_decoy < mu_signal, both finite")
+        if not self.mu_signal <= MU_SIGNAL_MAX:
+            raise ValueError(
+                f"mu_signal must be <= {MU_SIGNAL_MAX:g} photons per unit, "
+                "where the closed form's phase average is exact")
         if self.kind == BB84_DECOY and self.mu_decoy == 0.0:
             # the vacuum + weak-decoy bounds divide by the decoy intensity
             raise ValueError("mu_decoy must be > 0 for bb84-decoy")
@@ -372,42 +382,65 @@ def _system_efficiency(cfg: ProtocolConfig, channel: ChannelModel,
 
 def _click_probability(lam, p_dark):
     """1 - (1 - p_dark) exp(-lam) for a threshold detector whose port gets
-    Poisson light of mean lam; computed in place in the float array lam."""
+    Poisson light of mean lam; computed in place in the float array lam.
+    Darks act as extra Poisson light of mean -log(1 - p_dark), and expm1
+    keeps small probabilities to full relative precision."""
+    np.subtract(lam, math.log1p(-p_dark), out=lam)
     np.negative(lam, out=lam)
-    np.exp(lam, out=lam)
-    np.multiply(lam, 1.0 - p_dark, out=lam)
-    return np.subtract(1.0, lam, out=lam)
+    np.expm1(lam, out=lam)
+    return np.negative(lam, out=lam)
 
 
-def _wrong_click(cos_d, flux, p_dark):
-    """Probability w that a unit of usable flux clicks and decodes wrongly.
+def _mean_wrong_click(flux, sigma, v_floor, p_dark) -> float:
+    """Probability W that a unit of usable flux clicks and decodes wrongly,
+    averaged over its phase error delta ~ N(0, sigma) taken mod 2 pi.
 
-    With cos_d = V cos(delta), the right and wrong ports get independent
-    Poisson light of means flux*(1 +/- cos_d)/2 and click with p_r and p_w;
-    a single click reads its own port and a double click a random one, so
-    w = p_w (1 - p_r) + p_r p_w / 2. cos_d is left unchanged.
+    With c = V cos(delta), the right and wrong ports get independent Poisson
+    light of means flux*(1 +/- c)/2 and click with p_r and p_w; a single
+    click reads its own port and a double click a random one, so
+    w = p_w (1 - p_r) + p_r p_w / 2. W is the trapezoid rule on the phases
+    theta_j weighted by the wrapped normal's series
+    (1 + 2 sum_k exp(-k^2 sigma^2/2) cos k theta_j)/M. Written as w(V) plus
+    each frequency's expm1 damping times w's cosine coefficient, it is w(V)
+    exactly at sigma = 0 and keeps its relative precision near 0.
     """
-    lam_r, lam_w = port_intensities(np.array(cos_d, dtype=float), 0.5 * flux)
+    lam_r, lam_w = port_intensities(v_floor * np.cos(_PHASES), 0.5 * flux)
     p_r = _click_probability(lam_r, p_dark)
     p_w = _click_probability(lam_w, p_dark)
-    return p_w * (1.0 - p_r) + 0.5 * p_r * p_w
-
-
-def _gh_error_numerator(flux, sigma, v_floor, p_dark):
-    """E_delta[w(V cos delta)] of :func:`_wrong_click` over the phase noise
-    delta ~ N(0, sigma), by Gauss-Hermite quadrature."""
-    if sigma > 0:
-        cos_d = v_floor * np.cos(_GH_NODES * sigma)
-        w = _GH_WEIGHTS
-    else:
-        cos_d = np.array([v_floor])
-        w = np.array([1.0])
-    return float(np.sum(w * _wrong_click(cos_d, flux, p_dark)))
+    w = p_w * (1.0 - p_r) + 0.5 * p_r * p_w
+    damping = np.expm1(-0.5 * (sigma * _FREQS) ** 2)
+    return float(w[0] + damping @ (_COS_TRANSFORM @ w))
 
 
 def _unit_gain(flux, p_dark) -> float:
     """Probability that either port of a unit of usable flux clicks."""
-    return float(1.0 - (1.0 - p_dark) ** 2 * np.exp(-flux))
+    return -math.expm1(-(flux - 2.0 * math.log1p(-p_dark)))
+
+
+def _groups(cfg: ProtocolConfig, mu, eta_t, p_dark, by_photons):
+    """(mass, gain, wrong numerator) of the groups a class's units fall in:
+    one group of all units, or by_photons those that emit 0, 1 and >= 2
+    photons, with Poisson masses P_n of mean mu. A photon is usable with
+    probability eta_t. A numerator W is the probability that a unit of the
+    group clicks and decodes wrongly, averaged over the phase noise once;
+    the >= 2 group holds what the class's gain and numerator leave over."""
+    flux = mu * eta_t
+    q = _unit_gain(flux, p_dark)
+    wrong = _mean_wrong_click(flux, cfg.sigma_phi, cfg.visibility_floor, p_dark)
+    if not by_photons:
+        return [(1.0, q, wrong)]
+    p0, p1 = math.exp(-mu), mu * math.exp(-mu)
+    p2 = max(-math.expm1(-mu) - p1, 0.0)
+    y0 = _unit_gain(0.0, p_dark)
+    y1 = 1.0 - (1.0 - p_dark) ** 2 * (1.0 - eta_t)
+    # the photon lights the right port with probability eta_t (1 + c) / 2,
+    # the wrong one with eta_t (1 - c) / 2, or is lost; this is linear in
+    # c = V cos(delta), whose mean is V exp(-sigma^2 / 2)
+    c = cfg.visibility_floor * math.exp(-0.5 * cfg.sigma_phi ** 2)
+    w1 = 0.5 * (eta_t * (1.0 - (1.0 - p_dark) * c) + (1.0 - eta_t) * y0)
+    y2 = min(max((q - p0 * y0 - p1 * y1) / p2, 0.0), 1.0) if p2 > 0 else 0.0
+    w2 = (wrong - 0.5 * p0 * y0 - p1 * w1) / p2 if p2 > 0 else 0.0
+    return [(p0, y0, 0.5 * y0), (p1, y1, w1), (p2, y2, w2)]
 
 
 # ---------------------------------------------------------------------------
@@ -431,26 +464,23 @@ def analytic_expectations(cfg: ProtocolConfig, channel: ChannelModel,
                           det: DetectorModel) -> AnalyticExpectations:
     """Expected gains, error rates and key rate without Monte-Carlo noise.
 
-    Gains are exact, Q = 1 - (1-p_dark)^2 * exp(-mu_eff), with mu_eff the
-    usable unit flux mu * temporal_efficiency * eta_sys. Error rates average
-    the per-port click probabilities over the Gaussian phase noise by
-    quadrature; to leading order this is the familiar
+    Each class's gain Q = 1 - (1-p_dark)^2 * exp(-mu_eff), with mu_eff the
+    usable unit flux mu * temporal_efficiency * eta_sys, and its error rate
+    E_delta[w(V cos delta)] / Q come from :func:`_groups`, the law the
+    sessions draw from. To leading order the error rate is the familiar
     E = [e_opt (Q - Q_dark) + Q_dark/2] / Q with
-    e_opt = (1 - exp(-sigma^2/2) * V_floor) / 2, but the quadrature keeps the
-    expectation exact in the high-flux regime too. The same key-rate step as
-    the Monte-Carlo path is applied to the expected tallies.
+    e_opt = (1 - exp(-sigma^2/2) * V_floor) / 2, but the phase average keeps
+    it exact in the high-flux regime too. The same key-rate step as the
+    Monte-Carlo path is applied to the expected tallies.
     """
-    eta = _system_efficiency(cfg, channel, det)
+    eta_t = cfg.temporal_efficiency * _system_efficiency(cfg, channel, det)
     names, p_cls, mus = cfg.classes()
 
     gains, errors = {}, {}
     for name, mu in zip(names, mus):
-        flux = mu * cfg.temporal_efficiency * eta
-        q = _unit_gain(flux, det.p_dark)
-        err = _gh_error_numerator(flux, cfg.sigma_phi, cfg.visibility_floor,
-                                  det.p_dark)
+        [(_, q, wrong)] = _groups(cfg, mu, eta_t, det.p_dark, by_photons=False)
         gains[name] = q
-        errors[name] = err / q if q > 0 else 0.5
+        errors[name] = wrong / q if q > 0 else 0.5
     raw = cfg.clock_hz * float(np.dot(p_cls, [gains[c] for c in names]))
     sifted = raw * cfg.basis_match_probability()
     skr, est = _key_rate(cfg, gains, errors, errors["signal"], sifted)
@@ -463,49 +493,6 @@ def analytic_expectations(cfg: ProtocolConfig, channel: ChannelModel,
 # Monte-Carlo sessions
 # ---------------------------------------------------------------------------
 
-def _groups(mu, eta_t, p_dark, by_photons):
-    """(mass, gain, wrong numerator) of the groups a class's units fall in:
-    one group of all units, or by_photons those that emit 0, 1 and >= 2
-    photons, with Poisson masses P_n of mean mu. A photon is usable with
-    probability eta_t; the numerators take cos_d = V cos(delta) as in
-    :func:`_wrong_click`, and the >= 2 group holds what the class's gain
-    and numerator leave over."""
-    flux = mu * eta_t
-    q = _unit_gain(flux, p_dark)
-    if not by_photons:
-        return [(1.0, q, lambda c: _wrong_click(c, flux, p_dark))]
-    p0, p1 = math.exp(-mu), mu * math.exp(-mu)
-    p2 = max(-math.expm1(-mu) - p1, 0.0)
-    y0 = 1.0 - (1.0 - p_dark) ** 2
-    y1 = 1.0 - (1.0 - p_dark) ** 2 * (1.0 - eta_t)
-    y2 = min(max((q - p0 * y0 - p1 * y1) / p2, 0.0), 1.0) if p2 > 0 else 0.0
-
-    def w1(c):
-        # the photon lights the right port with probability
-        # eta_t (1 + c) / 2, the wrong one with eta_t (1 - c) / 2, or is lost
-        return 0.5 * (eta_t * (1.0 - (1.0 - p_dark) * c) + (1.0 - eta_t) * y0)
-
-    def w2(c):
-        return (_wrong_click(c, flux, p_dark) - 0.5 * p0 * y0 - p1 * w1(c)) / p2
-
-    return [(p0, y0, lambda c: 0.5 * y0), (p1, y1, w1), (p2, y2, w2)]
-
-
-def _count_errors(sifted, gain, wrong, cfg: ProtocolConfig, rng) -> int:
-    """Wrong decodes among the sifted clicks of a group of the given gain,
-    drawn in blocks of at most _BLOCK clicks: whether a unit clicks does not
-    depend on its phase error delta ~ N(0, sigma_phi), so each click decodes
-    wrongly with probability wrong(V cos delta) / gain."""
-    errors = 0
-    while sifted > 0:
-        m = min(sifted, _BLOCK)
-        cos_d = np.cos(rng.normal(0.0, cfg.sigma_phi, m))
-        cos_d *= cfg.visibility_floor
-        errors += int(np.count_nonzero(rng.random(m) * gain < wrong(cos_d)))
-        sifted -= m
-    return errors
-
-
 #: photon_truth keys filled from the tallies of the 0- and 1-photon groups.
 _TRUTH_KEYS = (("sent_n0", "clicked_n0"),
                ("sent_n1", "clicked_n1", "sifted_n1", "errors_n1"))
@@ -517,9 +504,12 @@ def _run_session(cfg: ProtocolConfig, channel: ChannelModel,
     """Event-driven session over n_units interference units.
 
     Per class, the units sent come from one multinomial draw, the clicks
-    from Binomial(sent, gain) and the sifted clicks from Binomial(clicks,
-    basis match); only the sifted clicks draw a phase error, in
-    :func:`_count_errors`. Per-class tallies feed :func:`_key_rate`.
+    from Binomial(sent, gain), the sifted clicks from Binomial(clicks, basis
+    match) and the wrong decodes from Binomial(sifted, numerator / gain),
+    per group of :func:`_groups`. Whether a unit clicks does not depend on
+    its phase error, and phase errors are independent across units, so the
+    last draw is exact; a session costs the same at any n_units. Per-class
+    tallies feed :func:`_key_rate`.
     """
     names, p_cls, mus = cfg.classes()
     eta_t = cfg.temporal_efficiency * _system_efficiency(cfg, channel, det)
@@ -527,14 +517,15 @@ def _run_session(cfg: ProtocolConfig, channel: ChannelModel,
     tallies = {}
     truth = {k: 0 for keys in _TRUTH_KEYS for k in keys}
     for name, mu, sent in zip(names, mus, rng.multinomial(n_units, p_cls)):
-        groups = _groups(mu, eta_t, det.p_dark, record_photon_truth)
+        groups = _groups(cfg, mu, eta_t, det.p_dark, record_photon_truth)
         rows = []
         for (_, gain, wrong), n in zip(
                 groups, rng.multinomial(sent, [g[0] for g in groups])):
             clicks = int(rng.binomial(n, gain))
             sifted = int(rng.binomial(clicks, match))
+            p_wrong = min(max(wrong / gain, 0.0), 1.0) if gain > 0 else 0.0
             rows.append((int(n), clicks, sifted,
-                         _count_errors(sifted, gain, wrong, cfg, rng)))
+                         int(rng.binomial(sifted, p_wrong))))
         tallies[name] = IntensityTally(*map(sum, zip(*rows)))
         if record_photon_truth:
             for keys, row in zip(_TRUTH_KEYS, rows):

@@ -108,6 +108,11 @@ def test_bad_probabilities_name_the_field():
         raw["protocol"]["mu_signal"] = bad
         with pytest.raises(ConfigError, match="protocol.mu_signal"):
             config_from_dict(raw)
+    # past 20 photons per unit the closed form's phase average is not exact
+    raw = minimal_dps()
+    raw["protocol"]["mu_signal"] = 25.0
+    with pytest.raises(ConfigError, match="protocol: mu_signal must be <= 20"):
+        config_from_dict(raw)
 
 
 def test_zero_decoy_intensity_rejected_before_any_session(tmp_path,

@@ -71,6 +71,11 @@ def test_pulse_train_invariants():
         PulseTrain([], 0.5, 5e-10)
     with pytest.raises(ValueError):
         PulseTrain([0.0, 1.0], 0.5, 5e-10, diff_phases=[0.1, 0.2])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="array of finite values"):
+            PulseTrain([0.0, bad], 0.5, 5e-10)
+        with pytest.raises(ValueError, match="n_pulses - 1 finite values"):
+            PulseTrain([0.0, 1.0], 0.5, 5e-10, diff_phases=[bad])
 
 
 def test_sequence_grid_validation():
@@ -92,6 +97,9 @@ def test_injection_mode_validation():
     for bad in (-0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match="phase_noise_sigma"):
             InjectionMode("cw", phase_noise_sigma=bad)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="master_angular_freq"):
+            InjectionMode.cw(master_angular_freq=bad)
     with pytest.raises(ValueError):
         InjectionMode("squeezed")
 
@@ -214,6 +222,9 @@ def test_amzi_errors():
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="delay_s"):
             AmziConfig(delay_s=bad)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="phase_offset"):
+            AmziConfig(5e-10, bad)
     with pytest.raises(ValueError):
         AmziConfig(delay_s=5e-10, output_port="diagonal")
 

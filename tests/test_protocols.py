@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from qkdtx.linkmodel import (DETECTOR_PRESETS, ChannelModel, DetectorModel,
                              detector_preset)
@@ -15,8 +15,10 @@ from qkdtx.protocols import (
     DPS,
     INTENSITY_CLASSES,
     DecoyEstimates,
+    MU_SIGNAL_MAX,
     ProtocolConfig,
     _click_probability,
+    _mean_wrong_click,
     _system_efficiency,
     analytic_expectations,
     binary_entropy,
@@ -71,6 +73,10 @@ def test_config_validation():
         ProtocolConfig(kind=DPS, clock_hz=2e9, mu_decoy=-0.1)
     with pytest.raises(ValueError, match="mu_decoy"):
         ProtocolConfig(kind=BB84_DECOY, clock_hz=1e9, mu_decoy=0.0)
+    # the closed form's phase average is exact up to MU_SIGNAL_MAX photons
+    assert ProtocolConfig.dps_default(mu_signal=MU_SIGNAL_MAX).mu_signal == 20.0
+    with pytest.raises(ValueError, match="mu_signal"):
+        ProtocolConfig.bb84_default(mu_signal=20.5)
     # DPS has no decoy class, so its unused mu_decoy may be 0
     assert ProtocolConfig(kind=DPS, clock_hz=2e9, mu_decoy=0.0).mu_decoy == 0.0
     with pytest.raises(ValueError, match="kind"):
@@ -303,19 +309,19 @@ def test_session_streams_pinned():
     ch = ChannelModel(10.0)
     dps = ProtocolConfig.dps_default()
     s = run_dps_session(dps, ch, snspd(dps.clock_hz), 200_000, make_rng(123))
-    assert tallies(s) == {"signal": (199999, 1187, 1187, 38)}
+    assert tallies(s) == {"signal": (199999, 1187, 1187, 25)}
 
     bb = ProtocolConfig.bb84_default()
     s = run_bb84_session(bb, ch, snspd(bb.clock_hz), 200_000, make_rng(123))
-    assert tallies(s) == {"vacuum": (12699, 0, 0, 0), "decoy": (12511, 59, 34, 2),
-                          "signal": (174790, 3495, 1701, 59)}
+    assert tallies(s) == {"vacuum": (12699, 0, 0, 0), "decoy": (12511, 59, 34, 1),
+                          "signal": (174790, 3400, 1672, 36)}
     s = run_bb84_session(bb, ch, snspd(bb.clock_hz), 200_000, make_rng(123),
                          record_photon_truth=True)
-    assert tallies(s) == {"vacuum": (12699, 0, 0, 0), "decoy": (12511, 57, 29, 2),
-                          "signal": (174790, 3336, 1650, 47)}
-    assert s.photon_truth == {"sent_n0": 130056, "clicked_n0": 0,
-                              "sent_n1": 54244, "clicked_n1": 2122,
-                              "sifted_n1": 1046, "errors_n1": 28}
+    assert tallies(s) == {"vacuum": (12699, 0, 0, 0), "decoy": (12511, 58, 29, 0),
+                          "signal": (174790, 3509, 1762, 40)}
+    assert s.photon_truth == {"sent_n0": 129620, "clicked_n0": 0,
+                              "sent_n1": 54512, "clicked_n1": 2170,
+                              "sifted_n1": 1097, "errors_n1": 30}
 
 
 @pytest.mark.parametrize("kind, e_opt", [(DPS, 0.025), (BB84_DECOY, 0.023)])
@@ -394,6 +400,42 @@ def test_analytic_matches_mc_moderate_loss():
     assert abs(t.errors - t.sifted * e) <= 4 * np.sqrt(t.sifted * e * (1 - e)) + 1
 
 
+def _wrapped_normal_mean(f, sigma):
+    """E[f(delta)] for delta ~ N(0, sigma) by adaptive quadrature over
+    [0, pi] against the wrapped density, summed over its 2 pi images; f is
+    even and 2 pi periodic."""
+    images = 2 * np.pi * np.arange(-3 - int(2 * sigma), 4 + int(2 * sigma))
+
+    def density(d):
+        return np.sum(stats.norm.pdf(d + images, scale=sigma))
+
+    kinks = [k * sigma for k in (1, 3, 6) if k * sigma < np.pi] or None
+    value, _ = integrate.quad(lambda d: f(d) * density(d), 0.0, np.pi,
+                              points=kinks, epsabs=0.0, epsrel=1e-13, limit=500)
+    return 2.0 * value
+
+
+@pytest.mark.parametrize("flux", [1e-4, 0.01, 0.5, 5.0, MU_SIGNAL_MAX])
+def test_phase_average_matches_quad(flux):
+    # the closed form's (and the sessions') wrong-decode numerator against
+    # adaptive quadrature of the same law written with 1 - V cos = (1 - V) +
+    # 2 V sin^2(delta/2); relative error at most 1e-9 at every sigma, to
+    # wrapped-uniform noise and up to the largest flux a config allows
+    for sigma in (0.0, 0.01, 0.05, 0.185, 0.5, 1.0, 3.0, 10.0):
+        for v_floor in (1.0, 0.98, 0.3):
+            for p_dark in (0.0, 1e-7, 1e-3):
+                def wrong(d):
+                    lam_w = 0.5 * flux * ((1 - v_floor)
+                                          + 2 * v_floor * np.sin(0.5 * d) ** 2)
+                    p_w, p_r = -np.expm1(np.log1p(-p_dark) - [lam_w, flux - lam_w])
+                    return p_w * (1 - p_r) + 0.5 * p_r * p_w
+
+                want = wrong(0.0) if sigma == 0 else _wrapped_normal_mean(wrong, sigma)
+                got = _mean_wrong_click(flux, sigma, v_floor, p_dark)
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0), (
+                    sigma, v_floor, p_dark)
+
+
 _TAIL_5_SIGMA = stats.norm.sf(5.0)
 
 
@@ -437,12 +479,13 @@ def dense_tallies(cfg, channel, det, n_units, rng):
 
 @settings(max_examples=20, deadline=None)
 @given(kind=st.sampled_from([DPS, BB84_DECOY]),
-       mu=st.floats(0.05, 1.0),
+       mu=st.floats(1e-6, MU_SIGNAL_MAX),
        nu_fraction=st.floats(0.05, 0.9),
        p_decoy=st.floats(0.05, 0.45),
        p_vacuum=st.floats(0.05, 0.45),
-       sigma_phi=st.floats(0.0, 0.6),
-       visibility_floor=st.floats(0.7, 1.0),
+       # past sigma ~ 9 the wrapped phase noise is uniform to double precision
+       sigma_phi=st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 100.0)),
+       visibility_floor=st.floats(0.0, 1.0, exclude_min=True),
        loss_db=st.floats(0.0, 30.0),
        preset=st.sampled_from(sorted(DETECTOR_PRESETS)),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -484,24 +527,56 @@ def test_mc_tallies_match_analytic_across_configs(
             assert _binomial_5_sigma(errors, sifted, a.error_rates[name]), name
 
 
-def test_bb84_session_past_int32_counts():
-    # 1e10 pairs: the signal class alone sends about 8.75e9 > 2^31, so an
-    # int32 count in the multinomial or binomial draws would show here
-    cfg = ProtocolConfig.bb84_default()
+@pytest.mark.parametrize("n", [10 ** 10, 10 ** 12], ids=["1e10", "1e12"])
+@pytest.mark.parametrize("variant", ["bb84", "bb84-truth", "dps"])
+def test_bb84_session_past_int32_counts(variant, n):
+    # the signal class alone sends more than 2^31 units, so an int32 count
+    # in the multinomial or binomial draws would show here; a session costs
+    # the same at 1e12 units as at 1e10
     ch = ChannelModel(30.0)
-    det = snspd(cfg.clock_hz)
-    n = 10_000_000_000
-    s = run_bb84_session(cfg, ch, det, n, make_rng(12))
+    if variant == "dps":
+        cfg = ProtocolConfig.dps_default()
+        det = snspd(cfg.clock_hz)
+        s = run_dps_session(cfg, ch, det, n, make_rng(12))
+        units, send = n - 1, {"signal": 1.0}
+    else:
+        cfg = ProtocolConfig.bb84_default()
+        det = snspd(cfg.clock_hz)
+        s = run_bb84_session(cfg, ch, det, n, make_rng(12),
+                             record_photon_truth=variant == "bb84-truth")
+        units = n
+        send = dict(zip(INTENSITY_CLASSES, cfg.class_probabilities()))
     a = analytic_expectations(cfg, ch, det)
     match = cfg.basis_match_probability()
     assert s.per_intensity["signal"].sent > 2 ** 31
-    assert sum(t.sent for t in s.per_intensity.values()) == n
-    for name, p_send in zip(INTENSITY_CLASSES, cfg.class_probabilities()):
+    assert sum(t.sent for t in s.per_intensity.values()) == units
+    for name, p_send in send.items():
         t = s.per_intensity[name]
-        assert _binomial_5_sigma(t.sent, n, p_send), name
+        assert _binomial_5_sigma(t.sent, units, p_send), name
         assert _binomial_5_sigma(t.clicks, t.sent, a.gains[name]), name
         assert _binomial_5_sigma(t.sifted, t.clicks, match), name
         assert _binomial_5_sigma(t.errors, t.sifted, a.error_rates[name]), name
+    if variant != "bb84-truth":
+        return
+    # zero- and one-photon pairs: the yields Y0, Y1 and the one-photon
+    # wrong-decode numerator w1 of README's click model
+    t = s.photon_truth
+    eta_t = cfg.temporal_efficiency * _system_efficiency(cfg, ch, det)
+    y0 = 1 - (1 - det.p_dark) ** 2
+    y1 = 1 - (1 - det.p_dark) ** 2 * (1 - eta_t)
+    c = cfg.visibility_floor * np.exp(-cfg.sigma_phi ** 2 / 2)
+    w1 = (eta_t * (1 + c) / 2 * det.p_dark / 2
+          + eta_t * (1 - c) / 2 * (1 - det.p_dark / 2) + (1 - eta_t) * y0 / 2)
+    # sent_n0 and sent_n1 are each a sum of one binomial per class
+    sent = np.array([s.per_intensity[k].sent for k in ("signal", "decoy", "vacuum")])
+    mus = np.array([cfg.mu_signal, cfg.mu_decoy, 0.0])
+    for key, p in (("sent_n0", np.exp(-mus)), ("sent_n1", mus * np.exp(-mus))):
+        sd = np.sqrt(np.dot(sent, p * (1 - p)))
+        assert abs(t[key] - np.dot(sent, p)) <= 5 * sd + 1, key
+    assert _binomial_5_sigma(t["clicked_n0"], t["sent_n0"], y0)
+    assert _binomial_5_sigma(t["clicked_n1"], t["sent_n1"], y1)
+    assert _binomial_5_sigma(t["sifted_n1"], t["clicked_n1"], match)
+    assert _binomial_5_sigma(t["errors_n1"], t["sifted_n1"], w1 / y1)
 
 
 def test_skr_monotonicity_grids():
