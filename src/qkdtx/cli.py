@@ -64,8 +64,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_qrng(args) -> int:
-    intensities = randomness.sample_interference(args.n, _rng(args.seed))
-    byte_values = randomness.quantize(intensities)
+    # no name holds the float intensities, so analyze does not keep them alive
+    byte_values = randomness.quantize(randomness.sample_interference(args.n, _rng(args.seed)))
     report = randomness.analyze(byte_values, max_lag=args.lags)
     if args.out_bytes:
         Path(args.out_bytes).write_bytes(byte_values.tobytes())

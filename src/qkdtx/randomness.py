@@ -8,11 +8,13 @@ bytes, validated (chi-square, autocorrelation, min-entropy) and condensed
 with a Toeplitz extractor.
 
 Importing this module loads numpy and qkdtx.optics only; scipy is imported
-inside goodness_of_fit, the one function that needs it.
+inside goodness_of_fit (scipy.special) and toeplitz_hash (scipy.fft).
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +94,10 @@ def quantize(intensities) -> np.ndarray:
     x = np.asarray(intensities, dtype=float)
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("intensities must lie in [0, 1] (units of I_in)")
-    raw = np.floor(QUANT_LEVELS * x)
-    return np.minimum(raw, QUANT_LEVELS - 1).astype(np.uint8)
+    raw = QUANT_LEVELS * x
+    np.floor(raw, out=raw)
+    np.minimum(raw, QUANT_LEVELS - 1, out=raw)
+    return raw.astype(np.uint8)
 
 
 def byte_histogram(byte_values) -> np.ndarray:
@@ -110,10 +114,10 @@ def byte_autocorrelation(byte_values, max_lag=50) -> np.ndarray:
     """
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
-    x = np.asarray(byte_values, dtype=float)
+    x = np.array(byte_values, dtype=float)  # a copy, centred in place
     if x.size <= max_lag + 1:
         raise ValueError(f"need more than {max_lag + 1} samples for lag {max_lag}")
-    x = x - x.mean()
+    x -= x.mean()
     denom = float(np.dot(x, x))
     if denom == 0.0:
         raise ValueError("constant byte stream: autocorrelation is undefined")
@@ -183,22 +187,6 @@ def entropy_budget_bits(byte_values) -> int:
     return max(budget, 0)
 
 
-def _fft_length(n: int) -> int:
-    """Smallest 2^a * 3^b * 5^c >= n, a length numpy's FFT handles fast."""
-    best = 1 << max(n - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def toeplitz_hash(bits, diagonal_bits, n_out) -> np.ndarray:
     """Multiply a bit vector by a binary Toeplitz matrix over GF(2).
 
@@ -208,11 +196,11 @@ def toeplitz_hash(bits, diagonal_bits, n_out) -> np.ndarray:
     parity of entry n_in - 1 + i of the integer convolution t * x.
 
     The convolution is one circular float64 FFT convolution of length
-    L = _fft_length(n_in + n_out - 1). Linear entries at or beyond L wrap
-    onto entries 0 .. n_in - 2 only, which are discarded, so the kept
-    entries are exact integer sums up to rounding error. If that error
-    reaches 0.25 the parity could be wrong, and ArithmeticError is raised
-    instead of returning bits.
+    L = next_fast_len(n_in + n_out - 1, real=True) (scipy.fft). Linear
+    entries at or beyond L wrap onto entries 0 .. n_in - 2 only, which are
+    discarded, so the kept entries are exact integer sums up to rounding
+    error. If that error reaches 0.25 the parity could be wrong, and
+    ArithmeticError is raised instead of returning bits.
     """
     x = np.asarray(bits, dtype=np.uint8) & 1
     t = np.asarray(diagonal_bits, dtype=np.uint8) & 1
@@ -225,7 +213,8 @@ def toeplitz_hash(bits, diagonal_bits, n_out) -> np.ndarray:
         raise ValueError("bits must not be empty")
     if t.size != n_in + n_out - 1:
         raise ValueError("diagonal sequence must have n_in + n_out - 1 bits")
-    n_fft = _fft_length(t.size)
+    from scipy.fft import next_fast_len
+    n_fft = next_fast_len(t.size, real=True)
     spectrum = np.fft.rfft(t.astype(np.float64), n_fft)
     spectrum *= np.fft.rfft(x.astype(np.float64), n_fft)
     conv = np.fft.irfft(spectrum, n_fft)[n_in - 1:n_in - 1 + n_out]
@@ -235,13 +224,27 @@ def toeplitz_hash(bits, diagonal_bits, n_out) -> np.ndarray:
     return (counts.astype(np.int64) & 1).astype(np.uint8)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _hash_block_into(byte_block, out, diagonal_bits):
+    """Unpack one block's bytes and write its Toeplitz hash into out."""
+    out[:] = toeplitz_hash(np.unpackbits(byte_block), diagonal_bits, out.size)
+
+
 def extract_bits(byte_values, out_len_bits, seed_matrix_seed) -> np.ndarray:
     """Condense raw bytes into nearly uniform bits by Toeplitz hashing.
 
     The input bit string is hashed in 64-Kibit blocks, each with fresh
     matrix bits drawn from a PRNG seeded by seed_matrix_seed, so the result
     is deterministic for fixed inputs and seed. out_len_bits may not exceed
-    the min-entropy budget less a 64-bit margin.
+    the min-entropy budget less a 64-bit margin. With n usable CPUs, the
+    caller draws the matrix bits of n blocks at a time in block order and
+    hashes one of them while n - 1 worker threads hash the rest, so the
+    output does not depend on n.
     """
     byte_values = np.asarray(byte_values, dtype=np.uint8)
     if out_len_bits < 0:
@@ -254,19 +257,24 @@ def extract_bits(byte_values, out_len_bits, seed_matrix_seed) -> np.ndarray:
             f"requested {out_len_bits} bits exceeds the entropy budget of "
             f"{budget} bits (min-entropy minus {EXTRACTOR_MARGIN_BITS}-bit margin)")
 
-    bits = np.unpackbits(byte_values)
-    n_in = bits.size
+    n_in = 8 * byte_values.size
     starts = np.arange(0, n_in, _BLOCK_BITS)
-    sizes = np.minimum(_BLOCK_BITS, n_in - starts)
     # spread the requested output across blocks proportionally to block size
-    quota = np.floor(out_len_bits * np.cumsum(sizes) / n_in).astype(np.int64)
-    outs = np.diff(np.concatenate(([0], quota)))
-
+    ends = np.floor(out_len_bits * np.cumsum(np.minimum(_BLOCK_BITS, n_in - starts))
+                    / n_in).astype(np.int64)
+    out = np.empty(out_len_bits, dtype=np.uint8)
+    blocks = [(byte_values[start // 8:(start + _BLOCK_BITS) // 8], out[lo:hi])
+              for start, lo, hi in zip(starts, np.concatenate(([0], ends[:-1])), ends)
+              if hi > lo]
     matrix_rng = np.random.Generator(np.random.PCG64(seed_matrix_seed))
-    pieces = []
-    for start, size, m in zip(starts, sizes, outs):
-        if m == 0:
-            continue
-        t = matrix_rng.integers(0, 2, size=int(size + m - 1), dtype=np.uint8)
-        pieces.append(toeplitz_hash(bits[start:start + size], t, int(m)))
-    return np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
+    n_cpu = _usable_cpus()
+    # worker threads start on the first submit, so one CPU starts none
+    with ThreadPoolExecutor(max(n_cpu - 1, 1)) as pool:
+        for w in range(0, len(blocks), n_cpu):
+            jobs = [(b, o, matrix_rng.integers(0, 2, 8 * b.size + o.size - 1, dtype=np.uint8))
+                    for b, o in blocks[w:w + n_cpu]]
+            futures = [pool.submit(_hash_block_into, *job) for job in jobs[:-1]]
+            _hash_block_into(*jobs[-1])
+            for future in futures:
+                future.result()
+    return out
