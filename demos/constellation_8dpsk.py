@@ -17,7 +17,7 @@ print(f"  eye levels ({noiseless.n_eye_levels}): "
       f"{np.round(noiseless.eye_levels, 6).tolist()}")
 
 noisy = constellation_eye(8, 0.08, 4096, rng)
-angles = np.array([p.angle for p in noisy.points])
+angles = noisy.points.angle
 k = np.rint(angles / (2 * np.pi / 8)).astype(int) % 8
 spread = [float(np.std(np.angle(np.exp(1j * (angles[k == c] - c * np.pi / 4)))))
           for c in range(8)]
@@ -32,9 +32,8 @@ except ImportError:
     print("\nmatplotlib not available; skipping the figure")
 else:
     fig, axes = plt.subplots(1, 2, figsize=(9, 4))
-    xy = np.array([[p.radius * np.cos(p.angle), p.radius * np.sin(p.angle)]
-                   for p in noisy.points])
-    axes[0].scatter(xy[:, 0], xy[:, 1], s=4, alpha=0.4)
+    radius = noisy.points.radius
+    axes[0].scatter(radius * np.cos(angles), radius * np.sin(angles), s=4, alpha=0.4)
     axes[0].set_title("8DPSK constellation (sigma = 0.08)")
     axes[0].set_aspect("equal")
     for lvl in noiseless.eye_levels:

@@ -29,10 +29,9 @@ rng = np.random.default_rng(2026)
 # --- regime 1: free-running pulses -> ring in the IQ plane ----------------
 train_off = emit_pulse_train(20_000, 1.0, InjectionMode.off(), rng)
 ring = dual_basis_demodulate(train_off)
-angles = np.array([p.angle for p in ring])
 print("no injection:")
-print(f"  {len(ring)} demodulated symbols, constant radius {ring[0].radius}")
-print(f"  angle spread fills [0, 2pi): std = {angles.std():.3f} "
+print(f"  {len(ring)} demodulated symbols, constant radius {ring.radius[0]}")
+print(f"  angle spread fills [0, 2pi): std = {ring.angle.std():.3f} "
       f"(uniform would be {2 * np.pi / np.sqrt(12):.3f})")
 
 # --- regime 2: CW seeding -> coherence transfer ----------------------------
@@ -53,7 +52,7 @@ symbols = rng.integers(0, 4, 12)
 seq = DifferentialPhaseSequence.mpsk(4, symbols)
 train_mod = emit_pulse_train(13, 1.0, InjectionMode.modulated(seq), rng)
 decoded = dual_basis_demodulate(train_mod)
-steps = np.array([p.angle for p in decoded]) / (2 * np.pi / 4)
+steps = decoded.angle / (2 * np.pi / 4)
 print("\nmodulated injection:")
 print(f"  programmed QPSK symbols: {symbols.tolist()}")
 print(f"  decoded symbols:         {np.rint(steps).astype(int).tolist()}")
@@ -66,9 +65,9 @@ except ImportError:
     print("\nmatplotlib not available; skipping the figure")
 else:
     fig, axes = plt.subplots(1, 3, figsize=(13, 4))
-    xy = np.array([[p.radius * np.cos(p.angle), p.radius * np.sin(p.angle)]
-                   for p in ring[:4000]])
-    axes[0].scatter(xy[:, 0], xy[:, 1], s=2, alpha=0.3)
+    shown = ring[:4000]
+    axes[0].scatter(shown.radius * np.cos(shown.angle),
+                    shown.radius * np.sin(shown.angle), s=2, alpha=0.3)
     axes[0].set_title("no injection: IQ ring")
     axes[0].set_aspect("equal")
 

@@ -15,7 +15,6 @@ from .optics import (
     DifferentialPhaseSequence,
     InjectionMode,
     InterferenceRecord,
-    IqPoint,
     PulseTrain,
     SIGMA_PHI_REFERENCE_VISIBILITY,
     amzi_interfere,

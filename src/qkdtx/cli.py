@@ -18,6 +18,10 @@ import numpy as np
 from . import harness, optics, randomness
 from .harness import ConfigError
 
+#: One constellation point as json.dumps(indent=2) writes it in "points";
+#: repr is json's form of a finite float, and radius and angle are finite.
+_POINT_JSON = '    {{\n      "radius": {!r},\n      "angle": {!r}\n    }}'
+
 
 def _write_or_print(text: str, out):
     if out:
@@ -76,13 +80,15 @@ def _cmd_qrng(args) -> int:
 def _cmd_constellation(args) -> int:
     report = optics.constellation_eye(args.levels, args.sigma, args.symbols,
                                       _rng(args.seed))
-    payload = {
+    points = report.points
+    header = json.dumps({
         "modulation_levels": report.modulation_levels,
-        "n_symbols": len(report.points),
+        "n_symbols": len(points),
         "eye_levels": report.eye_levels.tolist(),
-        "points": [{"radius": p.radius, "angle": p.angle} for p in report.points],
-    }
-    _write_or_print(json.dumps(payload, indent=2) + "\n", args.out)
+    }, indent=2)
+    body = ",\n".join(map(_POINT_JSON.format,
+                          points.radius.tolist(), points.angle.tolist()))
+    _write_or_print(f'{header[:-2]},\n  "points": [\n{body}\n  ]\n}}\n', args.out)
     return 0
 
 

@@ -5,9 +5,9 @@ master laser (no injection, CW injection, directly modulated injection) and
 the delay-line interferometer that converts differential phase into intensity.
 Each pulse is a point event carrying a mean photon number and an optical
 phase; pulse shape, chirp and jitter are below the abstraction level.
-The per-slot records (``InterferenceRecord``, ``IqPoint``) are immutable
-named tuples built in one pass from the demodulators' arrays; they also
-unpack and compare equal to plain tuples.
+``dual_basis_demodulate`` returns a float64 record array (``radius``,
+``angle``); ``InterferenceRecord`` is an immutable named tuple per slot,
+built in one pass from the interferometer's arrays.
 """
 
 from __future__ import annotations
@@ -230,23 +230,12 @@ class InterferenceRecord(NamedTuple):
     input_intensity: float
 
 
-class IqPoint(NamedTuple):
-    """Demodulated symbol as a vector (radius, angle) in the complex plane.
-
-    ``dual_basis_demodulate`` emits a non-negative radius and an angle
-    reduced into [0, 2*pi); the record itself checks neither.
-    """
-
-    radius: float
-    angle: float
-
-
 @dataclass
 class ConstellationReport:
     """Demodulated M-ary constellation plus its noiseless eye levels."""
 
     modulation_levels: int
-    points: list[IqPoint]
+    points: np.recarray
     eye_levels: np.ndarray
 
     @property
@@ -357,6 +346,8 @@ def amzi_intensity(diff_phases, input_intensity, phase_offset=0.0, port="bar"):
     Implements I_out = I_in/2 * [1 +/- cos(dphi + theta_A)] for the bar (+)
     and cross (-) port of a balanced one-slot-delay interferometer.
     """
+    if port not in ("bar", "cross"):
+        raise ValueError(f"port must be 'bar' or 'cross', got {port!r}")
     c = np.asarray(np.cos(np.asarray(diff_phases, dtype=float) + phase_offset))
     bar, cross = port_intensities(c, 0.5 * input_intensity)
     return (bar if port == "bar" else cross)[()]  # a scalar for scalar input
@@ -381,23 +372,26 @@ def amzi_interfere(train: PulseTrain, cfg: AmziConfig) -> list[InterferenceRecor
                     zip(range(1, train.n_pulses), out.tolist(), repeat(i_in))))
 
 
-def dual_basis_demodulate(train: PulseTrain) -> list[IqPoint]:
+def dual_basis_demodulate(train: PulseTrain) -> np.recarray:
     """Recover (radius, differential phase) for every consecutive pulse pair.
 
     Uses two demodulators, one reading the {0, pi} quadrature (theta_A = 0)
     and one the {pi/2, 3pi/2} quadrature (theta_A = -pi/2); the angle is the
-    two-argument arctangent of the normalized port intensities.
+    two-argument arctangent of the normalized port intensities. One float64
+    record per pair: ``radius`` (the pulse intensity) and ``angle`` in
+    [0, 2*pi); a dark train gives zeros.
     """
     if train.n_pulses < 2:
         raise ValueError("train must contain at least 2 pulses")
     diffs = train.differential_phases()
     i_in = train.mean_photons
     if i_in == 0.0:
-        return [IqPoint(0.0, 0.0)] * diffs.size
-    i_i = amzi_intensity(diffs, i_in, 0.0, "bar")
-    i_q = amzi_intensity(diffs, i_in, -np.pi / 2.0, "bar")
-    theta = np.arctan2(2.0 * i_q / i_in - 1.0, 2.0 * i_i / i_in - 1.0)
-    return list(map(IqPoint._make, zip(repeat(i_in), reduce_phase(theta).tolist())))
+        angle = np.zeros(diffs.size)
+    else:
+        i_i = amzi_intensity(diffs, i_in, 0.0, "bar")
+        i_q = amzi_intensity(diffs, i_in, -np.pi / 2.0, "bar")
+        angle = reduce_phase(np.arctan2(2.0 * i_q / i_in - 1.0, 2.0 * i_i / i_in - 1.0))
+    return np.rec.fromarrays([np.full(diffs.size, i_in), angle], names="radius,angle")
 
 
 def fringe_scan(mode, mean_photons, theta_grid, pulses_per_point, rng,

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from qkdtx import cli, harness
+from qkdtx import cli, harness, optics
 from qkdtx.harness import (
     ConfigError,
     ReferencePoint,
@@ -474,6 +474,33 @@ def test_cli_constellation(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["modulation_levels"] == 8
     assert len(rep["eye_levels"]) == 5
+
+
+def test_cli_constellation_bytes_are_pinned(tmp_path):
+    out = tmp_path / "eye.json"
+    assert cli.main(["constellation", "--levels", "8", "--sigma", "0.05",
+                     "--symbols", "25000", "--seed", "7", "--out", str(out)]) == 0
+    blob = out.read_bytes()
+    assert len(blob) == 1_688_705
+    assert hashlib.sha256(blob).hexdigest() == (
+        "732f056e8338f18b2eb08cd0700ca6bbbcc5ed1164c5dc0e5dd2c5d16cc69d31")
+
+
+@pytest.mark.parametrize("levels, sigma", itertools.product((2, 3, 8), (0.0, 0.3)))
+def test_cli_constellation_matches_json_dumps(tmp_path, levels, sigma):
+    out = tmp_path / "eye.json"
+    assert cli.main(["constellation", "--levels", str(levels), "--sigma", repr(sigma),
+                     "--symbols", "300", "--seed", "4", "--out", str(out)]) == 0
+    report = optics.constellation_eye(levels, sigma, 300,
+                                      np.random.Generator(np.random.PCG64(4)))
+    payload = {
+        "modulation_levels": report.modulation_levels,
+        "n_symbols": len(report.points),
+        "eye_levels": report.eye_levels.tolist(),
+        "points": [{"radius": float(p.radius), "angle": float(p.angle)}
+                   for p in report.points],
+    }
+    assert out.read_text() == json.dumps(payload, indent=2) + "\n"
 
 
 def test_cli_sweep_seed_and_points_override(tmp_path):

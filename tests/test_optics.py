@@ -12,7 +12,6 @@ from qkdtx.optics import (
     DifferentialPhaseSequence,
     InjectionMode,
     InterferenceRecord,
-    IqPoint,
     PulseTrain,
     SIGMA_PHI_REFERENCE_VISIBILITY,
     amzi_intensity,
@@ -47,13 +46,19 @@ def test_reduce_phase_exact_two_pi_maps_to_zero():
     assert reduce_phase(2 * TWO_PI) == 0.0
 
 
-def test_iq_point_is_an_immutable_named_tuple():
-    pt = IqPoint(0.5, 1.0)
-    assert pt == (0.5, 1.0)
-    radius, angle = pt
-    assert (radius, angle) == (pt.radius, pt.angle)
-    with pytest.raises(AttributeError):
-        pt.angle = 2.0
+def test_demodulated_points_are_a_float64_record_array():
+    phases = make_rng(3).uniform(0, TWO_PI, 9)
+    pts = dual_basis_demodulate(PulseTrain(phases, 0.4, 5e-10))
+    assert isinstance(pts, np.recarray)
+    assert len(pts) == phases.size - 1
+    assert pts.dtype.names == ("radius", "angle")
+    assert pts.radius.dtype == pts.angle.dtype == np.float64
+    assert np.all(pts.radius == 0.4)
+    assert np.all((0.0 <= pts.angle) & (pts.angle < TWO_PI))
+    # a dark train gives the same records, all zero
+    dark = dual_basis_demodulate(PulseTrain(phases, 0.0, 5e-10))
+    assert isinstance(dark, np.recarray) and dark.dtype == pts.dtype
+    assert dark.radius.tolist() == dark.angle.tolist() == [0.0] * 8
 
 
 def test_pulse_train_invariants():
@@ -229,6 +234,14 @@ def test_amzi_errors():
         AmziConfig(delay_s=5e-10, output_port="diagonal")
 
 
+def test_amzi_intensity_rejects_unknown_ports():
+    assert amzi_intensity(0.0, 1.0, port="bar") == 1.0
+    assert amzi_intensity(0.0, 1.0, port="cross") == 0.0
+    for port in ("Bar", "diagonal", ""):
+        with pytest.raises(ValueError, match=f"got {port!r}"):
+            amzi_intensity([0.0, 1.0], 1.0, port=port)
+
+
 def test_bulk_records_equal_the_array_law_exactly():
     rng = make_rng(22)
     n = 1000
@@ -244,10 +257,8 @@ def test_bulk_records_equal_the_array_law_exactly():
     i_i = amzi_intensity(diffs, 0.7, 0.0, "bar")
     i_q = amzi_intensity(diffs, 0.7, -np.pi / 2.0, "bar")
     want = reduce_phase(np.arctan2(2.0 * i_q / 0.7 - 1.0, 2.0 * i_i / 0.7 - 1.0))
-    assert [p.angle for p in pts] == want.tolist()
-    assert all(p.radius == 0.7 for p in pts)
-    dark = dual_basis_demodulate(PulseTrain(rng.uniform(0, TWO_PI, 5), 0.0, 5e-10))
-    assert dark == [IqPoint(0.0, 0.0)] * 4
+    assert np.array_equal(pts.angle, want)
+    assert np.all(pts.radius == 0.7)
 
 
 def test_port_complementarity():
@@ -315,7 +326,7 @@ def test_dual_basis_recovers_all_programmed_phases():
     tr = emit_pulse_train(301, 1.0, InjectionMode.modulated(seq), rng)
     points = dual_basis_demodulate(tr)
     want = idx * TWO_PI / 8
-    got = np.array([p.angle for p in points])
+    got = points.angle
     err = np.abs(reduce_phase(got - want + np.pi) - np.pi)
     assert np.max(err) < 1e-9
 
@@ -328,7 +339,7 @@ def test_dual_basis_noisy_recovery_within_3_sigma():
     seq = DifferentialPhaseSequence.mpsk(4, idx)
     tr = emit_pulse_train(n + 1, 1.0,
                           InjectionMode.modulated(seq, phase_noise_sigma=sigma), rng)
-    got = np.array([p.angle for p in dual_basis_demodulate(tr)])
+    got = dual_basis_demodulate(tr).angle
     err = np.abs(reduce_phase(got - idx * TWO_PI / 4 + np.pi) - np.pi)
     # each symbol within 3 sigma with 99.7% probability
     assert np.mean(err < 3 * sigma) > 0.99
@@ -337,8 +348,7 @@ def test_dual_basis_noisy_recovery_within_3_sigma():
 def test_phase_randomized_ring():
     tr = emit_pulse_train(100_000, 0.5, InjectionMode.off(), make_rng(16))
     pts = dual_basis_demodulate(tr)
-    radii = np.array([p.radius for p in pts])
-    angles = np.array([p.angle for p in pts])
+    radii, angles = pts.radius, pts.angle
     assert np.all(radii == 0.5)  # constant-radius ring
     stat = kstest(angles / TWO_PI, "uniform").statistic
     assert stat < 2.0 / np.sqrt(angles.size)
@@ -408,7 +418,7 @@ def test_constellation_validation():
 def test_constellation_clusters_on_grid():
     rng = make_rng(21)
     rep = constellation_eye(8, 0.0, 4096, rng)
-    angles = np.array([p.angle for p in rep.points])
+    angles = rep.points.angle
     k = np.rint(angles / (TWO_PI / 8)).astype(int) % 8
     err = np.abs(reduce_phase(angles - k * TWO_PI / 8 + np.pi) - np.pi)
     assert np.max(err) < 1e-9
