@@ -111,22 +111,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one loss point")
-    sim.add_argument("--config", required=True)
-    sim.add_argument("--seed", type=int, default=None, help="override config seed")
-    sim.add_argument("--points", type=int, default=None,
-                     help="override pulses/pairs per point")
+    sw = sub.add_parser("sweep", help="run the configured loss sweep")
+    for run in (sim, sw):
+        run.add_argument("--config", required=True)
+        run.add_argument("--seed", type=int, default=None, help="override config seed")
+        run.add_argument("--points", type=int, default=None,
+                         help="override pulses/pairs per point")
+        run.add_argument("--out", default=None)
     sim.add_argument("--loss-db", type=float, default=None)
-    sim.add_argument("--out", default=None)
     sim.set_defaults(func=_cmd_simulate)
 
-    sw = sub.add_parser("sweep", help="run the configured loss sweep")
-    sw.add_argument("--config", required=True)
-    sw.add_argument("--seed", type=int, default=None)
-    sw.add_argument("--points", type=int, default=None,
-                    help="override pulses/pairs per point")
     sw.add_argument("--workers", type=int, default=1)
     sw.add_argument("--format", choices=("csv", "json"), default="csv")
-    sw.add_argument("--out", default=None)
     sw.set_defaults(func=_cmd_sweep)
 
     q = sub.add_parser("qrng", help="generate and validate quantum random bytes")
@@ -163,7 +159,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,10 @@
 """Experiment configuration, loss sweeps, and reference comparison.
 
-Configs are versioned JSON; every default applied during loading is tagged
-with its source in a provenance block so emitted configs are
-self-describing. Sweeps run one Monte-Carlo session plus closed-form
-expectations per loss point on a thread pool, with per-point seeds derived
-from the master seed so tables are byte-identical for any worker count.
+Configs are versioned JSON whose protocol holds the fields its kind reads
+(``protocols.KINDS``); each default the loader applies is tagged with its
+source in a provenance block. A sweep runs one Monte-Carlo session plus
+closed-form expectations per loss point on a thread pool, seeding each point
+from the master seed, so the table is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import numpy as np
 
 from .linkmodel import (FIBER_ALPHA_DEFAULT, ChannelModel, DetectorModel,
                         detector_preset)
-from .protocols import (BB84_DECOY, DPS, KIND_DEFAULTS, ProtocolConfig,
-                        SessionResult, analytic_expectations,
-                        run_bb84_session, run_dps_session)
+from .protocols import (DPS, KINDS, ProtocolConfig, SessionResult,
+                        analytic_expectations, run_bb84_session,
+                        run_dps_session)
 
 SCHEMA_VERSION = 1
 
@@ -71,7 +71,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "protocol": dataclasses.asdict(self.protocol),
+            "protocol": {k: v for k, v in vars(self.protocol).items() if v is not None},
             "detector": dataclasses.asdict(self.detector),
             "channel": {"loss_db": list(self.losses_db)},
             "pulses_per_point": self.pulses_per_point,
@@ -83,22 +83,17 @@ class ExperimentConfig:
 def _protocol_from_dict(spec: dict, provenance: dict) -> ProtocolConfig:
     if not isinstance(spec, dict):
         raise ConfigError("protocol must be an object")
-    if "kind" not in spec:
-        raise ConfigError("protocol.kind is required ('dps' or 'bb84-decoy')")
-    kind = spec["kind"]
-    if kind not in (DPS, BB84_DECOY):
-        raise ConfigError(f"protocol.kind must be 'dps' or 'bb84-decoy', got {kind!r}")
-    optional = [f for f in dataclasses.fields(ProtocolConfig) if f.name != "kind"]
-    _reject_unknown(spec, ("kind", *(f.name for f in optional)), "protocol")
-    kwargs = {}
-    for f in optional:
-        default = KIND_DEFAULTS[kind].get(f.name) or (f.default, f.metadata["source"])
-        where = f"protocol.{f.name}"
-        kwargs[f.name] = _number(_default(spec, where, default, provenance), where)
+    kind = spec.get("kind")
+    fields = KINDS.get(kind, {}) if isinstance(kind, str) else {}
+    kwargs = {name: _number(_default(spec, f"protocol.{name}", default,
+                                     provenance), f"protocol.{name}")
+              for name, default in fields.items()}
     try:
-        return ProtocolConfig(kind=kind, **kwargs)
+        protocol = ProtocolConfig(kind=kind, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"protocol: {exc}") from exc
+    _reject_unknown(spec, ("kind", *fields), f"{kind} protocol")
+    return protocol
 
 
 def _detector_from_spec(spec, clock_hz: float, provenance: dict) -> DetectorModel:
@@ -270,14 +265,20 @@ class SweepTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "SweepTable":
-        lines = [l for l in text.strip().splitlines() if l]
-        header = lines[0].split(",")
-        if tuple(header) != CSV_COLUMNS:
-            raise ValueError(f"unexpected sweep CSV header: {header}")
-        rows = [SweepRow(**{c: _CSV_PARSERS[c](v)
-                            for c, v in zip(CSV_COLUMNS, line.split(","))})
-                for line in lines[1:]]
-        return cls(rows)
+        lines = [(n, l.split(",")) for n, l in enumerate(text.splitlines(), 1)
+                 if l.strip()]
+        if len(lines) < 2:
+            raise ValueError(f"sweep CSV line {len(text.splitlines()) + 1}: "
+                             "missing, a table needs a header and a row")
+        for n, values in lines:
+            if len(values) != len(CSV_COLUMNS):
+                raise ValueError(f"sweep CSV line {n}: {len(values)} fields, "
+                                 f"expected {len(CSV_COLUMNS)}")
+        if tuple(lines[0][1]) != CSV_COLUMNS:
+            raise ValueError(f"unexpected sweep CSV header: {lines[0][1]}")
+        return cls([SweepRow(**{c: _CSV_PARSERS[c](v)
+                                for c, v in zip(CSV_COLUMNS, values)})
+                    for _, values in lines[1:]])
 
 
 def point_seed(master_seed: int, index: int) -> int:
@@ -340,10 +341,14 @@ class ReferencePoint:
     tolerance: float
 
     def __post_init__(self):
+        for name in ("loss_db", "expected", "tolerance"):
+            _number(getattr(self, name), name)
         if self.tolerance <= 0:
             raise ValueError("tolerance must be > 0")
         if self.tolerance_kind not in ("absolute", "relative", "factor"):
             raise ValueError("tolerance_kind must be absolute, relative or factor")
+        if self.tolerance_kind == "factor" and self.tolerance < 1:
+            raise ValueError("a factor tolerance must be >= 1, or its band is empty")
         if self.quantity not in ("skr_bps", "qber", "sifted_rate_hz"):
             raise ValueError("quantity must be skr_bps, qber or sifted_rate_hz")
 
@@ -353,7 +358,14 @@ def load_reference_points(path=None) -> list:
     source = (resources.files("qkdtx.data").joinpath("reference_points.json")
               if path is None else Path(path))
     raw = json.loads(source.read_text())
-    return [ReferencePoint(**entry) for entry in raw["references"]]
+    entries = raw.get("references") if isinstance(raw, dict) else None
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("a reference file needs a non-empty 'references' list")
+    keys = [f.name for f in dataclasses.fields(ReferencePoint)]
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or set(entry) != set(keys):
+            raise ValueError(f"references[{i}] must have exactly the keys {', '.join(keys)}")
+    return [ReferencePoint(**entry) for entry in entries]
 
 
 def _interpolate(table: SweepTable, loss_db: float, quantity: str) -> float:
@@ -387,15 +399,11 @@ def _within(observed: float, ref: ReferencePoint) -> bool:
     return (ref.expected / ref.tolerance) <= observed <= (ref.expected * ref.tolerance)
 
 
-@dataclass
-class ComparisonEntry:
-    label: str
-    loss_db: float
-    quantity: str
-    expected: float
+@dataclass(frozen=True)
+class ComparisonEntry(ReferencePoint):
+    """A reference point with the value the sweep gave there."""
+
     observed: float
-    tolerance_kind: str
-    tolerance: float
     passed: bool
 
 
@@ -417,9 +425,6 @@ def compare_to_reference(table: SweepTable, references) -> ComparisonReport:
     entries = []
     for ref in references:
         observed = _interpolate(table, ref.loss_db, ref.quantity)
-        entries.append(ComparisonEntry(
-            label=ref.label, loss_db=ref.loss_db, quantity=ref.quantity,
-            expected=ref.expected, observed=observed,
-            tolerance_kind=ref.tolerance_kind, tolerance=ref.tolerance,
-            passed=_within(observed, ref)))
+        entries.append(ComparisonEntry(*dataclasses.astuple(ref), observed,
+                                       _within(observed, ref)))
     return ComparisonReport(entries)

@@ -40,13 +40,19 @@ BB84_DECOY = "bb84-decoy"
 
 INTENSITY_CLASSES = ("vacuum", "decoy", "signal")
 
-#: Defaults that differ by protocol kind, as field -> (value, source). The
+#: Every field each protocol kind reads, as field -> (default, source). The
 #: phase noise gives e_opt = (1 - exp(-sigma^2/2)) / 2; the DPS receiver
 #: loss stands for the receiver chip and detector coupling, and the BB84
 #: analysis needs none to land on its reference rates.
-KIND_DEFAULTS = {
+_SHARED = {
+    "mu_signal": (0.5, "reference run: signal intensity 0.5 photons per encoded unit"),
+    "f_ec": (1 / 0.9, "error-correction efficiency 90%, f_ec = 1/0.9"),
+    "visibility_floor": (1.0, "no residual contrast penalty beyond phase noise"),
+}
+KINDS = {
     DPS: {
         "clock_hz": (2e9, "reference transmitter: 2 GHz gain-switched pulse train"),
+        **_SHARED,
         "sigma_phi": (sigma_phi_for_error_rate(0.025),
                       "calibrated: reproduces the reference 2.5% error rate "
                       "at 20 dB channel loss"),
@@ -56,6 +62,12 @@ KIND_DEFAULTS = {
     },
     BB84_DECOY: {
         "clock_hz": (1e9, "reference transmitter: pulse pairs at 1 GHz"),
+        **_SHARED,
+        "mu_decoy": (0.125, "reference run: decoy intensity 0.125 photons per encoded unit"),
+        "p_signal": (14 / 16, "reference run: signal emission probability 14/16"),
+        "p_decoy": (1 / 16, "reference run: decoy emission probability 1/16"),
+        "p_vacuum": (1 / 16, "reference run: vacuum emission probability 1/16"),
+        "basis_prob_x": (0.5, "symmetric active basis choice"),
         "sigma_phi": (sigma_phi_for_error_rate(0.023),
                       "calibrated: reproduces the reference 2.2% error rate "
                       "at 20 dB channel loss within tolerance"),
@@ -64,12 +76,6 @@ KIND_DEFAULTS = {
         "receiver_loss_db": (0.0, "no receiver insertion loss applied"),
     },
 }
-
-
-def _kind_values(kind: str) -> dict:
-    """Constructor arguments for a kind's defaults from KIND_DEFAULTS."""
-    return dict(kind=kind, **{n: v for n, (v, _) in KIND_DEFAULTS[kind].items()})
-
 
 #: Largest mu_signal a config may set: the phase average below is exact to
 #: 1e-9 relative up to this many photons per unit.
@@ -103,56 +109,51 @@ def binary_entropy(x):
 # configuration and results
 # ---------------------------------------------------------------------------
 
-def _sourced(default, source: str):
-    """A field default with the source the config loader tags it with."""
-    return field(default=default, metadata={"source": source})
-
-
 @dataclass
 class ProtocolConfig:
-    """Protocol parameters; defaults follow the reference transmitter, and
-    those that differ by kind are in :data:`KIND_DEFAULTS` (their plain
-    defaults here serve direct construction)."""
+    """Protocol parameters of one kind. A field the kind reads (:data:`KINDS`)
+    takes the kind's default when None; the others stay None, and setting one
+    raises ValueError: DPS has no decoy intensity, class probability or basis."""
 
     kind: str
-    clock_hz: float
-    mu_signal: float = _sourced(
-        0.5, "reference run: signal intensity 0.5 photons per encoded unit")
-    mu_decoy: float = _sourced(
-        0.125, "reference run: decoy intensity 0.125 photons per encoded unit")
-    p_signal: float = _sourced(
-        14 / 16, "reference run: signal emission probability 14/16")
-    p_decoy: float = _sourced(1 / 16, "reference run: decoy emission probability 1/16")
-    p_vacuum: float = _sourced(1 / 16, "reference run: vacuum emission probability 1/16")
-    basis_prob_x: float = _sourced(0.5, "symmetric active basis choice")
-    f_ec: float = _sourced(1 / 0.9, "error-correction efficiency 90%, f_ec = 1/0.9")
-    sigma_phi: float = 0.0
-    temporal_efficiency: float = 1.0
-    receiver_loss_db: float = 0.0
-    visibility_floor: float = _sourced(
-        1.0, "no residual contrast penalty beyond phase noise")
+    clock_hz: Optional[float] = None
+    mu_signal: Optional[float] = None
+    mu_decoy: Optional[float] = None
+    p_signal: Optional[float] = None
+    p_decoy: Optional[float] = None
+    p_vacuum: Optional[float] = None
+    basis_prob_x: Optional[float] = None
+    f_ec: Optional[float] = None
+    sigma_phi: Optional[float] = None
+    temporal_efficiency: Optional[float] = None
+    receiver_loss_db: Optional[float] = None
+    visibility_floor: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in (DPS, BB84_DECOY):
-            raise ValueError(f"unknown protocol kind {self.kind!r}")
+        if self.kind not in list(KINDS):  # a list: the kind may be unhashable
+            raise ValueError(f"kind must be one of {list(KINDS)}, got {self.kind!r}")
+        fields = KINDS[self.kind]
+        for name, value in vars(self).items():
+            if name in fields and value is None:
+                setattr(self, name, fields[name][0])
+            elif name not in (*fields, "kind") and value is not None:
+                raise ValueError(f"{self.kind} reads no {name}")
         if not 0.0 < self.clock_hz < math.inf:
             raise ValueError("clock_hz must be finite and > 0")
-        probs = self.p_vacuum + self.p_decoy + self.p_signal
-        if not abs(probs - 1.0) <= 1e-12:
-            raise ValueError("intensity probabilities must sum to 1")
-        for name in ("p_vacuum", "p_decoy", "p_signal"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"intensity probability {name} must be in [0, 1]")
-        if not 0.0 <= self.mu_decoy < self.mu_signal < math.inf:
-            raise ValueError("need 0 <= mu_decoy < mu_signal, both finite")
-        if not self.mu_signal <= MU_SIGNAL_MAX:
-            raise ValueError(
-                f"mu_signal must be <= {MU_SIGNAL_MAX:g} photons per unit, "
-                "where the closed form's phase average is exact")
-        if self.kind == BB84_DECOY and self.mu_decoy == 0.0:
+        if not 0.0 < self.mu_signal <= MU_SIGNAL_MAX:
+            raise ValueError(f"mu_signal must be <= {MU_SIGNAL_MAX:g} photons per unit, "
+                             "where the closed form's phase average is exact, and > 0")
+        if self.mu_decoy is not None:
             # the vacuum + weak-decoy bounds divide by the decoy intensity
-            raise ValueError("mu_decoy must be > 0 for bb84-decoy")
-        if not 0.0 < self.basis_prob_x < 1.0:
+            if not 0.0 < self.mu_decoy < self.mu_signal:
+                raise ValueError("need 0 < mu_decoy < mu_signal")
+            probs = self.p_vacuum + self.p_decoy + self.p_signal
+            if not abs(probs - 1.0) <= 1e-12:
+                raise ValueError("intensity probabilities must sum to 1")
+            for name in ("p_vacuum", "p_decoy", "p_signal"):
+                if not 0.0 <= getattr(self, name) <= 1.0:
+                    raise ValueError(f"intensity probability {name} must be in [0, 1]")
+        if self.basis_prob_x is not None and not 0.0 < self.basis_prob_x < 1.0:
             raise ValueError("basis_prob_x must be in (0, 1)")
         if not 1.0 <= self.f_ec < math.inf:
             raise ValueError("f_ec must be finite and >= 1")
@@ -168,19 +169,17 @@ class ProtocolConfig:
     @classmethod
     def dps_default(cls, **overrides) -> "ProtocolConfig":
         """2 GHz DPS with the calibrated phase noise and receiver loss."""
-        return cls(**{**_kind_values(DPS), **overrides})
+        return cls(DPS, **overrides)
 
     @classmethod
     def bb84_default(cls, **overrides) -> "ProtocolConfig":
         """1 GHz pulse-pair decoy BB84 with calibrated phase noise."""
-        return cls(**{**_kind_values(BB84_DECOY), **overrides})
+        return cls(BB84_DECOY, **overrides)
 
     def basis_match_probability(self) -> float:
         """Probability that a detection is sifted (1 for DPS: no bases)."""
-        if self.kind == DPS:
-            return 1.0
         p = self.basis_prob_x
-        return p * p + (1 - p) * (1 - p)
+        return 1.0 if p is None else p * p + (1 - p) * (1 - p)
 
     def class_probabilities(self) -> np.ndarray:
         return np.array([self.p_vacuum, self.p_decoy, self.p_signal])
@@ -188,7 +187,7 @@ class ProtocolConfig:
     def classes(self) -> tuple:
         """Intensity classes a unit is drawn from: names, emission
         probabilities and mean photon numbers. DPS sends one class."""
-        if self.kind == DPS:
+        if self.mu_decoy is None:
             return ("signal",), np.array([1.0]), np.array([self.mu_signal])
         return (INTENSITY_CLASSES, self.class_probabilities(),
                 np.array([0.0, self.mu_decoy, self.mu_signal]))

@@ -21,7 +21,7 @@ from qkdtx.harness import (
     run_session,
     run_sweep,
 )
-from qkdtx.protocols import ProtocolConfig
+from qkdtx.protocols import KINDS, ProtocolConfig
 
 
 def minimal_dps(**extra):
@@ -51,19 +51,13 @@ def test_minimal_dps_defaults_applied():
     assert emitted["provenance"] == cfg.provenance
 
 
-#: Every optional protocol field; kind is the one required field.
-PROTOCOL_OPTIONAL = ("clock_hz", "mu_signal", "mu_decoy", "p_signal", "p_decoy",
-                     "p_vacuum", "basis_prob_x", "f_ec", "sigma_phi",
-                     "temporal_efficiency", "receiver_loss_db",
-                     "visibility_floor")
-
-
 def test_provenance_tags_exactly_the_omitted_fields():
-    # each option: (what the config gives, the optional paths it leaves out)
-    template = ProtocolConfig.bb84_default()
-    protocols = [({n: getattr(template, n) for n in given},
-                  {f"protocol.{n}" for n in PROTOCOL_OPTIONAL if n not in given})
-                 for given in ((), ("mu_signal", "sigma_phi"), PROTOCOL_OPTIONAL)]
+    # each option: (what the config gives, the optional paths it leaves out);
+    # a kind's optional fields are the ones KINDS lists for it
+    protocols = [(kind, {n: getattr(ProtocolConfig(kind), n) for n in given},
+                  {f"protocol.{n}" for n in fields if n not in given})
+                 for kind, fields in KINDS.items()
+                 for given in ((), ("mu_signal", "sigma_phi"), tuple(fields))]
     detectors = [({}, {"detector", "detector.gate_rate_hz"}),
                  ({"detector": "apd"}, {"detector.gate_rate_hz"}),
                  ({"detector": {"preset": "snspd", "gate_rate_hz": 1e9}}, set()),
@@ -75,9 +69,8 @@ def test_provenance_tags_exactly_the_omitted_fields():
                 ({"length_km": [50]}, {"channel.alpha_db_per_km"}),
                 ({"length_km": [50], "alpha_db_per_km": 0.25}, set())]
     pulses = [({}, {"pulses_per_point"}), ({"pulses_per_point": 20_000}, set())]
-    for kind, (proto, p_out), (det, d_out), (channel, c_out), (n, n_out) in \
-            itertools.product(("dps", "bb84-decoy"), protocols, detectors,
-                              channels, pulses):
+    for (kind, proto, p_out), (det, d_out), (channel, c_out), (n, n_out) in \
+            itertools.product(protocols, detectors, channels, pulses):
         raw = {"protocol": {"kind": kind, **proto}, "channel": channel,
                "seed": 1, **det, **n}
         cfg = config_from_dict(raw)
@@ -192,6 +185,41 @@ def test_unknown_protocol_field_rejected():
         config_from_dict(minimal_dps(pulses_per_pont=10_000))
 
 
+def test_dps_config_holds_only_the_fields_dps_reads(tmp_path, capsys):
+    # the DPS key rate reads no decoy intensity, class probability or basis
+    # choice, so a DPS config naming one fails at load time, by name
+    cfgp = tmp_path / "cfg.json"
+    for field in ("mu_decoy", "p_signal", "p_decoy", "p_vacuum", "basis_prob_x"):
+        raw = minimal_dps()
+        raw["protocol"][field] = 0.5
+        with pytest.raises(ConfigError, match=f"unknown dps protocol fields: {field}"):
+            config_from_dict(raw)
+        cfgp.write_text(json.dumps(raw))
+        assert cli.main(["sweep", "--config", str(cfgp)]) == 1
+        assert field in capsys.readouterr().err
+    cfg = config_from_dict(minimal_dps())
+    assert len(KINDS["dps"]) == 7
+    assert {k for k in cfg.provenance if k.startswith("protocol.")} == \
+        {f"protocol.{n}" for n in KINDS["dps"]}
+    # no decoy class bounds the signal from below
+    raw = minimal_dps()
+    raw["protocol"]["mu_signal"] = 0.1
+    cfgp.write_text(json.dumps(raw))
+    assert cli.main(["sweep", "--config", str(cfgp)]) == 0
+    assert config_from_dict(raw).protocol.mu_signal == 0.1
+    # an emitted config holds only its kind's fields, and loads back unchanged
+    for kind, fields in KINDS.items():
+        cfg = config_from_dict(minimal_dps(protocol={"kind": kind}))
+        emitted = json.loads(json.dumps(cfg.to_dict()))
+        assert set(emitted["protocol"]) == {"kind", *fields}
+        back = config_from_dict(emitted)
+        assert (back.protocol, back.detector, back.losses_db, back.seed) == \
+            (cfg.protocol, cfg.detector, cfg.losses_db, cfg.seed)
+    for protocol in ({}, {"kind": "b92"}, {"kind": ["dps"]}):
+        with pytest.raises(ConfigError, match="protocol: kind must be one of"):
+            config_from_dict(minimal_dps(protocol=protocol))
+
+
 def test_pulses_floor():
     with pytest.raises(ConfigError, match="pulses_per_point"):
         config_from_dict(minimal_dps(pulses_per_point=10))
@@ -275,6 +303,27 @@ def test_sweep_csv_roundtrip():
     assert back.to_csv() == table.to_csv()
 
 
+def test_compare_rejects_malformed_tables_by_line(tmp_path, capsys):
+    good = run_sweep(config_from_dict(minimal_dps())).to_csv()
+    header, row = good.splitlines()[:2]
+    table = tmp_path / "table.csv"
+    for text, line in (("", 1), ("\n\n", 3), (header + "\n", 2),
+                       (f"{header}\n{row}\n{row.rpartition(',')[0]}\n", 3),
+                       (f"{header}\n{row},7\n", 2),
+                       (f"{header.rpartition(',')[0]}\n{row}\n", 1)):
+        with pytest.raises(ValueError, match=f"sweep CSV line {line}: "):
+            SweepTable.from_csv(text)
+        table.write_text(text)
+        assert cli.main(["compare", "--table", str(table)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: sweep CSV line {line}: ")
+    # a missing table or reference file is an error line too, not a traceback
+    table.write_text(good)
+    for argv in (["--table", str(tmp_path / "none.csv")],
+                 ["--table", str(table), "--references", str(tmp_path / "none.json")]):
+        assert cli.main(["compare", *argv]) == 1
+        assert "none." in capsys.readouterr().err
+
+
 def test_run_session():
     cfg = config_from_dict(minimal_dps())
     res = run_session(cfg, 10.0, 1)
@@ -329,6 +378,43 @@ def test_reference_point_validation():
         ReferencePoint("x", 10.0, "skr_bps", 1e3, "factor", 0.0)
     with pytest.raises(ValueError):
         ReferencePoint("x", 10.0, "volts", 1e3, "factor", 2.0)
+    # a factor band [expected / f, expected * f] is empty for f < 1
+    with pytest.raises(ValueError, match="factor tolerance must be >= 1"):
+        ReferencePoint("x", 10.0, "skr_bps", 1e3, "factor", 0.5)
+    assert ReferencePoint("x", 10.0, "qber", 0.02, "absolute", 0.5).tolerance == 0.5
+
+
+def _reference(**changes):
+    entry = {"label": "skr10", "loss_db": 10.0, "quantity": "skr_bps",
+             "expected": 1.0, "tolerance_kind": "factor", "tolerance": 1e12}
+    entry.update(changes)
+    return {key: value for key, value in entry.items() if value is not None}
+
+
+@pytest.mark.parametrize("refs, message", [
+    ({"points": [_reference()]}, "non-empty 'references' list"),
+    ({"references": []}, "non-empty 'references' list"),
+    ({"references": [_reference(tolerance=None)]}, r"references\[0\] must have"),
+    ({"references": [_reference(), _reference(units="W")]},
+     r"references\[1\] must have"),
+    ({"references": [_reference(loss_db=float("nan"))]}, "loss_db must be a finite"),
+    ({"references": [_reference(expected=float("inf"))]}, "expected must be a finite"),
+    ({"references": [_reference(tolerance=float("nan"))]},
+     "tolerance must be a finite"),
+    ({"references": [_reference(tolerance=0.9)]}, "factor tolerance must be >= 1"),
+], ids=["no-references-key", "empty-list", "missing-key", "unknown-key",
+        "nan-loss", "inf-expected", "nan-tolerance", "factor-below-1"])
+def test_bad_reference_files_fail_by_name(tmp_path, capsys, refs, message):
+    cfgp = write_config(tmp_path, channel={"loss_db": [10.0]})
+    table = tmp_path / "table.csv"
+    assert cli.main(["sweep", "--config", str(cfgp), "--out", str(table)]) == 0
+    refs_path = tmp_path / "refs.json"
+    refs_path.write_text(json.dumps(refs))
+    with pytest.raises(ValueError, match=message):
+        load_reference_points(refs_path)
+    assert cli.main(["compare", "--table", str(table),
+                     "--references", str(refs_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

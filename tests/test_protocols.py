@@ -70,17 +70,27 @@ def test_config_validation():
     with pytest.raises(ValueError, match="mu_decoy"):
         ProtocolConfig(kind=BB84_DECOY, clock_hz=1e9, mu_decoy=0.6)
     with pytest.raises(ValueError, match="mu_decoy"):
-        ProtocolConfig(kind=DPS, clock_hz=2e9, mu_decoy=-0.1)
-    with pytest.raises(ValueError, match="mu_decoy"):
         ProtocolConfig(kind=BB84_DECOY, clock_hz=1e9, mu_decoy=0.0)
     # the closed form's phase average is exact up to MU_SIGNAL_MAX photons
     assert ProtocolConfig.dps_default(mu_signal=MU_SIGNAL_MAX).mu_signal == 20.0
     with pytest.raises(ValueError, match="mu_signal"):
         ProtocolConfig.bb84_default(mu_signal=20.5)
-    # DPS has no decoy class, so its unused mu_decoy may be 0
-    assert ProtocolConfig(kind=DPS, clock_hz=2e9, mu_decoy=0.0).mu_decoy == 0.0
+    with pytest.raises(ValueError, match="mu_signal"):
+        ProtocolConfig.dps_default(mu_signal=0.0)
+    # DPS has no decoy class or basis choice: it holds None in those fields,
+    # rejects each of them by name, and takes any mu_signal up to the bound
+    dps = ProtocolConfig(kind=DPS)
+    assert dps == ProtocolConfig.dps_default()
+    assert ProtocolConfig.dps_default(mu_signal=0.1).mu_signal == 0.1
+    for field in ("mu_decoy", "p_signal", "p_decoy", "p_vacuum", "basis_prob_x"):
+        assert getattr(dps, field) is None
+        for value in (0.0, 0.5):
+            with pytest.raises(ValueError, match=f"dps reads no {field}"):
+                ProtocolConfig(kind=DPS, **{field: value})
     with pytest.raises(ValueError, match="kind"):
         ProtocolConfig(kind="b92", clock_hz=1e9)
+    with pytest.raises(ValueError, match="kind"):
+        ProtocolConfig(kind=["dps"])
     # each class probability lies in [0, 1], not only their sum at 1
     with pytest.raises(ValueError, match="p_vacuum"):
         ProtocolConfig.bb84_default(p_vacuum=-0.25, p_decoy=0.25, p_signal=1.0)
@@ -94,7 +104,7 @@ def test_config_validation():
             ("receiver_loss_db", nan, "receiver_loss_db"),
             ("p_signal", nan, "probabilities")):
         with pytest.raises(ValueError, match=message):
-            ProtocolConfig.dps_default(**{field: value})
+            ProtocolConfig.bb84_default(**{field: value})
 
 
 def test_default_configs():
@@ -496,16 +506,16 @@ def test_mc_tallies_match_analytic_across_configs(
     # reference sampler lies in the exact 5-sigma range of its binomial law
     # given the tally it is drawn from: sent of the units, clicks of sent,
     # sifted of clicks, errors of sifted
-    kw = dict(mu_signal=mu, mu_decoy=mu * nu_fraction, p_decoy=p_decoy,
-              p_vacuum=p_vacuum, p_signal=1.0 - p_decoy - p_vacuum,
-              sigma_phi=sigma_phi, visibility_floor=visibility_floor)
+    kw = dict(mu_signal=mu, sigma_phi=sigma_phi, visibility_floor=visibility_floor)
     n = 200_000
     if kind == DPS:
         cfg = ProtocolConfig.dps_default(**kw)
         session, units = run_dps_session, n - 1  # interference slots
         send, match = {"signal": 1.0}, 1.0
     else:
-        cfg = ProtocolConfig.bb84_default(**kw)
+        cfg = ProtocolConfig.bb84_default(
+            **kw, mu_decoy=mu * nu_fraction, p_decoy=p_decoy, p_vacuum=p_vacuum,
+            p_signal=1.0 - p_decoy - p_vacuum)
         session, units = run_bb84_session, n
         send = dict(zip(INTENSITY_CLASSES, cfg.class_probabilities()))
         match = cfg.basis_match_probability()
