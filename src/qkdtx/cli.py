@@ -18,9 +18,22 @@ import numpy as np
 from . import harness, optics, randomness
 from .harness import ConfigError
 
-#: One constellation point as json.dumps(indent=2) writes it in "points";
-#: repr is json's form of a finite float, and radius and angle are finite.
-_POINT_JSON = '    {{\n      "radius": {!r},\n      "angle": {!r}\n    }}'
+#: The text json.dumps(indent=2) writes around each point's radius and angle
+#: in "points"; float.__repr__ is json's form of a finite float, and radius
+#: and angle are finite.
+_FIRST_POINT = '    {\n      "radius": '
+_ANGLE_KEY = ',\n      "angle": '
+_NEXT_POINT = '\n    },\n    {\n      "radius": '
+
+
+def _points_json(points) -> str:
+    """The items of "points" as json.dumps(indent=2) writes them, without the
+    last point's closing brace, from one list filled by slices."""
+    parts = [_NEXT_POINT, None, _ANGLE_KEY, None] * len(points)
+    parts[0] = _FIRST_POINT
+    parts[1::4] = map(float.__repr__, points.radius.tolist())
+    parts[3::4] = map(float.__repr__, points.angle.tolist())
+    return "".join(parts)
 
 
 def _write_or_print(text: str, out):
@@ -86,9 +99,8 @@ def _cmd_constellation(args) -> int:
         "n_symbols": len(points),
         "eye_levels": report.eye_levels.tolist(),
     }, indent=2)
-    body = ",\n".join(map(_POINT_JSON.format,
-                          points.radius.tolist(), points.angle.tolist()))
-    _write_or_print(f'{header[:-2]},\n  "points": [\n{body}\n  ]\n}}\n', args.out)
+    body = _points_json(points)
+    _write_or_print(f'{header[:-2]},\n  "points": [\n{body}\n    }}\n  ]\n}}\n', args.out)
     return 0
 
 

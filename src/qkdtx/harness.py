@@ -341,6 +341,8 @@ class ReferencePoint:
     tolerance: float
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         for name in ("loss_db", "expected", "tolerance"):
             _number(getattr(self, name), name)
         if self.tolerance <= 0:
@@ -369,6 +371,8 @@ def load_reference_points(path=None) -> list:
 
 
 def _interpolate(table: SweepTable, loss_db: float, quantity: str) -> float:
+    if not table.rows:
+        raise ValueError("the sweep table has no rows to compare")
     rows = sorted(table.rows, key=lambda r: r.loss_db)
     losses = np.array([r.loss_db for r in rows])
     vals = np.array([getattr(r, quantity) for r in rows])

@@ -5,6 +5,9 @@ master laser (no injection, CW injection, directly modulated injection) and
 the delay-line interferometer that converts differential phase into intensity.
 Each pulse is a point event carrying a mean photon number and an optical
 phase; pulse shape, chirp and jitter are below the abstraction level.
+Each phase array is reduced mod 2*pi exactly once: a train's phases on
+their first read, its emitted differential phases when it is built, and
+``differential_phases()`` returns that one read-only array on every call.
 ``dual_basis_demodulate`` returns a float64 record array (``radius``,
 ``angle``); ``InterferenceRecord`` is an immutable named tuple per slot,
 built in one pass from the interferometer's arrays.
@@ -33,6 +36,11 @@ def reduce_phase(phi):
         return 0.0 if out == TWO_PI else float(out)
     out[out == TWO_PI] = 0.0
     return out
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 def sigma_phi_for_visibility(visibility: float) -> float:
@@ -64,10 +72,12 @@ def sigma_phi_for_error_rate(e_opt: float) -> float:
 class PulseTrain:
     """Equal-intensity pulse sequence with per-slot phases.
 
-    Phases are stored as a numpy array (reduced mod 2*pi). When the train was
-    produced by :func:`emit_pulse_train`, the emission-time differential
-    phases are kept alongside, so demodulation is exactly invariant under a
-    global phase shift of the whole train.
+    The train copies the phases as given and reduces that copy mod 2*pi on
+    the first read of ``phases``, which from then on is one read-only array.
+    When the train was produced by :func:`emit_pulse_train`, the
+    emission-time differential phases are kept alongside (reduced once, here),
+    so demodulation is exactly invariant under a global phase shift of the
+    whole train and never reads ``phases``.
 
     Parameters
     ----------
@@ -82,14 +92,14 @@ class PulseTrain:
     """
 
     def __init__(self, phases, mean_photons, period_s, diff_phases=None):
-        phases = np.atleast_1d(np.asarray(phases, dtype=float))
+        phases = np.array(phases, dtype=float, ndmin=1)  # a private, writeable copy
         if phases.ndim != 1 or phases.size == 0 or not np.isfinite(phases).all():
             raise ValueError("phases must be a non-empty 1-d array of finite values")
         if not 0.0 <= mean_photons < np.inf:
             raise ValueError("mean_photons must be finite and >= 0")
         if not 0.0 < period_s < np.inf:
             raise ValueError("period_s must be finite and > 0")
-        self.phases = reduce_phase(phases)
+        self._phases = phases
         self.mean_photons = float(mean_photons)
         self.period_s = float(period_s)
         if diff_phases is not None:
@@ -97,17 +107,27 @@ class PulseTrain:
             if (diff_phases.shape != (phases.size - 1,)
                     or not np.isfinite(diff_phases).all()):
                 raise ValueError("diff_phases must be n_pulses - 1 finite values")
+            diff_phases = _read_only(reduce_phase(diff_phases))
         self._diff_phases = diff_phases
 
     @property
     def n_pulses(self) -> int:
-        return self.phases.size
+        return self._phases.size
+
+    @property
+    def phases(self) -> np.ndarray:
+        """Optical phase of each pulse in [0, 2*pi), read-only."""
+        # the copy as given: reduce it once (racing first reads give equal bits)
+        if self._phases.flags.writeable:
+            self._phases = _read_only(reduce_phase(self._phases))
+        return self._phases
 
     def differential_phases(self) -> np.ndarray:
-        """Phase increments between consecutive pulses, mod 2*pi."""
-        if self._diff_phases is not None:
-            return reduce_phase(self._diff_phases)
-        return reduce_phase(np.diff(self.phases))
+        """Phase increments between consecutive pulses in [0, 2*pi), as one
+        read-only array computed once."""
+        if self._diff_phases is None:
+            self._diff_phases = _read_only(reduce_phase(np.diff(self.phases)))
+        return self._diff_phases
 
 
 class DifferentialPhaseSequence:
@@ -282,9 +302,9 @@ def emit_pulse_train(n_pulses, mean_photons, mode, rng, period_s=5e-10,
 
     if mode.variant == "off":
         raw = rng.uniform(0.0, TWO_PI, n_pulses)
-        diffs = reduce_phase(np.diff(raw)) if n_pulses > 1 else None
-        return PulseTrain(reduce_phase(raw + global_phase_offset), mean_photons,
-                          period_s, diff_phases=diffs)
+        diffs = np.diff(raw) if n_pulses > 1 else None
+        return PulseTrain(raw + global_phase_offset, mean_photons, period_s,
+                          diff_phases=diffs)
 
     start = rng.uniform(0.0, TWO_PI)
     if n_pulses == 1:
@@ -319,9 +339,9 @@ def emit_pulse_train(n_pulses, mean_photons, mode, rng, period_s=5e-10,
         else:
             unwrapped = base
 
-    diffs = reduce_phase(np.diff(unwrapped))
-    phases = reduce_phase(unwrapped + global_phase_offset)
-    return PulseTrain(phases, mean_photons, period_s, diff_phases=diffs)
+    # PulseTrain reduces both arrays, each once
+    return PulseTrain(unwrapped + global_phase_offset, mean_photons, period_s,
+                      diff_phases=np.diff(unwrapped))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +388,8 @@ def amzi_interfere(train: PulseTrain, cfg: AmziConfig) -> list[InterferenceRecor
     i_in = train.mean_photons
     out = amzi_intensity(train.differential_phases(), i_in,
                          cfg.phase_offset, cfg.output_port)
-    return list(map(InterferenceRecord._make,
+    # tuple.__new__ builds each named tuple without _make's classmethod call
+    return list(map(tuple.__new__, repeat(InterferenceRecord),
                     zip(range(1, train.n_pulses), out.tolist(), repeat(i_in))))
 
 

@@ -367,6 +367,12 @@ def test_compare_log_interpolation():
     assert rep.all_passed
 
 
+def test_compare_rejects_an_empty_table():
+    refs = [ReferencePoint("skr20", 20.0, "skr_bps", 4e5, "factor", 2.0)]
+    with pytest.raises(ValueError, match="sweep table has no rows"):
+        compare_to_reference(SweepTable([]), refs)
+
+
 def test_compare_out_of_range():
     refs = [ReferencePoint("far", 40.0, "skr_bps", 1e3, "factor", 2.0)]
     with pytest.raises(ValueError, match="outside the swept range"):
@@ -402,8 +408,9 @@ def _reference(**changes):
     ({"references": [_reference(tolerance=float("nan"))]},
      "tolerance must be a finite"),
     ({"references": [_reference(tolerance=0.9)]}, "factor tolerance must be >= 1"),
+    ({"references": [_reference(label=5)]}, "label must be a string"),
 ], ids=["no-references-key", "empty-list", "missing-key", "unknown-key",
-        "nan-loss", "inf-expected", "nan-tolerance", "factor-below-1"])
+        "nan-loss", "inf-expected", "nan-tolerance", "factor-below-1", "numeric-label"])
 def test_bad_reference_files_fail_by_name(tmp_path, capsys, refs, message):
     cfgp = write_config(tmp_path, channel={"loss_db": [10.0]})
     table = tmp_path / "table.csv"
@@ -412,9 +419,11 @@ def test_bad_reference_files_fail_by_name(tmp_path, capsys, refs, message):
     refs_path.write_text(json.dumps(refs))
     with pytest.raises(ValueError, match=message):
         load_reference_points(refs_path)
-    assert cli.main(["compare", "--table", str(table),
-                     "--references", str(refs_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    # --select reads every label, so it must fail the same way
+    for select in ([], ["--select", "dps"]):
+        assert cli.main(["compare", "--table", str(table),
+                         "--references", str(refs_path), *select]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

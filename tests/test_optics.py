@@ -1,8 +1,10 @@
 """Tests for pulse-train emission and AMZI demodulation."""
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
@@ -44,6 +46,47 @@ def test_reduce_phase_range(phi):
 def test_reduce_phase_exact_two_pi_maps_to_zero():
     assert reduce_phase(TWO_PI) == 0.0
     assert reduce_phase(2 * TWO_PI) == 0.0
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(-5e-324)
+@example(-1e-17)
+@example(float(np.nextafter(TWO_PI, 0.0)))
+@example(TWO_PI)
+@example(float(np.nextafter(TWO_PI, 7.0)))
+def test_reduce_phase_is_idempotent_bitwise(phi):
+    # a train reduces each phase array once, which equals reducing it again
+    once = reduce_phase(phi)
+    assert np.float64(reduce_phase(once)).tobytes() == np.float64(once).tobytes()
+    arr = reduce_phase(np.array([phi, -phi]))
+    assert reduce_phase(arr.copy()).tobytes() == arr.tobytes()
+    assert arr[0] == once
+
+
+def test_pulse_train_phases_are_the_reduced_input_bitwise():
+    x = np.concatenate((make_rng(4).normal(0.0, 50.0, 200),
+                        [-0.0, -1e-17, TWO_PI, np.nextafter(TWO_PI, 7.0)]))
+    want = reduce_phase(x.copy())
+    tr = PulseTrain(x, 0.5, 5e-10)  # no diff_phases given
+    x[:] = 1.0  # the train keeps its own copy until the first read
+    assert tr.phases.tobytes() == want.tobytes()
+    assert tr.phases is tr.phases  # reduced once, then kept
+    assert tr.differential_phases().tobytes() == reduce_phase(np.diff(want)).tobytes()
+
+
+def test_differential_phases_are_read_only():
+    emitted = emit_pulse_train(50, 0.5, InjectionMode.off(), make_rng(5))
+    built = PulseTrain(make_rng(5).uniform(-9.0, 9.0, 50), 0.5, 5e-10)
+    for tr in (emitted, built):
+        diffs = tr.differential_phases()
+        before = diffs.copy()
+        assert tr.differential_phases() is diffs  # computed once, no per-call mod
+        with pytest.raises(ValueError, match="read-only"):
+            diffs[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            tr.phases[0] = 1.0
+        assert np.array_equal(tr.differential_phases(), before)
 
 
 def test_demodulated_points_are_a_float64_record_array():
@@ -423,3 +466,76 @@ def test_constellation_clusters_on_grid():
     err = np.abs(reduce_phase(angles - k * TWO_PI / 8 + np.pi) - np.pi)
     assert np.max(err) < 1e-9
     assert set(k) == set(range(8))
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: every array the optics layer returns, bit for bit
+# ---------------------------------------------------------------------------
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def _pinned_trains():
+    """One train per seeding regime, each with a global phase offset; the
+    cw drift and the modulated pair redraws exercise every phase path."""
+    n = 4001
+    rng = make_rng(2024)
+    diffs = rng.integers(0, 4, n - 1) * (TWO_PI / 4)
+    boundary = np.zeros(n - 1, dtype=bool)
+    boundary[1::2] = True
+    seq = DifferentialPhaseSequence(diffs, 4, pair_boundary=boundary)
+    period = 5e-10
+    modes = {
+        "off": InjectionMode.off(),
+        "cw": InjectionMode.cw(master_angular_freq=7.3 / period, phase_noise_sigma=0.2),
+        "modulated": InjectionMode.modulated(seq, phase_noise_sigma=0.05,
+                                             pair_randomization=True),
+    }
+    return {name: emit_pulse_train(n, 0.8, mode, rng, period_s=period,
+                                   global_phase_offset=5.9)
+            for name, mode in modes.items()}
+
+
+#: sha256 of the float64 bytes of each output of _pinned_digests; a change to
+#: any single bit fails these tests.
+PINS = {
+    "phases-off": "25449789f1b0d56fb67f6c9fed9082f20272c64e44e06b8e5a06b7ecf829da93",
+    "phases-cw": "4d8e8503a5c36841449c38168ee096529b1f3c66e2968c30b0834c65b8d3875e",
+    "phases-modulated": "92d7a7348493798351b8f322151460eb35cc9072465862b46057ac5247050c65",
+    "demodulate-off": "547259094ba70a0224d9b5311dfe798e2844207337049da429bbee2b7a46e960",
+    "demodulate-modulated": "a31699aa8718cfedb3b2ea738df98fae968dd79f3e58dd6178daec730748f564",
+    "interfere-bar": "284fcce1a0abbb97129c84e818c8bc55ccc154c7f923a217e52eb09fbc488335",
+    "interfere-cross": "ed3060a6bec6b52c2634fe8c7cf2df22de21885520e6ef94a35f862cc468c000",
+    "fringe-scan": "14c3bbc81454576e1698f4b576a07d060eaafcfa9af395e734c212ee8295bf22",
+}
+
+
+def _pinned_digests():
+    trains = _pinned_trains()
+    out = {f"phases-{name}": _digest(tr.phases, tr.differential_phases())
+           for name, tr in trains.items()}
+    for name in ("off", "modulated"):
+        pts = dual_basis_demodulate(trains[name])
+        out[f"demodulate-{name}"] = _digest(pts.radius, pts.angle)
+    for port in ("bar", "cross"):
+        recs = amzi_interfere(trains["cw"], AmziConfig(5e-10, 0.4, port))
+        out[f"interfere-{port}"] = _digest([r.intensity_out for r in recs])
+    mode = InjectionMode.cw(master_angular_freq=3.1e9, phase_noise_sigma=0.3)
+    fringe = fringe_scan(mode, 0.5, np.linspace(0.0, TWO_PI, 24, endpoint=False),
+                         300, make_rng(77))
+    out["fringe-scan"] = _digest([r.intensity_out for r in fringe])
+    return out
+
+
+@pytest.fixture(scope="module")
+def pinned_digests():
+    return _pinned_digests()
+
+
+@pytest.mark.parametrize("key", sorted(PINS))
+def test_optics_outputs_are_pinned(key, pinned_digests):
+    assert pinned_digests[key] == PINS[key]
