@@ -23,7 +23,7 @@ from qkdtx import (
     config_from_dict,
     detector_preset,
     load_reference_points,
-    run_bb84_session,
+    protocols,
     run_sweep,
 )
 
@@ -40,9 +40,9 @@ for r in table.rows:
 
 # decoy-bound internals at the field-fiber loss
 rng = np.random.default_rng(cfg.seed)
-session = run_bb84_session(cfg.protocol, ChannelModel(16.7),
-                           detector_preset("snspd", cfg.protocol.clock_hz),
-                           4_000_000, rng, record_photon_truth=True)
+session = protocols.run_session(cfg.protocol, ChannelModel(16.7),
+                                detector_preset("snspd", cfg.protocol.clock_hz),
+                                4_000_000, rng, record_photon_truth=True)
 est = session.decoy
 truth = session.photon_truth
 print(f"\nat 16.7 dB: Y0 = {est.y0:.2e}, Y1 lower bound = {est.y1_lower:.4e} "

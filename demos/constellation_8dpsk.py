@@ -13,7 +13,7 @@ rng = np.random.default_rng(33)
 
 noiseless = constellation_eye(8, 0.0, 4096, rng)
 print("noiseless RZ-8DPSK:")
-print(f"  eye levels ({noiseless.n_eye_levels}): "
+print(f"  eye levels ({noiseless.eye_levels.size}): "
       f"{np.round(noiseless.eye_levels, 6).tolist()}")
 
 noisy = constellation_eye(8, 0.08, 4096, rng)

@@ -16,7 +16,6 @@ from .optics import (
     InjectionMode,
     InterferenceRecord,
     PulseTrain,
-    SIGMA_PHI_REFERENCE_VISIBILITY,
     amzi_interfere,
     amzi_intensity,
     constellation_eye,
@@ -60,8 +59,6 @@ from .protocols import (
     analytic_expectations,
     binary_entropy,
     decoy_estimate,
-    run_bb84_session,
-    run_dps_session,
     skr_bb84,
     skr_dps,
 )

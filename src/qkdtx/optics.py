@@ -23,10 +23,6 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-#: Differential-phase noise (rad) that reproduces a 98.3% fringe visibility
-#: through the Gaussian visibility law V = exp(-sigma^2 / 2).
-SIGMA_PHI_REFERENCE_VISIBILITY = 0.1851818502714049
-
 
 def reduce_phase(phi):
     """Reduce phase(s) into [0, 2*pi); values equal to 2*pi map to 0."""
@@ -257,10 +253,6 @@ class ConstellationReport:
     modulation_levels: int
     points: np.recarray
     eye_levels: np.ndarray
-
-    @property
-    def n_eye_levels(self) -> int:
-        return int(self.eye_levels.size)
 
 
 # ---------------------------------------------------------------------------

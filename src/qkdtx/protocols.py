@@ -10,8 +10,11 @@ Binomial(clicks, basis match) and the wrong decodes ~ Binomial(sifted,
 W / Q), with W the wrong-decode probability averaged over the phase noise
 once (:func:`_mean_wrong_click`). :func:`analytic_expectations` reads the
 same Q and W from :func:`_groups`, and a session costs the same at any
-number of units. DPS is the one-class, always-sifted case of the decoy
-BB84 session; both take their key rate from :func:`_key_rate`.
+number of units. :func:`run_session` runs either kind: DPS is the
+one-class, always-sifted case of the decoy BB84 session, its units the
+n - 1 interference slots of n pulses where BB84's are n pulse pairs. Both
+can split their tallies by emitted photon number (``record_photon_truth``)
+and take their key rate from :func:`_key_rate`.
 
 Sessions bypass the injection-locked transmitter (``optics.emit_pulse_train``)
 and take each differential phase as the programmed one plus N(0, sigma_phi),
@@ -165,16 +168,6 @@ class ProtocolConfig:
             raise ValueError("receiver_loss_db must be finite and >= 0")
         if not 0.0 < self.visibility_floor <= 1.0:
             raise ValueError("visibility_floor must be in (0, 1]")
-
-    @classmethod
-    def dps_default(cls, **overrides) -> "ProtocolConfig":
-        """2 GHz DPS with the calibrated phase noise and receiver loss."""
-        return cls(DPS, **overrides)
-
-    @classmethod
-    def bb84_default(cls, **overrides) -> "ProtocolConfig":
-        """1 GHz pulse-pair decoy BB84 with calibrated phase noise."""
-        return cls(BB84_DECOY, **overrides)
 
     def basis_match_probability(self) -> float:
         """Probability that a detection is sifted (1 for DPS: no bases)."""
@@ -497,19 +490,32 @@ _TRUTH_KEYS = (("sent_n0", "clicked_n0"),
                ("sent_n1", "clicked_n1", "sifted_n1", "errors_n1"))
 
 
-def _run_session(cfg: ProtocolConfig, channel: ChannelModel,
-                 det: DetectorModel, n_units, rng,
-                 record_photon_truth) -> SessionResult:
-    """Event-driven session over n_units interference units.
+def run_session(cfg: ProtocolConfig, channel: ChannelModel,
+                det: DetectorModel, n_pulses, rng,
+                record_photon_truth=False) -> SessionResult:
+    """Monte-Carlo session of the config's kind over n_pulses pulses.
+
+    Its units are the n_pulses - 1 interference slots of DPS, where a key
+    bit sets the differential phase of consecutive pulses to 0 or pi and
+    every detection is sifted, or the n_pulses pulse pairs of BB84, each with
+    an intensity class, a basis and a bit in its within-pair phase, sifted on
+    a basis match. A double click reads a random bit.
 
     Per class, the units sent come from one multinomial draw, the clicks
     from Binomial(sent, gain), the sifted clicks from Binomial(clicks, basis
     match) and the wrong decodes from Binomial(sifted, numerator / gain),
     per group of :func:`_groups`. Whether a unit clicks does not depend on
     its phase error, and phase errors are independent across units, so the
-    last draw is exact; a session costs the same at any n_units. Per-class
-    tallies feed :func:`_key_rate`.
+    last draw is exact; a session costs the same at any size.
+
+    ``record_photon_truth`` splits each class's units into groups of 0, 1
+    and >= 2 emitted photons with one more multinomial draw. The class
+    tallies are the group sums, with the same law; ``photon_truth`` tallies
+    the 0- and 1-photon units.
     """
+    if n_pulses < 1_000:
+        raise ValueError("n_pulses must be >= 1e3")
+    n_units = int(n_pulses) - 1 if cfg.kind == DPS else int(n_pulses)
     names, p_cls, mus = cfg.classes()
     eta_t = cfg.temporal_efficiency * _system_efficiency(cfg, channel, det)
     match = cfg.basis_match_probability()
@@ -552,49 +558,8 @@ def _run_session(cfg: ProtocolConfig, channel: ChannelModel,
     if est is not None:
         flags.extend(est.flags)
     return SessionResult(
-        protocol=cfg.kind, pulses_sent=n_units, per_intensity=tallies,
+        protocol=cfg.kind, pulses_sent=int(n_pulses), per_intensity=tallies,
         sifted_bits=total_sifted, errors=sig.errors, qber=qber,
         raw_rate_hz=cfg.clock_hz * total_clicks / n_units,
         sifted_rate_hz=sifted_rate, skr_bps=skr, flags=flags, decoy=est,
         photon_truth=truth if record_photon_truth else None)
-
-
-def run_dps_session(cfg: ProtocolConfig, channel: ChannelModel,
-                    det: DetectorModel, n_pulses, rng) -> SessionResult:
-    """Monte-Carlo DPS session.
-
-    n_pulses pulses make n_pulses - 1 interference slots, the session's
-    units: key bits set the differential phase of consecutive pulses to 0
-    or pi, every detection is sifted, and a double click reads a random bit.
-    """
-    if cfg.kind != DPS:
-        raise ValueError(f"run_dps_session needs a {DPS!r} config")
-    if n_pulses < 1_000:
-        raise ValueError("n_pulses must be >= 1e3")
-    result = _run_session(cfg, channel, det, int(n_pulses) - 1, rng,
-                          record_photon_truth=False)
-    return dataclasses.replace(result, pulses_sent=int(n_pulses))
-
-
-def run_bb84_session(cfg: ProtocolConfig, channel: ChannelModel,
-                     det: DetectorModel, n_pairs, rng,
-                     record_photon_truth=False) -> SessionResult:
-    """Monte-Carlo decoy-state BB84 session over pulse pairs.
-
-    Per pair: an intensity class, a basis and a bit encoded in the
-    within-pair differential phase (global phase re-randomized between
-    pairs); the receiver measures in a random basis, and sifting keeps
-    basis matches. Per-class gains and errors feed the decoy bounds.
-
-    ``record_photon_truth`` splits each class's pairs by emitted photon
-    number into 0, 1 and >= 2 photons with one multinomial draw, and draws
-    each group's clicks and errors from its own yield and wrong-decode
-    numerator (:func:`_groups`). The class tallies are the group sums, with
-    the same law; ``photon_truth`` tallies the 0- and 1-photon pairs.
-    """
-    if cfg.kind != BB84_DECOY:
-        raise ValueError(f"run_bb84_session needs a {BB84_DECOY!r} config")
-    if n_pairs < 1_000:
-        raise ValueError("n_pairs must be >= 1e3")
-    return _run_session(cfg, channel, det, int(n_pairs), rng,
-                        record_photon_truth)

@@ -33,10 +33,11 @@ from qkdtx.optics import (
     sigma_phi_for_visibility,
 )
 from qkdtx.protocols import (
+    BB84_DECOY,
+    DPS,
     ProtocolConfig,
     analytic_expectations,
-    run_bb84_session,
-    run_dps_session,
+    run_session,
 )
 from qkdtx.randomness import (
     byte_autocorrelation,
@@ -142,9 +143,9 @@ def test_criterion_4_8dpsk_constellation():
     for cluster in range(8):
         dev = reduce_phase(angles[k == cluster] - cluster * TWO_PI / 8 + np.pi) - np.pi
         worst_mean = max(worst_mean, abs(float(dev.mean())))
-    ok = set(k) == set(range(8)) and worst_mean < 1e-9 and rep.n_eye_levels == 5
+    ok = set(k) == set(range(8)) and worst_mean < 1e-9 and rep.eye_levels.size == 5
     assert verdict(4, ok, f"8 clusters, worst mean-angle error = {worst_mean:.2e}, "
-                          f"{rep.n_eye_levels} eye levels")
+                          f"{rep.eye_levels.size} eye levels")
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +204,14 @@ def test_criterion_6_bb84_reference_points():
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_apd_qber_and_bb84_rate():
-    cfg_b = ProtocolConfig.bb84_default()
+    cfg_b = ProtocolConfig(BB84_DECOY)
     apd_b = detector_preset("apd", gate_rate_hz=cfg_b.clock_hz)
-    rb = run_bb84_session(cfg_b, ChannelModel(10.0), apd_b, 20_000_000,
-                          make_rng(42))
-    cfg_d = ProtocolConfig.dps_default()
+    rb = run_session(cfg_b, ChannelModel(10.0), apd_b, 20_000_000,
+                     make_rng(42))
+    cfg_d = ProtocolConfig(DPS)
     apd_d = detector_preset("apd", gate_rate_hz=cfg_d.clock_hz)
-    rd = run_dps_session(cfg_d, ChannelModel(10.0), apd_d, 40_000_000,
-                         make_rng(42))
+    rd = run_session(cfg_d, ChannelModel(10.0), apd_d, 40_000_000,
+                     make_rng(42))
     ok_bb = abs(rb.qber - 0.032) <= 0.007 and 840e3 / 2 <= rb.skr_bps <= 840e3 * 2
     ok_dq = abs(rd.qber - 0.035) <= 0.007
     ok = ok_bb and ok_dq
@@ -229,10 +230,10 @@ def test_criterion_7_apd_qber_and_bb84_rate():
            "the model places the APD rate within ~15% of the SNSPD rate "
            "rather than 3.2x below it.")
 def test_criterion_7_dps_apd_rate_band():
-    cfg_d = ProtocolConfig.dps_default()
+    cfg_d = ProtocolConfig(DPS)
     apd_d = detector_preset("apd", gate_rate_hz=cfg_d.clock_hz)
-    rd = run_dps_session(cfg_d, ChannelModel(10.0), apd_d, 40_000_000,
-                         make_rng(42))
+    rd = run_session(cfg_d, ChannelModel(10.0), apd_d, 40_000_000,
+                     make_rng(42))
     ok = 125e3 / 2 <= rd.skr_bps <= 125e3 * 2
     assert verdict(7, ok, f"DPS APD SKR = {rd.skr_bps / 1e3:.0f} kb/s "
                           f"(factor 2 of 125)")
@@ -243,14 +244,14 @@ def test_criterion_7_dps_apd_rate_band():
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_decoy_soundness():
-    cfg = ProtocolConfig.bb84_default()
+    cfg = ProtocolConfig(BB84_DECOY)
     det = detector_preset("snspd", gate_rate_hz=cfg.clock_hz)
     ch = ChannelModel(10.0)
     sound = 0
     trials = 100
     for seed in range(trials):
-        s = run_bb84_session(cfg, ch, det, 200_000, make_rng(8000 + seed),
-                             record_photon_truth=True)
+        s = run_session(cfg, ch, det, 200_000, make_rng(8000 + seed),
+                        record_photon_truth=True)
         t = s.photon_truth
         true_y1 = t["clicked_n1"] / t["sent_n1"]
         if s.decoy.y1_lower <= true_y1 + 3 * s.decoy.y1_lower_se:
@@ -291,21 +292,21 @@ def test_criterion_9_mc_analytic_consistency():
     for loss in (0.0, 10.0, 20.0):
         ch = ChannelModel(loss)
 
-        cfg = ProtocolConfig.dps_default()
+        cfg = ProtocolConfig(DPS)
         det = detector_preset("snspd", gate_rate_hz=cfg.clock_hz)
         a = analytic_expectations(cfg, ch, det)
-        s = run_dps_session(cfg, ch, det, 10_000_000, make_rng(900 + int(loss)))
+        s = run_session(cfg, ch, det, 10_000_000, make_rng(900 + int(loss)))
         t = s.per_intensity["signal"]
         _counts_within(t.clicks, t.sent, a.gains["signal"],
                        f"dps {loss} dB clicks", failures)
         _counts_within(t.errors, t.sifted, a.error_rates["signal"],
                        f"dps {loss} dB errors", failures)
 
-        cfg_b = ProtocolConfig.bb84_default()
+        cfg_b = ProtocolConfig(BB84_DECOY)
         det_b = detector_preset("snspd", gate_rate_hz=cfg_b.clock_hz)
         ab = analytic_expectations(cfg_b, ch, det_b)
-        sb = run_bb84_session(cfg_b, ch, det_b, 10_000_000,
-                              make_rng(950 + int(loss)))
+        sb = run_session(cfg_b, ch, det_b, 10_000_000,
+                         make_rng(950 + int(loss)))
         total_clicks = 0
         for cls in ("vacuum", "decoy", "signal"):
             tc = sb.per_intensity[cls]

@@ -1,7 +1,8 @@
 """The demos import only names the package exports, and run to completion.
 
-Each demo runs in a subprocess with ``src`` on ``PYTHONPATH`` and its working
-directory in a temporary folder, where any figure it writes lands.
+Each demo runs in a subprocess with ``src`` on ``PYTHONPATH``, warnings
+turned into errors and its working directory in a temporary folder, where
+any figure it writes lands.
 """
 
 import ast
@@ -32,6 +33,8 @@ def test_demo_imports_exist(path):
 def test_demo_runs(path, tmp_path):
     path_entries = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
-    done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+    # -W error: the subprocess does not inherit pytest's warnings filter
+    done = subprocess.run([sys.executable, "-W", "error", str(path)],
+                          cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]

@@ -77,11 +77,10 @@ def test_provenance_tags_exactly_the_omitted_fields():
         assert set(cfg.provenance) == p_out | d_out | c_out | n_out, raw
         assert all(isinstance(v, str) and v for v in cfg.provenance.values())
     # the loaded defaults are the kind's defaults, field by field
-    for kind, factory in (("dps", ProtocolConfig.dps_default),
-                          ("bb84-decoy", ProtocolConfig.bb84_default)):
+    for kind in ("dps", "bb84-decoy"):
         cfg = config_from_dict({"protocol": {"kind": kind},
                                 "channel": {"loss_db": 10}, "seed": 1})
-        assert cfg.protocol == factory()
+        assert cfg.protocol == ProtocolConfig(kind)
         assert cfg.detector.label == "snspd"
         assert cfg.pulses_per_point == 1_000_000
 
@@ -579,6 +578,35 @@ def test_cli_constellation_bytes_are_pinned(tmp_path):
     assert len(blob) == 1_688_705
     assert hashlib.sha256(blob).hexdigest() == (
         "732f056e8338f18b2eb08cd0700ca6bbbcc5ed1164c5dc0e5dd2c5d16cc69d31")
+
+
+#: sha256 of each bundled config's CLI outputs: the sweep CSV on 1 worker,
+#: the sweep JSON on 8 and `simulate --loss-db 20`. They pin the Monte-Carlo
+#: tallies, the analytic columns and every key rate.
+BUNDLED_OUTPUT_SHA256 = {
+    "dps_snspd.json": (
+        "2488bd645838fe1b7675d27089bd41dfba1a3ad1fed9b54970551e17e49f8692",
+        "737150354bb226d7d39347a16c3d48b537a88c2d3a4de4173e829a97e59fc340",
+        "0ac1257ed40fd653a7b14735618ffbc573dfe9f216f676deda67d61068102a30"),
+    "bb84_snspd.json": (
+        "bdbdeea3c8479664372fc188db8c41fbd4a1331ddcdce1a7a1ec01663cd2bd70",
+        "03604dab4ce9f68096e566eec1f3d3991ad0fd6ef2734a4c4139666bd977428b",
+        "f6ff0de88f693d26f7a5edb990079619c8928b9e28c71756157abed60bd7c9c9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_OUTPUT_SHA256))
+def test_bundled_outputs_are_pinned(tmp_path, name):
+    from importlib import resources
+    cfgp = str(resources.files("qkdtx.data").joinpath(name))
+    out = tmp_path / "out"
+    digests = []
+    for argv in (["sweep", "--workers", "1"],
+                 ["sweep", "--workers", "8", "--format", "json"],
+                 ["simulate", "--loss-db", "20"]):
+        assert cli.main([*argv, "--config", cfgp, "--out", str(out)]) == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert tuple(digests) == BUNDLED_OUTPUT_SHA256[name]
 
 
 @pytest.mark.parametrize("levels, sigma", itertools.product((2, 3, 8), (0.0, 0.3)))

@@ -14,11 +14,12 @@ from qkdtx.linkmodel import (
     transmittance,
 )
 from qkdtx.protocols import (
+    BB84_DECOY,
+    DPS,
     ProtocolConfig,
     _click_probability,
     analytic_expectations,
-    run_bb84_session,
-    run_dps_session,
+    run_session,
 )
 
 
@@ -80,11 +81,11 @@ def test_detector_validation():
 def test_simulate_detection_dark_fraction():
     # with no light both ports click only on darks, at the SNSPD per-gate
     # probability 4.5e-8: 5e7 DPS slots are 1e8 detector gates
-    cfg = ProtocolConfig.dps_default()
+    cfg = ProtocolConfig(DPS)
     blind = dataclasses.replace(detector_preset("snspd", cfg.clock_hz),
                                 efficiency=0.0)
     n = 50_000_000
-    s = run_dps_session(cfg, ChannelModel(0.0), blind, n + 1, make_rng(3))
+    s = run_session(cfg, ChannelModel(0.0), blind, n + 1, make_rng(3))
     p = 1 - (1 - blind.p_dark) ** 2
     expect = n * p
     clicks = s.per_intensity["signal"].clicks
@@ -93,9 +94,9 @@ def test_simulate_detection_dark_fraction():
 
 def test_simulate_detection_dark_free_zero_intensity():
     det = DetectorModel(efficiency=0.0, dark_rate_hz=0.0, gate_rate_hz=1e9)
-    for cfg, session in ((ProtocolConfig.dps_default(), run_dps_session),
-                         (ProtocolConfig.bb84_default(), run_bb84_session)):
-        s = session(cfg, ChannelModel(0.0), det, 1_000_000, make_rng(1))
+    for kind in (DPS, BB84_DECOY):
+        s = run_session(ProtocolConfig(kind), ChannelModel(0.0), det, 1_000_000,
+                        make_rng(1))
         assert all(t.clicks == 0 for t in s.per_intensity.values())
 
 
@@ -123,7 +124,7 @@ def test_click_probability_monotone():
     # the analytic per-pulse gain rises with mu, efficiency and dark rate
     # and falls with loss
     def gain(mu, loss, eff, dark):
-        cfg = ProtocolConfig.dps_default(mu_signal=mu)
+        cfg = ProtocolConfig(DPS, mu_signal=mu)
         det = DetectorModel(eff, dark, cfg.clock_hz)
         return analytic_expectations(cfg, ChannelModel(loss), det).gains["signal"]
 

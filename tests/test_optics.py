@@ -15,7 +15,6 @@ from qkdtx.optics import (
     InjectionMode,
     InterferenceRecord,
     PulseTrain,
-    SIGMA_PHI_REFERENCE_VISIBILITY,
     amzi_intensity,
     amzi_interfere,
     constellation_eye,
@@ -154,7 +153,7 @@ def test_injection_mode_validation():
 
 def test_sigma_calibration_helpers():
     s = sigma_phi_for_visibility(0.983)
-    assert s == pytest.approx(SIGMA_PHI_REFERENCE_VISIBILITY, abs=1e-12)
+    assert s == pytest.approx(0.1851818502714049, abs=1e-12)
     assert np.exp(-s**2 / 2) == pytest.approx(0.983, abs=1e-12)
     assert sigma_phi_for_error_rate(0.0) == 0.0
     with pytest.raises(ValueError):
@@ -411,7 +410,7 @@ def test_visibility_law_across_sigmas():
     # Monte-Carlo fringe contrast vs V = exp(-sigma^2/2), 3 standard errors
     grid = np.linspace(0, TWO_PI, 128, endpoint=False)
     n_per = 2500
-    for sigma in (0.0, 0.1, SIGMA_PHI_REFERENCE_VISIBILITY, 0.5):
+    for sigma in (0.0, 0.1, 0.1851818502714049, 0.5):
         mode = InjectionMode.cw(phase_noise_sigma=sigma)
         recs = fringe_scan(mode, 1.0, grid, n_per, make_rng(18))
         v = fringe_visibility(recs)
@@ -437,18 +436,18 @@ def test_visibility_errors():
 def test_eye_level_counts():
     rng = make_rng(19)
     r8 = constellation_eye(8, 0.0, 64, rng)
-    assert r8.n_eye_levels == 5
+    assert r8.eye_levels.size == 5
     r2 = constellation_eye(2, 0.0, 16, rng)
-    assert r2.n_eye_levels == 2
+    assert r2.eye_levels.size == 2
     assert np.allclose(r2.eye_levels, [0.0, 1.0])
     r4 = constellation_eye(4, 0.0, 16, rng)
-    assert r4.n_eye_levels == 3
+    assert r4.eye_levels.size == 3
     assert np.allclose(r4.eye_levels, [0.0, 0.5, 1.0])
 
 
 def test_eye_levels_odd_m_reported():
     r3 = constellation_eye(3, 0.0, 9, make_rng(20))
-    assert r3.n_eye_levels == 2  # cos(0) and the degenerate pair cos(+-2pi/3)
+    assert r3.eye_levels.size == 2  # cos(0) and the degenerate pair cos(+-2pi/3)
 
 
 def test_constellation_validation():

@@ -23,8 +23,7 @@ from qkdtx.protocols import (
     analytic_expectations,
     binary_entropy,
     decoy_estimate,
-    run_bb84_session,
-    run_dps_session,
+    run_session,
     skr_bb84,
     skr_dps,
 )
@@ -72,16 +71,16 @@ def test_config_validation():
     with pytest.raises(ValueError, match="mu_decoy"):
         ProtocolConfig(kind=BB84_DECOY, clock_hz=1e9, mu_decoy=0.0)
     # the closed form's phase average is exact up to MU_SIGNAL_MAX photons
-    assert ProtocolConfig.dps_default(mu_signal=MU_SIGNAL_MAX).mu_signal == 20.0
+    assert ProtocolConfig(DPS, mu_signal=MU_SIGNAL_MAX).mu_signal == 20.0
     with pytest.raises(ValueError, match="mu_signal"):
-        ProtocolConfig.bb84_default(mu_signal=20.5)
+        ProtocolConfig(BB84_DECOY, mu_signal=20.5)
     with pytest.raises(ValueError, match="mu_signal"):
-        ProtocolConfig.dps_default(mu_signal=0.0)
+        ProtocolConfig(DPS, mu_signal=0.0)
     # DPS has no decoy class or basis choice: it holds None in those fields,
     # rejects each of them by name, and takes any mu_signal up to the bound
     dps = ProtocolConfig(kind=DPS)
-    assert dps == ProtocolConfig.dps_default()
-    assert ProtocolConfig.dps_default(mu_signal=0.1).mu_signal == 0.1
+    assert dps == ProtocolConfig(DPS)
+    assert ProtocolConfig(DPS, mu_signal=0.1).mu_signal == 0.1
     for field in ("mu_decoy", "p_signal", "p_decoy", "p_vacuum", "basis_prob_x"):
         assert getattr(dps, field) is None
         for value in (0.0, 0.5):
@@ -93,9 +92,9 @@ def test_config_validation():
         ProtocolConfig(kind=["dps"])
     # each class probability lies in [0, 1], not only their sum at 1
     with pytest.raises(ValueError, match="p_vacuum"):
-        ProtocolConfig.bb84_default(p_vacuum=-0.25, p_decoy=0.25, p_signal=1.0)
+        ProtocolConfig(BB84_DECOY, p_vacuum=-0.25, p_decoy=0.25, p_signal=1.0)
     with pytest.raises(ValueError, match="p_decoy"):
-        ProtocolConfig.bb84_default(p_vacuum=0.25, p_decoy=-0.25, p_signal=1.0)
+        ProtocolConfig(BB84_DECOY, p_vacuum=0.25, p_decoy=-0.25, p_signal=1.0)
     # NaN and inf fail each field's check, not only through the loader
     nan, inf = float("nan"), float("inf")
     for field, value, message in (
@@ -104,14 +103,14 @@ def test_config_validation():
             ("receiver_loss_db", nan, "receiver_loss_db"),
             ("p_signal", nan, "probabilities")):
         with pytest.raises(ValueError, match=message):
-            ProtocolConfig.bb84_default(**{field: value})
+            ProtocolConfig(BB84_DECOY, **{field: value})
 
 
 def test_default_configs():
-    d = ProtocolConfig.dps_default()
+    d = ProtocolConfig(DPS)
     assert d.clock_hz == 2e9 and d.temporal_efficiency == 1.0
     assert d.mu_signal == 0.5 and d.f_ec == pytest.approx(1 / 0.9)
-    b = ProtocolConfig.bb84_default()
+    b = ProtocolConfig(BB84_DECOY)
     assert b.clock_hz == 1e9 and b.temporal_efficiency == 0.5
     assert b.p_signal == pytest.approx(14 / 16)
     assert b.basis_match_probability() == pytest.approx(0.5)
@@ -175,14 +174,14 @@ def test_poisson_expansion_oracle():
 
 def test_decoy_soundness_sampled():
     # MC bound stays below the true single-photon yield (3 SE allowance)
-    cfg = ProtocolConfig.bb84_default()
+    cfg = ProtocolConfig(BB84_DECOY)
     ch = ChannelModel(10.0)
     det = snspd(cfg.clock_hz)
     ok = 0
     trials = 20
     for seed in range(trials):
-        s = run_bb84_session(cfg, ch, det, 200_000, make_rng(seed),
-                             record_photon_truth=True)
+        s = run_session(cfg, ch, det, 200_000, make_rng(seed),
+                        record_photon_truth=True)
         t = s.photon_truth
         true_y1 = t["clicked_n1"] / t["sent_n1"]
         if s.decoy.y1_lower <= true_y1 + 3 * s.decoy.y1_lower_se:
@@ -195,7 +194,7 @@ def test_decoy_soundness_sampled():
 # ---------------------------------------------------------------------------
 
 def test_skr_dps_limits():
-    cfg = ProtocolConfig.dps_default()
+    cfg = ProtocolConfig(DPS)
     # collision probability 1/2 at zero error: the full sifted rate survives
     assert skr_dps(1e6, 0.0, 0.5, cfg) == pytest.approx(1e6, rel=1e-12)
     assert skr_dps(0.0, 0.1, 0.5, cfg) == 0.0
@@ -206,7 +205,7 @@ def test_skr_dps_limits():
 
 
 def test_skr_bb84_limits():
-    cfg = ProtocolConfig.bb84_default()
+    cfg = ProtocolConfig(BB84_DECOY)
     est = DecoyEstimates(y0=0.0, y1_lower=0.0, e1_upper=0.0, q1=0.0)
     assert skr_bb84(est, 1e-3, 0.02, cfg) == 0.0
     # noiseless collapse: R = sift * clock * p_signal * Q1
@@ -221,37 +220,27 @@ def test_skr_bb84_limits():
 # ---------------------------------------------------------------------------
 
 def test_dps_noiseless_limit():
-    cfg = ProtocolConfig.dps_default(sigma_phi=0.0, receiver_loss_db=0.0)
+    cfg = ProtocolConfig(DPS, sigma_phi=0.0, receiver_loss_db=0.0)
     det = DetectorModel(efficiency=1.0, dark_rate_hz=0.0, gate_rate_hz=2e9)
-    s = run_dps_session(cfg, ChannelModel(0.0), det, 100_000, make_rng(1))
+    s = run_session(cfg, ChannelModel(0.0), det, 100_000, make_rng(1))
     assert s.qber == 0.0
     assert s.sifted_bits == s.per_intensity["signal"].clicks
     assert s.skr_bps > 0
 
 
-def test_dps_wrong_kind():
-    cfg = ProtocolConfig.bb84_default()
-    det = snspd(1e9)
-    with pytest.raises(ValueError, match="dps"):
-        run_dps_session(cfg, ChannelModel(0.0), det, 10_000, make_rng(0))
-    cfg2 = ProtocolConfig.dps_default()
-    with pytest.raises(ValueError, match="bb84"):
-        run_bb84_session(cfg2, ChannelModel(0.0), snspd(2e9), 10_000, make_rng(0))
-
-
 def test_dps_zero_detections_flagged():
-    cfg = ProtocolConfig.dps_default()
+    cfg = ProtocolConfig(DPS)
     det = DetectorModel(efficiency=1e-6, dark_rate_hz=0.0, gate_rate_hz=2e9)
-    s = run_dps_session(cfg, ChannelModel(60.0), det, 1_000, make_rng(2))
+    s = run_session(cfg, ChannelModel(60.0), det, 1_000, make_rng(2))
     assert s.skr_bps == 0.0
     assert "no-detections" in s.flags
 
 
 def test_bb84_noiseless_limit_and_basis_match():
-    cfg = ProtocolConfig.bb84_default(sigma_phi=0.0)
+    cfg = ProtocolConfig(BB84_DECOY, sigma_phi=0.0)
     det = DetectorModel(efficiency=1.0, dark_rate_hz=0.0, gate_rate_hz=1e9)
     n = 200_000
-    s = run_bb84_session(cfg, ChannelModel(0.0), det, n, make_rng(3))
+    s = run_session(cfg, ChannelModel(0.0), det, n, make_rng(3))
     assert s.qber == 0.0
     clicks = sum(t.clicks for t in s.per_intensity.values())
     # sifted fraction matches the basis-match probability within 3 sigma
@@ -260,10 +249,10 @@ def test_bb84_noiseless_limit_and_basis_match():
 
 
 def test_bb84_vacuum_yield_matches_dark_rate():
-    cfg = ProtocolConfig.bb84_default()
+    cfg = ProtocolConfig(BB84_DECOY)
     det = DetectorModel(efficiency=0.8, dark_rate_hz=1e6, gate_rate_hz=1e9)
     n = 2_000_000
-    s = run_bb84_session(cfg, ChannelModel(20.0), det, n, make_rng(4))
+    s = run_session(cfg, ChannelModel(20.0), det, n, make_rng(4))
     t = s.per_intensity["vacuum"]
     p_dark_unit = 1 - (1 - det.p_dark) ** 2
     expect = t.sent * p_dark_unit
@@ -273,17 +262,17 @@ def test_bb84_vacuum_yield_matches_dark_rate():
 def test_dps_dark_only_click_rate():
     # a blind detector clicks only on darks: never without them, and at
     # the per-unit dark gain 1 - (1 - p_dark)^2 with random bits otherwise
-    cfg = ProtocolConfig.dps_default()
+    cfg = ProtocolConfig(DPS)
     blind = DetectorModel(efficiency=0.0, dark_rate_hz=0.0, gate_rate_hz=2e9)
-    s = run_dps_session(cfg, ChannelModel(0.0), blind, 100_000, make_rng(5))
+    s = run_session(cfg, ChannelModel(0.0), blind, 100_000, make_rng(5))
     assert s.per_intensity["signal"].clicks == 0
 
     dark = DetectorModel(efficiency=0.0, dark_rate_hz=2e5, gate_rate_hz=2e9)
     a = analytic_expectations(cfg, ChannelModel(0.0), dark)
     assert a.gains["signal"] == pytest.approx(1 - (1 - 1e-4) ** 2, rel=1e-12)
     assert a.qber == pytest.approx(0.5)
-    t = run_dps_session(cfg, ChannelModel(0.0), dark, 1_000_000,
-                        make_rng(6)).per_intensity["signal"]
+    t = run_session(cfg, ChannelModel(0.0), dark, 1_000_000,
+                    make_rng(6)).per_intensity["signal"]
     expect = t.sent * a.gains["signal"]
     assert abs(t.clicks - expect) <= 5 * np.sqrt(expect)
     assert abs(t.errors - t.clicks / 2) <= 5 * np.sqrt(t.clicks / 4)
@@ -291,9 +280,9 @@ def test_dps_dark_only_click_rate():
 
 def test_bb84_qber_floor_dark_dominated():
     # vacuum detections carry no signal: their error rate sits at 1/2
-    cfg = ProtocolConfig.bb84_default()
+    cfg = ProtocolConfig(BB84_DECOY)
     det = DetectorModel(efficiency=0.8, dark_rate_hz=1e6, gate_rate_hz=1e9)
-    s = run_bb84_session(cfg, ChannelModel(20.0), det, 2_000_000, make_rng(5))
+    s = run_session(cfg, ChannelModel(20.0), det, 2_000_000, make_rng(5))
     t = s.per_intensity["vacuum"]
     se = np.sqrt(0.25 / t.sifted)
     assert abs(t.errors / t.sifted - 0.5) <= 3 * se
@@ -302,10 +291,10 @@ def test_bb84_qber_floor_dark_dominated():
 
 
 def test_session_rng_determinism():
-    cfg = ProtocolConfig.dps_default()
+    cfg = ProtocolConfig(DPS)
     det = snspd(2e9)
-    r1 = run_dps_session(cfg, ChannelModel(10.0), det, 50_000, make_rng(6))
-    r2 = run_dps_session(cfg, ChannelModel(10.0), det, 50_000, make_rng(6))
+    r1 = run_session(cfg, ChannelModel(10.0), det, 50_000, make_rng(6))
+    r2 = run_session(cfg, ChannelModel(10.0), det, 50_000, make_rng(6))
     assert r1.to_dict() == r2.to_dict()
 
 
@@ -317,16 +306,16 @@ def test_session_streams_pinned():
                 for name, t in s.per_intensity.items()}
 
     ch = ChannelModel(10.0)
-    dps = ProtocolConfig.dps_default()
-    s = run_dps_session(dps, ch, snspd(dps.clock_hz), 200_000, make_rng(123))
+    dps = ProtocolConfig(DPS)
+    s = run_session(dps, ch, snspd(dps.clock_hz), 200_000, make_rng(123))
     assert tallies(s) == {"signal": (199999, 1187, 1187, 25)}
 
-    bb = ProtocolConfig.bb84_default()
-    s = run_bb84_session(bb, ch, snspd(bb.clock_hz), 200_000, make_rng(123))
+    bb = ProtocolConfig(BB84_DECOY)
+    s = run_session(bb, ch, snspd(bb.clock_hz), 200_000, make_rng(123))
     assert tallies(s) == {"vacuum": (12699, 0, 0, 0), "decoy": (12511, 59, 34, 1),
                           "signal": (174790, 3400, 1672, 36)}
-    s = run_bb84_session(bb, ch, snspd(bb.clock_hz), 200_000, make_rng(123),
-                         record_photon_truth=True)
+    s = run_session(bb, ch, snspd(bb.clock_hz), 200_000, make_rng(123),
+                    record_photon_truth=True)
     assert tallies(s) == {"vacuum": (12699, 0, 0, 0), "decoy": (12511, 58, 29, 0),
                           "signal": (174790, 3509, 1762, 40)}
     assert s.photon_truth == {"sent_n0": 129620, "clicked_n0": 0,
@@ -343,11 +332,11 @@ def test_transmitter_phase_noise_is_the_session_law(kind, e_opt):
     rng = make_rng(41)
     n = 200_000
     if kind == DPS:
-        cfg = ProtocolConfig.dps_default()
+        cfg = ProtocolConfig(DPS)
         seq = DifferentialPhaseSequence(np.pi * rng.integers(0, 2, n), 2)
         data = np.ones(n, dtype=bool)
     else:
-        cfg = ProtocolConfig.bb84_default()
+        cfg = ProtocolConfig(BB84_DECOY)
         steps = (np.pi / 2) * rng.integers(0, 4, 2 * n)
         boundary = np.arange(2 * n) % 2 == 1
         seq = DifferentialPhaseSequence(steps, 4, pair_boundary=boundary)
@@ -368,9 +357,16 @@ def test_transmitter_phase_noise_is_the_session_law(kind, e_opt):
 
 
 def test_session_minimum_size():
-    cfg = ProtocolConfig.dps_default()
-    with pytest.raises(ValueError):
-        run_dps_session(cfg, ChannelModel(0.0), snspd(2e9), 100, make_rng(0))
+    # 1,000 pulses is the smallest session of either kind; DPS sends its
+    # 999 interference slots and reports the 1,000 pulses
+    for kind, units in ((DPS, 999), (BB84_DECOY, 1_000)):
+        cfg = ProtocolConfig(kind)
+        det = snspd(cfg.clock_hz)
+        with pytest.raises(ValueError, match="n_pulses"):
+            run_session(cfg, ChannelModel(0.0), det, 999, make_rng(0))
+        s = run_session(cfg, ChannelModel(0.0), det, 1_000, make_rng(0))
+        assert s.pulses_sent == 1_000
+        assert sum(t.sent for t in s.per_intensity.values()) == units
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +374,7 @@ def test_session_minimum_size():
 # ---------------------------------------------------------------------------
 
 def test_analytic_vacuum_limit():
-    cfg = ProtocolConfig.bb84_default()
+    cfg = ProtocolConfig(BB84_DECOY)
     det = snspd(1e9)
     a = analytic_expectations(cfg, ChannelModel(10.0), det)
     p_dark_unit = 1 - (1 - det.p_dark) ** 2
@@ -387,8 +383,8 @@ def test_analytic_vacuum_limit():
 
 
 def test_analytic_noise_free_errors_vanish():
-    for cfg in (ProtocolConfig.dps_default(sigma_phi=0.0),
-                ProtocolConfig.bb84_default(sigma_phi=0.0)):
+    for cfg in (ProtocolConfig(DPS, sigma_phi=0.0),
+                ProtocolConfig(BB84_DECOY, sigma_phi=0.0)):
         det = DetectorModel(efficiency=0.8, dark_rate_hz=0.0,
                             gate_rate_hz=cfg.clock_hz)
         a = analytic_expectations(cfg, ChannelModel(10.0), det)
@@ -398,11 +394,11 @@ def test_analytic_noise_free_errors_vanish():
 
 
 def test_analytic_matches_mc_moderate_loss():
-    cfg = ProtocolConfig.dps_default()
+    cfg = ProtocolConfig(DPS)
     ch = ChannelModel(10.0)
     det = snspd(2e9)
     a = analytic_expectations(cfg, ch, det)
-    s = run_dps_session(cfg, ch, det, 2_000_000, make_rng(7))
+    s = run_session(cfg, ch, det, 2_000_000, make_rng(7))
     t = s.per_intensity["signal"]
     q = a.gains["signal"]
     assert abs(t.clicks - t.sent * q) <= 4 * np.sqrt(t.sent * q * (1 - q))
@@ -509,20 +505,20 @@ def test_mc_tallies_match_analytic_across_configs(
     kw = dict(mu_signal=mu, sigma_phi=sigma_phi, visibility_floor=visibility_floor)
     n = 200_000
     if kind == DPS:
-        cfg = ProtocolConfig.dps_default(**kw)
-        session, units = run_dps_session, n - 1  # interference slots
+        cfg = ProtocolConfig(DPS, **kw)
+        units = n - 1  # interference slots
         send, match = {"signal": 1.0}, 1.0
     else:
-        cfg = ProtocolConfig.bb84_default(
+        cfg = ProtocolConfig(BB84_DECOY, 
             **kw, mu_decoy=mu * nu_fraction, p_decoy=p_decoy, p_vacuum=p_vacuum,
             p_signal=1.0 - p_decoy - p_vacuum)
-        session, units = run_bb84_session, n
+        units = n
         send = dict(zip(INTENSITY_CLASSES, cfg.class_probabilities()))
         match = cfg.basis_match_probability()
     det = detector_preset(preset, gate_rate_hz=cfg.clock_hz)
     ch = ChannelModel(loss_db)
     a = analytic_expectations(cfg, ch, det)
-    s = session(cfg, ch, det, n, make_rng(seed))
+    s = run_session(cfg, ch, det, n, make_rng(seed))
     session_tallies = {name: (t.sent, t.clicks, t.sifted, t.errors)
                        for name, t in s.per_intensity.items()}
     dense = dense_tallies(cfg, ch, det, units, make_rng(seed))
@@ -538,24 +534,19 @@ def test_mc_tallies_match_analytic_across_configs(
 
 
 @pytest.mark.parametrize("n", [10 ** 10, 10 ** 12], ids=["1e10", "1e12"])
-@pytest.mark.parametrize("variant", ["bb84", "bb84-truth", "dps"])
-def test_bb84_session_past_int32_counts(variant, n):
+@pytest.mark.parametrize("variant", ["bb84", "bb84-truth", "dps", "dps-truth"])
+def test_session_past_int32_counts(variant, n):
     # the signal class alone sends more than 2^31 units, so an int32 count
     # in the multinomial or binomial draws would show here; a session costs
     # the same at 1e12 units as at 1e10
     ch = ChannelModel(30.0)
-    if variant == "dps":
-        cfg = ProtocolConfig.dps_default()
-        det = snspd(cfg.clock_hz)
-        s = run_dps_session(cfg, ch, det, n, make_rng(12))
-        units, send = n - 1, {"signal": 1.0}
-    else:
-        cfg = ProtocolConfig.bb84_default()
-        det = snspd(cfg.clock_hz)
-        s = run_bb84_session(cfg, ch, det, n, make_rng(12),
-                             record_photon_truth=variant == "bb84-truth")
-        units = n
-        send = dict(zip(INTENSITY_CLASSES, cfg.class_probabilities()))
+    cfg = ProtocolConfig(DPS if variant.startswith("dps") else BB84_DECOY)
+    det = snspd(cfg.clock_hz)
+    s = run_session(cfg, ch, det, n, make_rng(12),
+                    record_photon_truth=variant.endswith("truth"))
+    names, p_cls, mus = cfg.classes()
+    units = n - 1 if cfg.kind == DPS else n  # DPS: interference slots
+    send = dict(zip(names, p_cls))
     a = analytic_expectations(cfg, ch, det)
     match = cfg.basis_match_probability()
     assert s.per_intensity["signal"].sent > 2 ** 31
@@ -566,9 +557,9 @@ def test_bb84_session_past_int32_counts(variant, n):
         assert _binomial_5_sigma(t.clicks, t.sent, a.gains[name]), name
         assert _binomial_5_sigma(t.sifted, t.clicks, match), name
         assert _binomial_5_sigma(t.errors, t.sifted, a.error_rates[name]), name
-    if variant != "bb84-truth":
+    if not variant.endswith("truth"):
         return
-    # zero- and one-photon pairs: the yields Y0, Y1 and the one-photon
+    # zero- and one-photon units: the yields Y0, Y1 and the one-photon
     # wrong-decode numerator w1 of README's click model
     t = s.photon_truth
     eta_t = cfg.temporal_efficiency * _system_efficiency(cfg, ch, det)
@@ -578,8 +569,7 @@ def test_bb84_session_past_int32_counts(variant, n):
     w1 = (eta_t * (1 + c) / 2 * det.p_dark / 2
           + eta_t * (1 - c) / 2 * (1 - det.p_dark / 2) + (1 - eta_t) * y0 / 2)
     # sent_n0 and sent_n1 are each a sum of one binomial per class
-    sent = np.array([s.per_intensity[k].sent for k in ("signal", "decoy", "vacuum")])
-    mus = np.array([cfg.mu_signal, cfg.mu_decoy, 0.0])
+    sent = np.array([s.per_intensity[k].sent for k in names])
     for key, p in (("sent_n0", np.exp(-mus)), ("sent_n1", mus * np.exp(-mus))):
         sd = np.sqrt(np.dot(sent, p * (1 - p)))
         assert abs(t[key] - np.dot(sent, p)) <= 5 * sd + 1, key
@@ -592,8 +582,8 @@ def test_bb84_session_past_int32_counts(variant, n):
 def test_skr_monotonicity_grids():
     det = snspd(2e9)
     detb = snspd(1e9)
-    dps = ProtocolConfig.dps_default()
-    bb = ProtocolConfig.bb84_default()
+    dps = ProtocolConfig(DPS)
+    bb = ProtocolConfig(BB84_DECOY)
 
     def skr_of(cfg, d, loss):
         return analytic_expectations(cfg, ChannelModel(loss), d).skr_bps
@@ -627,7 +617,7 @@ def test_zero_key_cutoff_analytic_vs_mc():
     # elevated darks pull the cutoff to moderate loss; MC agrees within 1 dB
     det = DetectorModel(efficiency=0.8, dark_rate_hz=2e5, gate_rate_hz=2e9,
                         label="noisy")
-    cfg = ProtocolConfig.dps_default()
+    cfg = ProtocolConfig(DPS)
     losses = np.arange(10.0, 30.0, 1.0)
     analytic = np.array([
         analytic_expectations(cfg, ChannelModel(l), det).skr_bps for l in losses])
@@ -635,7 +625,7 @@ def test_zero_key_cutoff_analytic_vs_mc():
     cut_analytic = losses[np.argmax(analytic == 0.0)]
     mc = []
     for i, l in enumerate(losses):
-        s = run_dps_session(cfg, ChannelModel(l), det, 3_000_000, make_rng(100 + i))
+        s = run_session(cfg, ChannelModel(l), det, 3_000_000, make_rng(100 + i))
         mc.append(s.skr_bps)
     mc = np.array(mc)
     cut_mc = losses[np.argmax(mc == 0.0)]
@@ -643,16 +633,16 @@ def test_zero_key_cutoff_analytic_vs_mc():
 
 
 def test_session_result_serializes():
-    cfg = ProtocolConfig.bb84_default()
-    s = run_bb84_session(cfg, ChannelModel(5.0), snspd(1e9), 20_000, make_rng(8))
+    cfg = ProtocolConfig(BB84_DECOY)
+    s = run_session(cfg, ChannelModel(5.0), snspd(1e9), 20_000, make_rng(8))
     d = s.to_dict()
     assert set(d["per_intensity"]) == {"vacuum", "decoy", "signal"}
     assert d["qber"] == s.qber
     assert isinstance(d["decoy"]["y1_lower"], float)
     assert "photon_truth" not in d
 
-    cfg = ProtocolConfig.dps_default()
-    s = run_dps_session(cfg, ChannelModel(5.0), snspd(2e9), 20_000, make_rng(8))
+    cfg = ProtocolConfig(DPS)
+    s = run_session(cfg, ChannelModel(5.0), snspd(2e9), 20_000, make_rng(8))
     d = s.to_dict()
     assert list(d) == ["protocol", "pulses_sent", "per_intensity",
                        "sifted_bits", "errors", "qber", "raw_rate_hz",
