@@ -74,7 +74,7 @@ else:
     for sigma in (0.0, sigma_phi_for_visibility(0.983), 0.4):
         recs = fringe_scan(InjectionMode.cw(phase_noise_sigma=sigma), 1.0,
                            theta_grid, 2000, rng)
-        axes[1].plot(theta_grid, [r.intensity_out for r in recs],
+        axes[1].plot(theta_grid, recs.intensity_out,
                      label=f"sigma={sigma:.3f}")
     axes[1].set_title("cw injection: fringes")
     axes[1].set_xlabel("demodulator phase (rad)")

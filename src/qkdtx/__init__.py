@@ -15,6 +15,7 @@ from .optics import (
     DifferentialPhaseSequence,
     InjectionMode,
     InterferenceRecord,
+    InterferenceResult,
     PulseTrain,
     amzi_interfere,
     amzi_intensity,

@@ -9,15 +9,16 @@ Each phase array is reduced mod 2*pi exactly once: a train's phases on
 their first read, its emitted differential phases when it is built, and
 ``differential_phases()`` returns that one read-only array on every call.
 ``dual_basis_demodulate`` returns a float64 record array (``radius``,
-``angle``); ``InterferenceRecord`` is an immutable named tuple per slot,
-built in one pass from the interferometer's arrays.
+``angle``), and ``amzi_interfere`` and ``fringe_scan`` an
+``InterferenceResult`` of read-only columns, with no object per pulse; its
+row view serves only the benchmark's checks, which still read rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -246,6 +247,30 @@ class InterferenceRecord(NamedTuple):
     input_intensity: float
 
 
+@dataclass(frozen=True, eq=False)  # a generated __eq__ over arrays would be wrong
+class InterferenceResult:
+    """AMZI port intensities as read-only columns, ``intensity_out[k]`` at slot
+    ``slot_index[k]``. The row view (an ``InterferenceRecord`` per index, built
+    on read) and ``InterferenceRecord`` stay only until ROADMAP item 1 revises
+    the benchmark, whose checks read rows; item 2 then deletes both.
+    """
+
+    slot_index: np.ndarray
+    intensity_out: np.ndarray
+    input_intensity: float
+
+    def __len__(self) -> int:
+        return self.slot_index.size
+
+    def __getitem__(self, k: int) -> InterferenceRecord:
+        return InterferenceRecord(self.slot_index[k].item(),
+                                  self.intensity_out[k].item(), self.input_intensity)
+
+    def __iter__(self):
+        return map(InterferenceRecord._make, zip(self.slot_index.tolist(),
+                   self.intensity_out.tolist(), repeat(self.input_intensity)))
+
+
 @dataclass
 class ConstellationReport:
     """Demodulated M-ary constellation plus its noiseless eye levels."""
@@ -365,10 +390,10 @@ def amzi_intensity(diff_phases, input_intensity, phase_offset=0.0, port="bar"):
     return (bar if port == "bar" else cross)[()]  # a scalar for scalar input
 
 
-def amzi_interfere(train: PulseTrain, cfg: AmziConfig) -> list[InterferenceRecord]:
+def amzi_interfere(train: PulseTrain, cfg: AmziConfig) -> InterferenceResult:
     """Interfere consecutive pulses in the AMZI.
 
-    Record k (k >= 1) holds the intensity of the overlap between pulse k and
+    Slot k (k >= 1) holds the intensity of the overlap between pulse k and
     the delayed pulse k-1 at the configured port.
     """
     if train.n_pulses < 2:
@@ -377,12 +402,10 @@ def amzi_interfere(train: PulseTrain, cfg: AmziConfig) -> list[InterferenceRecor
         raise ValueError(
             f"AMZI delay {cfg.delay_s} s does not match train period "
             f"{train.period_s} s")
-    i_in = train.mean_photons
-    out = amzi_intensity(train.differential_phases(), i_in,
+    out = amzi_intensity(train.differential_phases(), train.mean_photons,
                          cfg.phase_offset, cfg.output_port)
-    # tuple.__new__ builds each named tuple without _make's classmethod call
-    return list(map(tuple.__new__, repeat(InterferenceRecord),
-                    zip(range(1, train.n_pulses), out.tolist(), repeat(i_in))))
+    return InterferenceResult(_read_only(np.arange(1, train.n_pulses)),
+                              _read_only(out), train.mean_photons)
 
 
 def dual_basis_demodulate(train: PulseTrain) -> np.recarray:
@@ -408,37 +431,38 @@ def dual_basis_demodulate(train: PulseTrain) -> np.recarray:
 
 
 def fringe_scan(mode, mean_photons, theta_grid, pulses_per_point, rng,
-                period_s=5e-10) -> list[InterferenceRecord]:
+                period_s=5e-10) -> InterferenceResult:
     """Sweep the demodulator phase and record the mean bar-port intensity.
 
     Emits a fresh train per grid point (the slow thermal sweep of the real
-    receiver), so each returned record carries the mean intensity at one
-    fringe position.
+    receiver), so slot j of the result holds the mean intensity at fringe
+    position ``theta_grid[j]``.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
-    if theta_grid.size < 2:
-        raise ValueError("theta_grid needs at least 2 points")
+    if theta_grid.ndim != 1 or theta_grid.size < 2 or not np.isfinite(theta_grid).all():
+        raise ValueError("theta_grid must be a 1-d array of at least 2 finite values")
     if pulses_per_point < 2:
         raise ValueError("pulses_per_point must be >= 2")
-    records = []
+    means = np.empty(theta_grid.size)
     for j, theta in enumerate(theta_grid):
         train = emit_pulse_train(pulses_per_point, mean_photons, mode, rng,
                                  period_s=period_s)
-        mean_i = float(np.mean(amzi_intensity(train.differential_phases(),
-                                              mean_photons, theta, "bar")))
-        records.append(InterferenceRecord(j, mean_i, mean_photons))
-    return records
+        means[j] = np.mean(amzi_intensity(train.differential_phases(),
+                                          mean_photons, theta, "bar"))
+    return InterferenceResult(_read_only(np.arange(theta_grid.size)),
+                              _read_only(means), float(mean_photons))
 
 
-def fringe_visibility(records: Sequence[InterferenceRecord]) -> float:
+def fringe_visibility(intensities) -> float:
     """Fringe contrast (I_max - I_min) / (I_max + I_min).
 
-    The records must span at least one full fringe (demodulator phase swept
-    over 2*pi, or differential phase covering its full range).
+    An ``InterferenceResult`` or 1-d intensity array spanning at least one
+    full fringe (demodulator phase swept over 2*pi, or differential phase
+    covering its full range).
     """
-    if len(records) < 2:
-        raise ValueError("need at least 2 records to estimate a visibility")
-    vals = np.array([r.intensity_out for r in records])
+    vals = np.asarray(getattr(intensities, "intensity_out", intensities), dtype=float)
+    if vals.ndim != 1 or vals.size < 2 or not np.isfinite(vals).all():
+        raise ValueError("need a 1-d array of at least 2 finite intensities")
     hi, lo = float(vals.max()), float(vals.min())
     if hi + lo == 0.0:
         raise ValueError("all intensities are zero; visibility is undefined")

@@ -1,5 +1,6 @@
 """Tests for pulse-train emission and AMZI demodulation."""
 
+import gc
 import hashlib
 
 import numpy as np
@@ -14,6 +15,7 @@ from qkdtx.optics import (
     DifferentialPhaseSequence,
     InjectionMode,
     InterferenceRecord,
+    InterferenceResult,
     PulseTrain,
     amzi_intensity,
     amzi_interfere,
@@ -290,11 +292,10 @@ def test_bulk_records_equal_the_array_law_exactly():
     tr = emit_pulse_train(n, 0.7, InjectionMode.off(), rng)
     diffs = tr.differential_phases()
     for port in ("bar", "cross"):
-        recs = amzi_interfere(tr, AmziConfig(5e-10, 0.4, port))
-        assert ([r.intensity_out for r in recs]
-                == amzi_intensity(diffs, 0.7, 0.4, port).tolist())
-        assert [r.slot_index for r in recs] == list(range(1, n))
-        assert all(r.input_intensity == 0.7 for r in recs)
+        res = amzi_interfere(tr, AmziConfig(5e-10, 0.4, port))
+        assert np.array_equal(res.intensity_out, amzi_intensity(diffs, 0.7, 0.4, port))
+        assert np.array_equal(res.slot_index, np.arange(1, n))
+        assert res.input_intensity == 0.7
     pts = dual_basis_demodulate(tr)
     i_i = amzi_intensity(diffs, 0.7, 0.0, "bar")
     i_q = amzi_intensity(diffs, 0.7, -np.pi / 2.0, "bar")
@@ -307,11 +308,10 @@ def test_port_complementarity():
     rng = make_rng(11)
     tr = PulseTrain(rng.uniform(0, TWO_PI, 500), 0.7, 5e-10)
     theta = 0.3
-    bar = amzi_interfere(tr, AmziConfig(5e-10, theta, "bar"))
-    cross = amzi_interfere(tr, AmziConfig(5e-10, theta, "cross"))
-    for b, c in zip(bar, cross):
-        assert b.intensity_out + c.intensity_out == pytest.approx(0.7, rel=1e-12)
-        assert 0.0 <= b.intensity_out <= 0.7
+    bar = amzi_interfere(tr, AmziConfig(5e-10, theta, "bar")).intensity_out
+    cross = amzi_interfere(tr, AmziConfig(5e-10, theta, "cross")).intensity_out
+    assert bar + cross == pytest.approx(0.7, rel=1e-12)
+    assert np.all((bar >= 0.0) & (bar <= 0.7))
 
 
 def test_amplitude_oracle_equivalence():
@@ -324,8 +324,7 @@ def test_amplitude_oracle_equivalence():
         theta = float(rng.uniform(0, TWO_PI))
         tr = PulseTrain(phases, i_in, 5e-10)
         for port in ("bar", "cross"):
-            got = [r.intensity_out for r in
-                   amzi_interfere(tr, AmziConfig(5e-10, theta, port))]
+            got = amzi_interfere(tr, AmziConfig(5e-10, theta, port)).intensity_out
             want = amplitude_oracle(tr.phases, i_in, theta, port)
             assert np.allclose(got, want, atol=1e-10)
 
@@ -338,9 +337,55 @@ def test_global_phase_invariance_bitwise():
                                global_phase_offset=1.2345)
     assert not np.allclose(base.phases, shifted.phases)
     cfg = AmziConfig(5e-10, 0.37, "bar")
-    out_a = np.array([r.intensity_out for r in amzi_interfere(base, cfg)])
-    out_b = np.array([r.intensity_out for r in amzi_interfere(shifted, cfg)])
+    out_a = amzi_interfere(base, cfg).intensity_out
+    out_b = amzi_interfere(shifted, cfg).intensity_out
     assert np.array_equal(out_a, out_b)
+
+
+def test_row_view_equals_the_list_of_records():
+    n = 1000
+    tr = emit_pulse_train(n, 0.7, InjectionMode.off(), make_rng(23))
+    for port in ("bar", "cross"):
+        res = amzi_interfere(tr, AmziConfig(5e-10, 0.4, port))
+        out = amzi_intensity(tr.differential_phases(), 0.7, 0.4, port).tolist()
+        want = [InterferenceRecord(k + 1, v, 0.7) for k, v in enumerate(out)]
+        rows = list(res)
+        assert rows == want
+        assert all(type(r) is InterferenceRecord and type(r.slot_index) is int
+                   and type(r.intensity_out) is float for r in rows)
+        assert len(res) == n - 1 and bool(res)
+        for k in (0, 1, n - 2, -1, -(n - 1)):
+            assert res[k] == want[k]
+            assert type(res[k].slot_index) is int and type(res[k].intensity_out) is float
+        for k in (n - 1, -n):
+            with pytest.raises(IndexError):
+                res[k]
+    fringe = fringe_scan(InjectionMode.cw(), 0.5, [0.0, 1.0, 2.0], 10, make_rng(24))
+    assert list(fringe) == [InterferenceRecord(j, m, 0.5)
+                            for j, m in enumerate(fringe.intensity_out.tolist())]
+
+
+def test_result_columns_are_read_only():
+    tr = emit_pulse_train(50, 0.7, InjectionMode.off(), make_rng(25))
+    fringe = fringe_scan(InjectionMode.cw(), 0.5, [0.0, 1.0, 2.0], 10, make_rng(26))
+    for res in (amzi_interfere(tr, AmziConfig(5e-10)), fringe):
+        assert isinstance(res, InterferenceResult)
+        for column in (res.slot_index, res.intensity_out):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+        assert res.slot_index.dtype == np.int64 and res.intensity_out.dtype == np.float64
+
+
+def test_interfere_tracks_no_object_per_pulse():
+    tr = emit_pulse_train(100_000, 1.0, InjectionMode.cw(phase_noise_sigma=0.1),
+                          make_rng(27))
+    cfg = AmziConfig(5e-10)
+    tr.differential_phases()
+    gc.collect()
+    before = len(gc.get_objects())
+    res = amzi_interfere(tr, cfg)
+    assert len(gc.get_objects()) - before < 10
+    assert len(res) == 99_999
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +467,33 @@ def test_visibility_law_across_sigmas():
 
 
 def test_visibility_errors():
-    with pytest.raises(ValueError):
-        fringe_visibility([InterferenceRecord(0, 0.5, 1.0)])
-    with pytest.raises(ValueError):
-        fringe_visibility([InterferenceRecord(0, 0.0, 1.0),
-                           InterferenceRecord(1, 0.0, 1.0)])
+    with pytest.raises(ValueError, match="at least 2"):
+        fringe_visibility(np.array([0.5]))
+    with pytest.raises(ValueError, match="zero"):
+        fringe_visibility(np.zeros(2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fringe_visibility(np.array([0.2, bad, 0.8]))
+    with pytest.raises(ValueError, match="1-d"):
+        fringe_visibility(np.full((2, 2), 0.5))
+    assert fringe_visibility(np.array([0.2, 0.8])) == pytest.approx(0.6)
+
+
+def test_fringe_scan_rejects_non_finite_grid():
+    rng = make_rng(19)
+    state = rng.bit_generator.state
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="theta_grid"):
+            fringe_scan(InjectionMode.cw(), 1.0, [0.0, bad, 1.0], 100, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_fringe_scan_rejects_a_grid_that_is_not_1d():
+    rng = make_rng(20)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="theta_grid"):
+        fringe_scan(InjectionMode.cw(), 1.0, np.zeros((2, 3)), 100, rng)
+    assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +588,12 @@ def _pinned_digests():
         pts = dual_basis_demodulate(trains[name])
         out[f"demodulate-{name}"] = _digest(pts.radius, pts.angle)
     for port in ("bar", "cross"):
-        recs = amzi_interfere(trains["cw"], AmziConfig(5e-10, 0.4, port))
-        out[f"interfere-{port}"] = _digest([r.intensity_out for r in recs])
+        res = amzi_interfere(trains["cw"], AmziConfig(5e-10, 0.4, port))
+        out[f"interfere-{port}"] = _digest(res.intensity_out)
     mode = InjectionMode.cw(master_angular_freq=3.1e9, phase_noise_sigma=0.3)
     fringe = fringe_scan(mode, 0.5, np.linspace(0.0, TWO_PI, 24, endpoint=False),
                          300, make_rng(77))
-    out["fringe-scan"] = _digest([r.intensity_out for r in fringe])
+    out["fringe-scan"] = _digest(fringe.intensity_out)
     return out
 
 
