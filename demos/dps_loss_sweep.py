@@ -18,7 +18,7 @@ with resources.files("qkdtx.data").joinpath("dps_snspd.json").open() as f:
 raw["pulses_per_point"] = 2_000_000   # demo speed; acceptance uses 1e7
 cfg = config_from_dict(raw)
 
-table = run_sweep(cfg, workers=1)
+table = run_sweep(cfg)
 print("loss_db   QBER%   sifted (Mc/s)   SKR (kb/s)   analytic SKR")
 for r in table.rows:
     print(f"{r.loss_db:7.1f}{100 * r.qber:8.2f}{r.sifted_rate_hz / 1e6:13.3f}"

@@ -72,7 +72,7 @@ def _cmd_sweep(args) -> int:
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
     cfg = _load_experiment(args)
-    table = harness.run_sweep(cfg, workers=args.workers)
+    table = harness.run_sweep(cfg)
     if args.format == "csv":
         _write_or_print(table.to_csv(), args.out)
     else:
@@ -133,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--loss-db", type=float, default=None)
     sim.set_defaults(func=_cmd_simulate)
 
-    sw.add_argument("--workers", type=int, default=1)
+    # kept only because perfbench/workloads.py passes it; ROADMAP item 1 deletes it
+    sw.add_argument("--workers", type=int, default=1,
+                    help="ignored, must be >= 1: points run in one thread")
     sw.add_argument("--format", choices=("csv", "json"), default="csv")
     sw.set_defaults(func=_cmd_sweep)
 

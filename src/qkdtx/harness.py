@@ -3,8 +3,8 @@
 Configs are versioned JSON whose protocol holds the fields its kind reads
 (``protocols.KINDS``); each default the loader applies is tagged with its
 source in a provenance block. A sweep runs one Monte-Carlo session plus
-closed-form expectations per loss point on a thread pool, seeding each point
-from the master seed, so the table is byte-identical for any worker count.
+closed-form expectations per loss point, in order in the calling thread,
+each point seeded by ``point_seed`` from the master seed and its index.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -282,7 +281,7 @@ class SweepTable:
 
 
 def point_seed(master_seed: int, index: int) -> int:
-    """Stable per-point seed; independent of worker count and run order."""
+    """Stable per-point seed, independent of run order."""
     ss = np.random.SeedSequence([master_seed, index])
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -316,16 +315,11 @@ def run_point(cfg: ExperimentConfig, loss_db: float, index: int) -> SweepRow:
                     clicks=int(clicks), seed=point_seed(cfg.seed, index))
 
 
-def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepTable:
-    """Monte-Carlo plus analytic results for every loss point, on a pool of
-    ``workers`` threads. Per-point seeds derive from the master seed alone,
-    so the table is byte-identical for any ``workers`` value. Threads
-    suffice: each point owns its Generator, and numpy releases the GIL in
-    bulk draws (README *Command line* weighs them against processes)."""
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_point, cfg, loss, i)
-                   for i, loss in enumerate(cfg.losses_db)]
-        rows = [f.result() for f in futures]
+def run_sweep(cfg: ExperimentConfig) -> SweepTable:
+    """Monte-Carlo plus analytic results for every loss point, in order in
+    the calling thread. Each point is seeded by ``point_seed(cfg.seed,
+    index)`` and owns its Generator, so no row depends on another point."""
+    rows = [run_point(cfg, loss, i) for i, loss in enumerate(cfg.losses_db)]
     rows.sort(key=lambda r: r.loss_db)
     return SweepTable(rows)
 

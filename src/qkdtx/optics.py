@@ -16,7 +16,7 @@ row view serves only the benchmark's checks, which still read rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import NamedTuple, Optional
 
@@ -170,7 +170,13 @@ class DifferentialPhaseSequence:
         return self.diff_phases.size
 
 
-@dataclass
+#: The InjectionMode fields each seeding variant reads.
+_VARIANT_READS = {"off": (), "cw": ("master_angular_freq", "phase_noise_sigma"),
+                  "modulated": ("phase_sequence", "phase_noise_sigma",
+                                "pair_randomization")}
+
+
+@dataclass(frozen=True)  # the field rule below holds for the mode's lifetime
 class InjectionMode:
     """Seeding regime of the slave laser.
 
@@ -179,7 +185,9 @@ class InjectionMode:
     master wave over one repetition period); for "modulated" it follows
     phase_sequence. phase_noise_sigma is the standard deviation of Gaussian
     differential-phase noise modeling imperfect locking; pair_randomization
-    re-draws the absolute phase at every pair boundary.
+    re-draws the absolute phase at every pair boundary. A field the variant
+    does not read (:data:`_VARIANT_READS`) must keep its default, or
+    ValueError names it.
     """
 
     variant: str
@@ -189,14 +197,16 @@ class InjectionMode:
     pair_randomization: bool = False
 
     def __post_init__(self):
-        if self.variant not in ("off", "cw", "modulated"):
+        if self.variant not in list(_VARIANT_READS):  # the variant may be unhashable
             raise ValueError(f"unknown injection variant {self.variant!r}")
+        for f in fields(self)[1:]:  # every field after variant
+            if (f.name not in _VARIANT_READS[self.variant]
+                    and getattr(self, f.name) != f.default):
+                raise ValueError(f"{self.variant} injection reads no {f.name}")
         if not 0.0 <= self.phase_noise_sigma < np.inf:
             raise ValueError("phase_noise_sigma must be finite and >= 0")
         if not np.isfinite(self.master_angular_freq):
             raise ValueError("master_angular_freq must be finite")
-        if self.variant == "off" and self.phase_sequence is not None:
-            raise ValueError("no phase sequence is allowed with injection off")
         if self.variant == "modulated" and self.phase_sequence is None:
             raise ValueError("modulated injection requires a phase sequence")
 
@@ -289,9 +299,9 @@ def emit_pulse_train(n_pulses, mean_photons, mode, rng, period_s=5e-10,
     """Emit a gain-switched pulse train under a given injection regime.
 
     Random-stream consumption is fixed per regime so that runs with the same
-    seed are reproducible: one uniform draw for the start phase, n-1 Gaussian
-    noise draws (cw/modulated), then one uniform draw per randomized pair
-    boundary.
+    seed are reproducible: n uniform draws (off), or one uniform start phase,
+    n-1 Gaussian noise draws when phase_noise_sigma > 0, then one uniform draw
+    per randomized pair boundary.
 
     Parameters
     ----------
@@ -318,43 +328,32 @@ def emit_pulse_train(n_pulses, mean_photons, mode, rng, period_s=5e-10,
         raise ValueError("n_pulses must be >= 1")
 
     if mode.variant == "off":
-        raw = rng.uniform(0.0, TWO_PI, n_pulses)
-        diffs = np.diff(raw) if n_pulses > 1 else None
-        return PulseTrain(raw + global_phase_offset, mean_photons, period_s,
-                          diff_phases=diffs)
-
-    start = rng.uniform(0.0, TWO_PI)
-    if n_pulses == 1:
-        return PulseTrain([start + global_phase_offset], mean_photons, period_s)
-
-    sigma = mode.phase_noise_sigma
-    noise = rng.normal(0.0, sigma, n_pulses - 1) if sigma > 0 else np.zeros(n_pulses - 1)
-
-    if mode.variant == "cw":
-        drift = reduce_phase(mode.master_angular_freq * period_s)
-        steps = drift + noise
-        unwrapped = start + np.concatenate(([0.0], np.cumsum(steps)))
+        unwrapped = rng.uniform(0.0, TWO_PI, n_pulses)
     else:
-        seq = mode.phase_sequence
-        if len(seq) < n_pulses - 1:
-            raise ValueError(
-                f"phase sequence has {len(seq)} symbols; need >= {n_pulses - 1}")
-        steps = seq.diff_phases[:n_pulses - 1] + noise
-        base = start + np.concatenate(([0.0], np.cumsum(steps)))
-        if mode.pair_randomization:
-            boundaries = np.flatnonzero(seq.pair_boundary[:n_pulses - 1])
-            if boundaries.size:
-                redraws = rng.uniform(0.0, TWO_PI, boundaries.size)
-                # pulse p+1 restarts at a fresh absolute phase; later pulses
-                # keep accumulating the programmed steps from there
-                seg_offsets = np.concatenate(([0.0], redraws - base[boundaries + 1]))
-                seg_of = np.searchsorted(boundaries + 1, np.arange(n_pulses),
-                                         side="right")
-                unwrapped = base + seg_offsets[seg_of]
-            else:
-                unwrapped = base
+        start = rng.uniform(0.0, TWO_PI)
+        sigma = mode.phase_noise_sigma
+        noise = (rng.normal(0.0, sigma, n_pulses - 1) if sigma > 0
+                 else np.zeros(n_pulses - 1))
+        if mode.variant == "cw":
+            steps = reduce_phase(mode.master_angular_freq * period_s) + noise
         else:
-            unwrapped = base
+            seq = mode.phase_sequence
+            if len(seq) < n_pulses - 1:
+                raise ValueError(
+                    f"phase sequence has {len(seq)} symbols; need >= {n_pulses - 1}")
+            steps = seq.diff_phases[:n_pulses - 1] + noise
+        unwrapped = start + np.concatenate(([0.0], np.cumsum(steps)))
+
+    if mode.pair_randomization:  # read by modulated injection only
+        boundaries = np.flatnonzero(mode.phase_sequence.pair_boundary[:n_pulses - 1])
+        if boundaries.size:
+            redraws = rng.uniform(0.0, TWO_PI, boundaries.size)
+            # pulse p+1 restarts at a fresh absolute phase; later pulses
+            # keep accumulating the programmed steps from there
+            seg_offsets = np.concatenate(([0.0], redraws - unwrapped[boundaries + 1]))
+            seg_of = np.searchsorted(boundaries + 1, np.arange(n_pulses),
+                                     side="right")
+            unwrapped += seg_offsets[seg_of]
 
     # PulseTrain reduces both arrays, each once
     return PulseTrain(unwrapped + global_phase_offset, mean_photons, period_s,

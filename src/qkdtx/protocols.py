@@ -96,10 +96,10 @@ _COS_TRANSFORM[-1] /= 2
 def binary_entropy(x):
     """Shannon entropy of a binary variable, -x log2 x - (1-x) log2 (1-x).
 
-    Defined on [0, 1] with 0 log 0 := 0.
+    Defined on [0, 1] with 0 log 0 := 0; NaN is outside the domain.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any((arr < 0) | (arr > 1)):
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("binary_entropy is defined on [0, 1]")
     inner = (arr > 0) & (arr < 1)
     out = np.zeros_like(arr)
@@ -175,14 +175,16 @@ class ProtocolConfig:
         return 1.0 if p is None else p * p + (1 - p) * (1 - p)
 
     def class_probabilities(self) -> np.ndarray:
-        return np.array([self.p_vacuum, self.p_decoy, self.p_signal])
+        """Emission probability of each of :meth:`classes`."""
+        return self.classes()[1]
 
     def classes(self) -> tuple:
         """Intensity classes a unit is drawn from: names, emission
         probabilities and mean photon numbers. DPS sends one class."""
         if self.mu_decoy is None:
             return ("signal",), np.array([1.0]), np.array([self.mu_signal])
-        return (INTENSITY_CLASSES, self.class_probabilities(),
+        return (INTENSITY_CLASSES,
+                np.array([self.p_vacuum, self.p_decoy, self.p_signal]),
                 np.array([0.0, self.mu_decoy, self.mu_signal]))
 
 
@@ -250,16 +252,18 @@ def decoy_estimate(q_signal, q_decoy, q_vacuum, e_signal, e_decoy, e_vacuum,
         e1 <= (E_d Q_d e^nu - Y0/2) / (nu * Y1)
         Q1  = Y1 * mu * e^(-mu)
 
-    Infeasible bounds are clamped ([0,1] for Y1, [0,0.5] for e1) and flagged.
+    Every gain and error rate must lie in [0, 1]. Infeasible bounds are
+    clamped ([0,1] for Y1, [0,0.5] for e1) and flagged.
     sent_counts, when given as (n_signal, n_decoy, n_vacuum), adds a binomial
     standard error for the Y1 bound.
     """
     mu, nu = mu_signal, mu_decoy
     if not 0.0 < nu < mu:
         raise ValueError("need 0 < mu_decoy < mu_signal")
-    for name, q in (("q_signal", q_signal), ("q_decoy", q_decoy),
-                    ("q_vacuum", q_vacuum)):
-        if not 0.0 <= q <= 1.0:
+    for name, value in (("q_signal", q_signal), ("q_decoy", q_decoy),
+                        ("q_vacuum", q_vacuum), ("e_signal", e_signal),
+                        ("e_decoy", e_decoy), ("e_vacuum", e_vacuum)):
+        if not 0.0 <= value <= 1.0:  # NaN fails too
             raise ValueError(f"{name} must lie in [0, 1]")
 
     flags = []

@@ -6,6 +6,7 @@ family (see the xfail note on the test); everything else must pass at the
 stated tolerances.
 """
 
+import itertools
 import json
 import time
 from importlib import resources
@@ -13,6 +14,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from qkdtx import cli
 from qkdtx.harness import (
     ReferencePoint,
     compare_to_reference,
@@ -327,14 +329,17 @@ def test_criterion_9_mc_analytic_consistency():
 # 10. sweep determinism across worker counts
 # ---------------------------------------------------------------------------
 
-def test_criterion_10_sweep_determinism():
+def test_criterion_10_sweep_determinism(tmp_path):
     raw = {"schema_version": 1, "protocol": {"kind": "dps"},
            "detector": "snspd", "channel": {"loss_db": [0.0, 10.0, 20.0]},
            "pulses_per_point": 100_000, "seed": 77}
-    cfg = config_from_dict(raw)
-    csv_1 = run_sweep(cfg, workers=1).to_csv()
-    csv_8 = run_sweep(cfg, workers=8).to_csv()
-    json_1 = json.dumps(run_sweep(cfg, workers=1).to_dict())
-    json_8 = json.dumps(run_sweep(cfg, workers=8).to_dict())
-    ok = csv_1 == csv_8 and json_1 == json_8
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(raw))
+    out = {}
+    for fmt, workers in itertools.product(("csv", "json"), ("1", "8")):
+        path = tmp_path / f"{workers}.{fmt}"
+        assert cli.main(["sweep", "--config", str(cfgp), "--workers", workers,
+                         "--format", fmt, "--out", str(path)]) == 0
+        out[fmt, workers] = path.read_bytes()
+    ok = out["csv", "1"] == out["csv", "8"] and out["json", "1"] == out["json", "8"]
     assert verdict(10, ok, "CSV and JSON byte-identical with 1 and 8 workers")

@@ -3,7 +3,7 @@
 import hashlib
 import itertools
 import json
-import sys
+import threading
 
 import numpy as np
 import pytest
@@ -279,20 +279,22 @@ def test_sweep_rows_sorted_and_monotone():
     assert all(r.analytic_skr_bps > 0 for r in table.rows)
 
 
+def test_sweep_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a sweep started a thread")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert len(run_sweep(config_from_dict(minimal_dps())).rows) == 3
+
+
 @pytest.mark.parametrize("kind", ["dps", "bb84-decoy"], ids=["dps", "bb84"])
-def test_sweep_deterministic_across_workers(kind):
-    raw = minimal_dps()
+def test_sweep_points_share_no_state(kind):
+    raw = minimal_dps(channel={"loss_db": [20.0, 0.0, 10.0]})
     raw["protocol"]["kind"] = kind
     cfg = config_from_dict(raw)
-    # more worker threads than cores, switching as often as the interpreter
-    # allows, so that any state the points shared would show in the bytes
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        csvs = [run_sweep(cfg, workers=w).to_csv() for w in (1, 2, 8, 1)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(set(csvs)) == 1
+    # each point's row is the same whatever ran before it
+    backwards = [run_point(cfg, cfg.losses_db[i], i)
+                 for i in reversed(range(len(cfg.losses_db)))]
+    assert SweepTable(backwards[::-1]).to_csv() == run_sweep(cfg).to_csv()
 
 
 def test_sweep_csv_roundtrip():

@@ -1,5 +1,6 @@
 """Tests for pulse-train emission and AMZI demodulation."""
 
+import dataclasses
 import gc
 import hashlib
 
@@ -153,6 +154,27 @@ def test_injection_mode_validation():
         InjectionMode("squeezed")
 
 
+def test_injection_mode_holds_only_the_fields_its_variant_reads():
+    seq = DifferentialPhaseSequence([0.0], 2)
+    unread = {
+        "off": {"master_angular_freq": 3.0, "phase_sequence": seq,
+                "phase_noise_sigma": 0.5, "pair_randomization": True},
+        "cw": {"phase_sequence": seq, "pair_randomization": True},
+        "modulated": {"master_angular_freq": 3.0},
+    }
+    for variant, fields in unread.items():
+        base = {"phase_sequence": seq} if variant == "modulated" else {}
+        for name, value in fields.items():
+            with pytest.raises(ValueError, match=f"{variant} injection reads no {name}"):
+                InjectionMode(variant, **base, **{name: value})
+    # each read field may leave its default, and no field changes afterwards
+    InjectionMode("cw", master_angular_freq=3.0, phase_noise_sigma=0.5)
+    InjectionMode("modulated", phase_sequence=seq, phase_noise_sigma=0.5,
+                  pair_randomization=True)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        InjectionMode.cw().pair_randomization = True
+
+
 def test_sigma_calibration_helpers():
     s = sigma_phi_for_visibility(0.983)
     assert s == pytest.approx(0.1851818502714049, abs=1e-12)
@@ -228,6 +250,23 @@ def test_pair_randomization_keeps_intra_pair_phase():
     # between-pair phases are re-randomized: uniform, not clustered at 0
     stat = kstest(inter / TWO_PI, "uniform").statistic
     assert stat < 2.0 / np.sqrt(inter.size)
+
+
+def test_one_pulse_trains_are_pinned():
+    # one pulse has no step: every regime draws only its start phase, so the
+    # phase and the generator state after it match across regimes
+    seq = DifferentialPhaseSequence([np.pi, 0.0], 2, pair_boundary=[True, True])
+    modes = (InjectionMode.off(),
+             InjectionMode.cw(master_angular_freq=3.0e9, phase_noise_sigma=0.5),
+             InjectionMode.modulated(seq, phase_noise_sigma=0.5,
+                                     pair_randomization=True))
+    for mode in modes:
+        rng = make_rng(11)
+        tr = emit_pulse_train(1, 0.4, mode, rng, global_phase_offset=1.25)
+        assert tr.phases.tolist() == [2.0578304089805353]
+        assert tr.differential_phases().shape == (0,)
+        assert (rng.bit_generator.state["state"]["state"]
+                == 211884317528684817169046156472096961009)
 
 
 def test_emission_noise_consumption_reproducible():

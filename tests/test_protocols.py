@@ -58,6 +58,18 @@ def test_binary_entropy_domain():
     assert out[0] == 0.0 and out[2] == 0.0
 
 
+def test_binary_entropy_rejects_nan():
+    # NaN fails every comparison, so a range check written as "x < 0 or
+    # x > 1" would let it through and return h2 = 0
+    for bad in (np.nan, np.array([0.25, np.nan])):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            binary_entropy(bad)
+    cfg = ProtocolConfig(BB84_DECOY)
+    est = decoy_estimate(1e-3, 2.5e-4, 1e-6, 0.02, 0.03, 0.5, 0.5, 0.125)
+    with pytest.raises(ValueError):
+        skr_bb84(est, 1e-3, np.nan, cfg)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
@@ -104,6 +116,12 @@ def test_config_validation():
             ("p_signal", nan, "probabilities")):
         with pytest.raises(ValueError, match=message):
             ProtocolConfig(BB84_DECOY, **{field: value})
+
+
+def test_class_probabilities_follow_classes():
+    assert ProtocolConfig(DPS).class_probabilities().tolist() == [1.0]
+    b = ProtocolConfig(BB84_DECOY)
+    assert b.class_probabilities().tolist() == [b.p_vacuum, b.p_decoy, b.p_signal]
 
 
 def test_default_configs():
@@ -154,6 +172,15 @@ def test_decoy_validation():
         decoy_estimate(0.5, 0.5, 0.0, 0, 0, 0, 0.125, 0.5)  # mu < nu
     with pytest.raises(ValueError):
         decoy_estimate(1.5, 0.5, 0.0, 0, 0, 0, 0.5, 0.125)
+
+
+def test_decoy_rejects_error_rates_outside_unit_interval():
+    rates = {"e_signal": 0.02, "e_decoy": 0.03, "e_vacuum": 0.5}
+    for name in rates:
+        for bad in (np.nan, -0.01, 1.5):
+            with pytest.raises(ValueError, match=f"{name} must lie in"):
+                decoy_estimate(1e-3, 2.5e-4, 1e-6, **{**rates, name: bad},
+                               mu_signal=0.5, mu_decoy=0.125)
 
 
 def test_poisson_expansion_oracle():
