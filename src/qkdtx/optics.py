@@ -25,14 +25,43 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
+#: Shorter arrays take np.mod: the fast line's guard and arithmetic cost a fixed
+#: 6-11 us, and on 2 vCPUs (numpy 2.4) broke even with np.mod at 384-416
+#: float64 elements (2,000: 17 vs 43 us; 100,000: 0.32 vs 2.9 ms).
+_FAST_MIN_SIZE = 400
+
+
 def reduce_phase(phi):
-    """Reduce phase(s) into [0, 2*pi); values equal to 2*pi map to 0."""
-    out = np.mod(phi, TWO_PI)
-    # np.mod can round tiny negatives up to exactly 2*pi
-    if np.ndim(out) == 0:
-        return 0.0 if out == TWO_PI else float(out)
+    """Reduce phase(s) into [0, 2*pi); values equal to 2*pi map to 0.
+
+    Bitwise equal to ``np.mod(phi, TWO_PI)``, then 2*pi mapped to 0. A float64
+    ndarray of at least ``_FAST_MIN_SIZE`` elements, all |x| < 2*pi, takes
+    ``(x < 0) * TWO_PI + x``: there fmod returns x itself, so np.mod's only
+    rounding is its own x + 2*pi on negatives, and +0.0 turns -0.0 into
+    np.mod's +0.0. Scalars, lists, other dtypes, NaN, inf, |x| >= 2*pi and
+    short arrays take np.mod.
+    """
+    if (type(phi) is np.ndarray and phi.size >= _FAST_MIN_SIZE
+            and phi.dtype == np.float64 and -TWO_PI < phi.min()
+            and phi.max() < TWO_PI):  # NaN fails both comparisons
+        out = (phi < 0.0) * TWO_PI
+        out += phi
+    else:
+        out = np.mod(phi, TWO_PI)
+        if out.ndim == 0:
+            return 0.0 if out == TWO_PI else float(out)
+    # both lines round tiny negatives up to exactly 2*pi
     out[out == TWO_PI] = 0.0
     return out
+
+
+def _count(value, name: str, least: int) -> int:
+    """``value`` as an int: a Python or numpy integer >= least, or ValueError."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return int(value)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -139,8 +168,7 @@ class DifferentialPhaseSequence:
 
     def __init__(self, diff_phases, modulation_levels, pair_boundary=None):
         diff_phases = np.atleast_1d(np.asarray(diff_phases, dtype=float))
-        if modulation_levels < 2:
-            raise ValueError("modulation_levels must be >= 2")
+        modulation_levels = _count(modulation_levels, "modulation_levels", 2)
         dp = reduce_phase(diff_phases)
         k = np.rint(dp * modulation_levels / TWO_PI)
         on_grid = np.abs(dp - k * TWO_PI / modulation_levels)
@@ -156,14 +184,15 @@ class DifferentialPhaseSequence:
                 raise ValueError("pair_boundary must match diff_phases in length")
         self.diff_phases = dp
         self.pair_boundary = pair_boundary
-        self.modulation_levels = int(modulation_levels)
+        self.modulation_levels = modulation_levels
 
     @classmethod
     def mpsk(cls, levels: int, symbol_indices) -> "DifferentialPhaseSequence":
         """Build an M-ary sequence from integer symbols in [0, levels)."""
-        idx = np.asarray(symbol_indices, dtype=np.int64)
-        if np.any((idx < 0) | (idx >= levels)):
-            raise ValueError("symbol indices must lie in [0, levels)")
+        levels = _count(levels, "levels", 2)
+        idx = np.asarray(symbol_indices, dtype=float)
+        if not np.all((idx == np.rint(idx)) & (idx >= 0) & (idx < levels)):
+            raise ValueError("symbol indices must be integers in [0, levels)")
         return cls(idx * (TWO_PI / levels), levels)
 
     def __len__(self) -> int:
@@ -324,8 +353,7 @@ def emit_pulse_train(n_pulses, mean_photons, mode, rng, period_s=5e-10,
     -------
     PulseTrain
     """
-    if n_pulses < 1:
-        raise ValueError("n_pulses must be >= 1")
+    n_pulses = _count(n_pulses, "n_pulses", 1)
 
     if mode.variant == "off":
         unwrapped = rng.uniform(0.0, TWO_PI, n_pulses)
@@ -440,8 +468,7 @@ def fringe_scan(mode, mean_photons, theta_grid, pulses_per_point, rng,
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.ndim != 1 or theta_grid.size < 2 or not np.isfinite(theta_grid).all():
         raise ValueError("theta_grid must be a 1-d array of at least 2 finite values")
-    if pulses_per_point < 2:
-        raise ValueError("pulses_per_point must be >= 2")
+    pulses_per_point = _count(pulses_per_point, "pulses_per_point", 2)
     means = np.empty(theta_grid.size)
     for j, theta in enumerate(theta_grid):
         train = emit_pulse_train(pulses_per_point, mean_photons, mode, rng,
@@ -476,10 +503,8 @@ def constellation_eye(levels, sigma_phi, n_symbols, rng,
     I_in/2 * (1 + cos(2*pi*k/M)); for even M there are exactly M/2 + 1 of
     them (for odd M the distinct-value count is reported as found).
     """
-    if levels < 2:
-        raise ValueError("levels must be >= 2")
-    if n_symbols < levels:
-        raise ValueError("n_symbols must be >= levels")
+    levels = _count(levels, "levels", 2)
+    n_symbols = _count(n_symbols, "n_symbols", levels)
     idx = rng.integers(0, levels, n_symbols)
     seq = DifferentialPhaseSequence.mpsk(levels, idx)
     mode = InjectionMode.modulated(seq, phase_noise_sigma=sigma_phi)
@@ -488,4 +513,4 @@ def constellation_eye(levels, sigma_phi, n_symbols, rng,
     k = np.arange(levels)
     eye = amzi_intensity(k * TWO_PI / levels, mean_photons, 0.0, "bar")
     eye = np.unique(np.round(eye, 12))
-    return ConstellationReport(int(levels), points, np.sort(eye))
+    return ConstellationReport(levels, points, np.sort(eye))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from qkdtx.optics import (
+    _FAST_MIN_SIZE,
     TWO_PI,
     AmziConfig,
     DifferentialPhaseSequence,
@@ -64,6 +65,94 @@ def test_reduce_phase_is_idempotent_bitwise(phi):
     arr = reduce_phase(np.array([phi, -phi]))
     assert reduce_phase(arr.copy()).tobytes() == arr.tobytes()
     assert arr[0] == once
+
+
+def _mod_reference(phi):
+    """reduce_phase as np.mod alone computes it."""
+    out = np.mod(phi, TWO_PI)
+    if np.ndim(out) == 0:
+        return 0.0 if out == TWO_PI else float(out)
+    out[out == TWO_PI] = 0.0
+    return out
+
+
+def _assert_reduces_like_np_mod(phi):
+    before = np.array(phi, copy=True)
+    got, want = reduce_phase(phi), _mod_reference(phi)
+    assert type(got) is type(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.asarray(phi).tobytes() == before.tobytes()  # the input is left as is
+
+
+#: Floats where a reduction mod 2*pi can go wrong, and their neighbours.
+_EDGES = [np.nan, 0.0, -0.0, 5e-324, -5e-324, -1e-17, TWO_PI, -TWO_PI]
+_EDGES += [float(np.nextafter(v, to)) for v in _EDGES[1:] for to in (-np.inf, np.inf)]
+
+
+@st.composite
+def _phase_inputs(draw):
+    """Arrays inside (-2*pi, 2*pi), outside it or mixed, on both sides of the
+    fast-path size, with edge values sprinkled in; as float64, float32 or int
+    arrays, lists, 0-d arrays or Python scalars."""
+    n = draw(st.integers(0, 2 * _FAST_MIN_SIZE)
+             | st.sampled_from([_FAST_MIN_SIZE - 1, _FAST_MIN_SIZE, 2_000]))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    inside = rng.uniform(-TWO_PI, TWO_PI, n)
+    outside = rng.choice([-1.0, 1.0], n) * rng.uniform(TWO_PI, 1e4, n)
+    x = draw(st.sampled_from([inside, outside,
+                              np.where(rng.random(n) < 0.5, inside, outside)]))
+    for v in draw(st.lists(st.sampled_from(_EDGES), max_size=4 if n else 0)):
+        x[rng.integers(n)] = v
+    form = draw(st.sampled_from(["float64", "float32", "int", "list", "0-d", "scalar"]))
+    if form == "float32":
+        return x.astype(np.float32)
+    if form == "int":
+        return np.rint(np.nan_to_num(x)).astype(np.int64)
+    if form == "list":
+        return x.tolist()
+    first = x[0] if n else draw(st.sampled_from(_EDGES))
+    return np.array(first) if form == "0-d" else float(first)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_phase_inputs())
+def test_reduce_phase_equals_np_mod_bitwise(phi):
+    _assert_reduces_like_np_mod(phi)
+
+
+@pytest.mark.parametrize("v", _EDGES)
+def test_reduce_phase_edge_values_equal_np_mod_bitwise(v):
+    inside = make_rng(3).uniform(-TWO_PI, TWO_PI, 2 * _FAST_MIN_SIZE)
+    inside[::7] = v  # out-of-range edges send the whole array to np.mod
+    for phi in (v, np.array(v), np.full(3, v), np.full(_FAST_MIN_SIZE, v), inside):
+        _assert_reduces_like_np_mod(phi)
+
+
+def test_optics_hands_np_mod_no_array_of_fast_path_size(monkeypatch):
+    """The phase arrays of the benchmark's optics work all lie in
+    (-2*pi, 2*pi), so none of them reaches np.mod."""
+    sizes = []
+    real_mod = np.mod
+
+    def counting_mod(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return real_mod(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "mod", counting_mod)
+    rng = make_rng(40)
+    n = 4 * _FAST_MIN_SIZE
+    seq = DifferentialPhaseSequence.mpsk(4, rng.integers(0, 4, n - 1))
+    cw = InjectionMode.cw(master_angular_freq=1e9, phase_noise_sigma=0.1)
+    trains = [emit_pulse_train(n, 1.0, mode, rng) for mode in
+              (InjectionMode.off(), cw, InjectionMode.modulated(seq, 0.05))]
+    for train in (trains[0], trains[2]):
+        dual_basis_demodulate(train)
+    for port in ("bar", "cross"):
+        amzi_interfere(trains[1], AmziConfig(5e-10, 0.3, port))
+    fringe_scan(cw, 1.0, np.linspace(0.0, TWO_PI, 4, endpoint=False), 2_000, rng)
+    constellation_eye(8, 0.05, n, rng)
+    assert max(sizes, default=0) < _FAST_MIN_SIZE
 
 
 def test_pulse_train_phases_are_the_reduced_input_bitwise():
@@ -137,6 +226,37 @@ def test_sequence_grid_validation():
         DifferentialPhaseSequence([0.0], 1)
     seq = DifferentialPhaseSequence.mpsk(4, [0, 1, 2, 3])
     assert seq.diff_phases[1] == pytest.approx(np.pi / 2)
+
+
+def test_levels_must_be_integers():
+    rng = make_rng(8)
+    with pytest.raises(ValueError, match="levels must be an integer"):
+        constellation_eye(8.5, 0.0, 200, rng)
+    with pytest.raises(ValueError, match="modulation_levels must be an integer"):
+        DifferentialPhaseSequence(np.arange(3) * TWO_PI / 4.5, 4.5)
+    with pytest.raises(ValueError, match="levels must be an integer"):
+        DifferentialPhaseSequence.mpsk(4.0, [0, 1])
+    rep = constellation_eye(np.int64(4), 0.0, 16, rng)  # numpy integers are integers
+    assert type(rep.modulation_levels) is int and rep.modulation_levels == 4
+    assert rep.eye_levels.size == 3
+
+
+def test_mpsk_rejects_fractional_symbols():
+    for bad in ([0.7, 3.9], [1.0, np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="symbol indices must be integers"):
+            DifferentialPhaseSequence.mpsk(4, bad)
+    seq = DifferentialPhaseSequence.mpsk(4, np.array([0, 3], dtype=np.int32))
+    assert seq.diff_phases.tolist() == [0.0, 3 * (TWO_PI / 4)]
+
+
+def test_pulse_counts_must_be_integers():
+    rng = make_rng(9)
+    with pytest.raises(ValueError, match="n_pulses must be an integer, got 2.5"):
+        emit_pulse_train(2.5, 1.0, InjectionMode.off(), rng)
+    with pytest.raises(ValueError, match="pulses_per_point must be an integer, got 2.5"):
+        fringe_scan(InjectionMode.off(), 1.0, [0.0, 1.0], 2.5, rng)
+    assert emit_pulse_train(np.int64(3), 1.0, InjectionMode.off(), rng).n_pulses == 3
+    assert fringe_scan(InjectionMode.off(), 1.0, [0.0, 1.0], np.int32(2), rng).intensity_out.size == 2
 
 
 def test_injection_mode_validation():
