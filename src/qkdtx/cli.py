@@ -9,6 +9,7 @@ report), compare (sweep table vs reference points). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -168,9 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = functools.cache(build_parser)  # main's, built at its first call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:

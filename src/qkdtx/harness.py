@@ -248,6 +248,18 @@ _CSV_PARSERS = {f.name: {"int": int, "float": float}[f.type]
                 for f in dataclasses.fields(SweepRow)}
 
 
+def _csv_field(line: int, column: str, text: str):
+    """A sweep CSV field as its column's type, finite as the program writes it."""
+    where = f"sweep CSV line {line}, column {column}"
+    try:
+        value = _CSV_PARSERS[column](text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{where}: {text!r} is not finite")
+    return value
+
+
 @dataclass
 class SweepTable:
     rows: list
@@ -275,9 +287,9 @@ class SweepTable:
                                  f"expected {len(CSV_COLUMNS)}")
         if tuple(lines[0][1]) != CSV_COLUMNS:
             raise ValueError(f"unexpected sweep CSV header: {lines[0][1]}")
-        return cls([SweepRow(**{c: _CSV_PARSERS[c](v)
+        return cls([SweepRow(**{c: _csv_field(n, c, v)
                                 for c, v in zip(CSV_COLUMNS, values)})
-                    for _, values in lines[1:]])
+                    for n, values in lines[1:]])
 
 
 def point_seed(master_seed: int, index: int) -> int:
@@ -291,28 +303,33 @@ def point_seed(master_seed: int, index: int) -> int:
 run_dps_session = run_bb84_session = protocols.run_session
 
 
+def _seeded_session(cfg, channel, seed, expected=None) -> SessionResult:
+    session = run_dps_session if cfg.protocol.kind == DPS else run_bb84_session
+    return session(cfg.protocol, channel, cfg.detector, cfg.pulses_per_point,
+                   np.random.Generator(np.random.PCG64(seed)), expected=expected)
+
+
 def run_session(cfg: ExperimentConfig, loss_db: float,
                 index: int = 0) -> SessionResult:
     """The configured protocol's Monte-Carlo session at one loss, seeded by
-    ``point_seed(cfg.seed, index)``."""
-    session = run_dps_session if cfg.protocol.kind == DPS else run_bb84_session
-    rng = np.random.Generator(np.random.PCG64(point_seed(cfg.seed, index)))
-    return session(cfg.protocol, ChannelModel(loss_db=loss_db), cfg.detector,
-                   cfg.pulses_per_point, rng)
+    ``point_seed(cfg.seed, index)``; it computes its own class laws."""
+    return _seeded_session(cfg, ChannelModel(loss_db=loss_db),
+                           point_seed(cfg.seed, index))
 
 
 def run_point(cfg: ExperimentConfig, loss_db: float, index: int) -> SweepRow:
-    """One sweep point: seeded Monte-Carlo session plus analytic column."""
-    session = run_session(cfg, loss_db, index)
-    exp = analytic_expectations(cfg.protocol, ChannelModel(loss_db=loss_db),
-                                cfg.detector)
+    """One sweep point: the closed form, then a session drawn from its laws."""
+    channel = ChannelModel(loss_db=loss_db)
+    seed = point_seed(cfg.seed, index)
+    exp = analytic_expectations(cfg.protocol, channel, cfg.detector)
+    session = _seeded_session(cfg, channel, seed, exp)
     clicks = sum(t.clicks for t in session.per_intensity.values())
     return SweepRow(loss_db=float(loss_db), qber=float(session.qber),
                     sifted_rate_hz=float(session.sifted_rate_hz),
                     skr_bps=float(session.skr_bps),
                     analytic_qber=float(exp.qber),
                     analytic_skr_bps=float(exp.skr_bps),
-                    clicks=int(clicks), seed=point_seed(cfg.seed, index))
+                    clicks=int(clicks), seed=seed)
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepTable:

@@ -8,9 +8,9 @@ units. Per intensity class a session therefore draws the units sent (one
 multinomial), their clicks ~ Binomial(sent, Q), the sifted clicks ~
 Binomial(clicks, basis match) and the wrong decodes ~ Binomial(sifted,
 W / Q), with W the wrong-decode probability averaged over the phase noise
-once (:func:`_mean_wrong_click`). :func:`analytic_expectations` reads the
-same Q and W from :func:`_groups`, and a session costs the same at any
-number of units. :func:`run_session` runs either kind: DPS is the
+once (:func:`_mean_wrong_click`). :func:`analytic_expectations` computes
+each class's Q and W once and a session draws from them, at the same cost
+for any number of units. :func:`run_session` runs either kind: DPS is the
 one-class, always-sifted case of the decoy BB84 session, its units the
 n - 1 interference slots of n pulses where BB84's are n pulse pairs. Both
 can split their tallies by emitted photon number (``record_photon_truth``)
@@ -98,6 +98,9 @@ def binary_entropy(x):
 
     Defined on [0, 1] with 0 log 0 := 0; NaN is outside the domain.
     """
+    if isinstance(x, float) and 0.0 < x < 1.0:
+        a = np.float64(x)  # the array path's ufunc loops, without its masks
+        return float(-a * np.log2(a) - (1 - a) * np.log2(1 - a))
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("binary_entropy is defined on [0, 1]")
@@ -413,18 +416,13 @@ def _unit_gain(flux, p_dark) -> float:
     return -math.expm1(-(flux - 2.0 * math.log1p(-p_dark)))
 
 
-def _groups(cfg: ProtocolConfig, mu, eta_t, p_dark, by_photons):
-    """(mass, gain, wrong numerator) of the groups a class's units fall in:
-    one group of all units, or by_photons those that emit 0, 1 and >= 2
-    photons, with Poisson masses P_n of mean mu. A photon is usable with
-    probability eta_t. A numerator W is the probability that a unit of the
-    group clicks and decodes wrongly, averaged over the phase noise once;
-    the >= 2 group holds what the class's gain and numerator leave over."""
-    flux = mu * eta_t
-    q = _unit_gain(flux, p_dark)
-    wrong = _mean_wrong_click(flux, cfg.sigma_phi, cfg.visibility_floor, p_dark)
-    if not by_photons:
-        return [(1.0, q, wrong)]
+def _groups(cfg: ProtocolConfig, mu, eta_t, p_dark, q, wrong):
+    """(mass, gain, wrong numerator) of the units of a class of gain q and
+    numerator wrong that emit 0, 1 and >= 2 photons, with Poisson masses P_n
+    of mean mu. A photon is usable with probability eta_t. A numerator W is
+    the probability that a unit of the group clicks and decodes wrongly,
+    averaged over the phase noise; the >= 2 group holds what the class's
+    gain and numerator leave over."""
     p0, p1 = math.exp(-mu), mu * math.exp(-mu)
     p2 = max(-math.expm1(-mu) - p1, 0.0)
     y0 = _unit_gain(0.0, p_dark)
@@ -445,10 +443,11 @@ def _groups(cfg: ProtocolConfig, mu, eta_t, p_dark, by_photons):
 
 @dataclass
 class AnalyticExpectations:
-    """Closed-form per-intensity gains/errors plus rates for a loss point."""
+    """Closed-form per-class gains, error rates and error gains, and rates."""
 
     gains: dict
     error_rates: dict
+    error_gains: dict
     raw_rate_hz: float
     sifted_rate_hz: float
     qber: float
@@ -461,9 +460,9 @@ def analytic_expectations(cfg: ProtocolConfig, channel: ChannelModel,
     """Expected gains, error rates and key rate without Monte-Carlo noise.
 
     Each class's gain Q = 1 - (1-p_dark)^2 * exp(-mu_eff), with mu_eff the
-    usable unit flux mu * temporal_efficiency * eta_sys, and its error rate
-    E_delta[w(V cos delta)] / Q come from :func:`_groups`, the law the
-    sessions draw from. To leading order the error rate is the familiar
+    usable unit flux mu * temporal_efficiency * eta_sys, and its error gain
+    W = E_delta[w(V cos delta)], the law a session given the result draws
+    from, give its error rate W / Q. To leading order that is the familiar
     E = [e_opt (Q - Q_dark) + Q_dark/2] / Q with
     e_opt = (1 - exp(-sigma^2/2) * V_floor) / 2, but the phase average keeps
     it exact in the high-flux regime too. The same key-rate step as the
@@ -472,16 +471,18 @@ def analytic_expectations(cfg: ProtocolConfig, channel: ChannelModel,
     eta_t = cfg.temporal_efficiency * _system_efficiency(cfg, channel, det)
     names, p_cls, mus = cfg.classes()
 
-    gains, errors = {}, {}
+    gains, errors, error_gains = {}, {}, {}
     for name, mu in zip(names, mus):
-        [(_, q, wrong)] = _groups(cfg, mu, eta_t, det.p_dark, by_photons=False)
-        gains[name] = q
+        flux = mu * eta_t
+        q = gains[name] = _unit_gain(flux, det.p_dark)
+        wrong = error_gains[name] = _mean_wrong_click(
+            flux, cfg.sigma_phi, cfg.visibility_floor, det.p_dark)
         errors[name] = wrong / q if q > 0 else 0.5
     raw = cfg.clock_hz * float(np.dot(p_cls, [gains[c] for c in names]))
     sifted = raw * cfg.basis_match_probability()
     skr, est = _key_rate(cfg, gains, errors, errors["signal"], sifted)
     return AnalyticExpectations(
-        gains=gains, error_rates=errors, raw_rate_hz=raw,
+        gains=gains, error_rates=errors, error_gains=error_gains, raw_rate_hz=raw,
         sifted_rate_hz=sifted, qber=errors["signal"], skr_bps=skr, decoy=est)
 
 
@@ -495,8 +496,8 @@ _TRUTH_KEYS = (("sent_n0", "clicked_n0"),
 
 
 def run_session(cfg: ProtocolConfig, channel: ChannelModel,
-                det: DetectorModel, n_pulses, rng,
-                record_photon_truth=False) -> SessionResult:
+                det: DetectorModel, n_pulses, rng, record_photon_truth=False,
+                expected: Optional[AnalyticExpectations] = None) -> SessionResult:
     """Monte-Carlo session of the config's kind over n_pulses pulses.
 
     Its units are the n_pulses - 1 interference slots of DPS, where a key
@@ -507,18 +508,20 @@ def run_session(cfg: ProtocolConfig, channel: ChannelModel,
 
     Per class, the units sent come from one multinomial draw, the clicks
     from Binomial(sent, gain), the sifted clicks from Binomial(clicks, basis
-    match) and the wrong decodes from Binomial(sifted, numerator / gain),
-    per group of :func:`_groups`. Whether a unit clicks does not depend on
-    its phase error, and phase errors are independent across units, so the
-    last draw is exact; a session costs the same at any size.
+    match) and the wrong decodes from Binomial(sifted, W / gain), with gain
+    and error gain W from ``expected``, the :func:`analytic_expectations` of
+    the same arguments (computed when None). A unit's click is independent
+    of its phase error, as are the phase errors of units, so the last draw
+    is exact; a session costs the same at any size.
 
-    ``record_photon_truth`` splits each class's units into groups of 0, 1
-    and >= 2 emitted photons with one more multinomial draw. The class
-    tallies are the group sums, with the same law; ``photon_truth`` tallies
-    the 0- and 1-photon units.
+    ``record_photon_truth`` splits each class's units into the 0-, 1- and
+    >= 2-photon groups of :func:`_groups` with one more multinomial draw. The
+    class tallies are the group sums, with the same law; ``photon_truth``
+    tallies the 0- and 1-photon units.
     """
     if n_pulses < 1_000:
         raise ValueError("n_pulses must be >= 1e3")
+    expected = expected or analytic_expectations(cfg, channel, det)
     n_units = int(n_pulses) - 1 if cfg.kind == DPS else int(n_pulses)
     names, p_cls, mus = cfg.classes()
     eta_t = cfg.temporal_efficiency * _system_efficiency(cfg, channel, det)
@@ -526,7 +529,9 @@ def run_session(cfg: ProtocolConfig, channel: ChannelModel,
     tallies = {}
     truth = {k: 0 for keys in _TRUTH_KEYS for k in keys}
     for name, mu, sent in zip(names, mus, rng.multinomial(n_units, p_cls)):
-        groups = _groups(cfg, mu, eta_t, det.p_dark, record_photon_truth)
+        law = expected.gains[name], expected.error_gains[name]
+        groups = (_groups(cfg, mu, eta_t, det.p_dark, *law)
+                  if record_photon_truth else [(1.0, *law)])
         rows = []
         for (_, gain, wrong), n in zip(
                 groups, rng.multinomial(sent, [g[0] for g in groups])):

@@ -1,14 +1,20 @@
 """Tests for config loading, sweeps, reference comparison, and the CLI."""
 
+import argparse
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import threading
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qkdtx import cli, harness, optics
+from qkdtx import cli, harness, optics, protocols
 from qkdtx.harness import (
     ConfigError,
     ReferencePoint,
@@ -325,6 +331,28 @@ def test_compare_rejects_malformed_tables_by_line(tmp_path, capsys):
         assert "none." in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column, text, message", [
+    ("qber", "abc", "could not convert string to float: 'abc'"),
+    ("clicks", "1e2", "invalid literal for int() with base 10: '1e2'"),
+    ("qber", "nan", "'nan' is not finite"),
+    ("skr_bps", "-inf", "'-inf' is not finite"),
+])
+def test_compare_names_the_line_and_column_of_a_bad_field(tmp_path, capsys,
+                                                          column, text, message):
+    header, *rows = run_sweep(config_from_dict(minimal_dps())).to_csv().splitlines()
+    values = rows[1].split(",")
+    values[harness.CSV_COLUMNS.index(column)] = text
+    rows[1] = ",".join(values)
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join([header, *rows]) + "\n")
+    expected = f"sweep CSV line 3, column {column}: {message}"
+    with pytest.raises(ValueError) as exc:
+        SweepTable.from_csv(table.read_text())
+    assert str(exc.value) == expected
+    assert cli.main(["compare", "--table", str(table)]) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
 def test_run_session():
     cfg = config_from_dict(minimal_dps())
     res = run_session(cfg, 10.0, 1)
@@ -599,7 +627,6 @@ BUNDLED_OUTPUT_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_OUTPUT_SHA256))
 def test_bundled_outputs_are_pinned(tmp_path, name):
-    from importlib import resources
     cfgp = str(resources.files("qkdtx.data").joinpath(name))
     out = tmp_path / "out"
     digests = []
@@ -611,7 +638,9 @@ def test_bundled_outputs_are_pinned(tmp_path, name):
     assert tuple(digests) == BUNDLED_OUTPUT_SHA256[name]
 
 
-@pytest.mark.parametrize("levels, sigma", itertools.product((2, 3, 8), (0.0, 0.3)))
+# a list, not the one-shot product: a second collection in one process
+# (pytest --keep-duplicates) would find the iterator empty
+@pytest.mark.parametrize("levels, sigma", list(itertools.product((2, 3, 8), (0.0, 0.3))))
 def test_cli_constellation_matches_json_dumps(tmp_path, levels, sigma):
     out = tmp_path / "eye.json"
     assert cli.main(["constellation", "--levels", str(levels), "--sigma", repr(sigma),
@@ -639,8 +668,78 @@ def test_cli_sweep_seed_and_points_override(tmp_path):
     assert a.read_text() != b.read_text()
 
 
+@pytest.mark.parametrize("name, classes",
+                         [("dps_snspd.json", 1), ("bb84_snspd.json", 3)])
+def test_each_point_computes_its_closed_form_and_seed_once(monkeypatch, name,
+                                                           classes):
+    calls = {}
+
+    def count(module, attr):
+        original = getattr(module, attr)
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, attr, counted)
+    count(protocols, "_mean_wrong_click")
+    count(harness, "point_seed")
+    cfg = load_config(resources.files("qkdtx.data").joinpath(name))
+    n_points = len(cfg.losses_db)
+    for run, points in ((lambda: run_point(cfg, cfg.losses_db[-1], 0), 1),
+                        (lambda: run_sweep(cfg), n_points)):
+        calls.update(_mean_wrong_click=0, point_seed=0)
+        run()
+        assert calls == {"_mean_wrong_click": classes * points,
+                         "point_seed": points}
+
+
+def test_cli_main_carries_no_state_between_calls(tmp_path, capsys,
+                                                 monkeypatch):
+    parses = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recorded(self, *args, **kwargs):
+        namespace = parse_args(self, *args, **kwargs)
+        parses.append(vars(namespace))
+        return namespace
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+    cfgp = str(write_config(tmp_path))
+    first_sweep = ["sweep", "--config", cfgp, "--seed", "99", "--points",
+                   "5000", "--format", "json"]
+    sequence = [first_sweep, ["sweep", "--config", cfgp],
+                ["simulate", "--config", cfgp],
+                ["qrng", "--n", "20000", "--seed", "5", "--lags", "4"],
+                ["sweep", "--config", cfgp, "--format", "xml"], first_sweep]
+    outputs = {}
+    for argv in sequence * 2:
+        parses.clear()
+        if "xml" in argv:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2 and parses == []
+        else:
+            assert cli.main(argv) == 0
+            [parsed] = parses
+            assert parsed == vars(cli.build_parser().parse_args(argv))
+        out = capsys.readouterr()
+        assert outputs.setdefault(tuple(argv), out) == out
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import argparse\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('a parser was built')\n"
+            "argparse.ArgumentParser.__init__ = refuse\n"
+            "import qkdtx.cli\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
 def test_bundled_configs_load():
-    from importlib import resources
     for name in ("dps_snspd.json", "bb84_snspd.json"):
         with resources.files("qkdtx.data").joinpath(name).open() as f:
             cfg = config_from_dict(json.load(f))

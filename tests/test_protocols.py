@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, stats
 
 from qkdtx.linkmodel import (DETECTOR_PRESETS, ChannelModel, DetectorModel,
@@ -17,9 +17,13 @@ from qkdtx.protocols import (
     DecoyEstimates,
     MU_SIGNAL_MAX,
     ProtocolConfig,
+    _TRUTH_KEYS,
     _click_probability,
+    _groups,
+    _key_rate,
     _mean_wrong_click,
     _system_efficiency,
+    _unit_gain,
     analytic_expectations,
     binary_entropy,
     decoy_estimate,
@@ -56,6 +60,26 @@ def test_binary_entropy_domain():
         binary_entropy(1.1)
     out = binary_entropy(np.array([0.0, 0.25, 1.0]))
     assert out[0] == 0.0 and out[2] == 0.0
+
+
+@settings(max_examples=1000)
+@given(st.floats(0.0, 1.0))
+@example(5e-324)
+@example(2.2250738585072014e-308)
+@example(0.5)
+@example(float(np.nextafter(1.0, 0.0)))
+def test_binary_entropy_float_path_matches_the_array_path(x):
+    for value in (x, np.float64(x)):
+        h = binary_entropy(value)
+        assert type(h) is float
+        assert h.hex() == float(binary_entropy(np.array([x]))[0]).hex()
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1, -np.inf, np.inf, -5e-324])
+def test_binary_entropy_rejects_floats_outside_the_domain(bad):
+    for value in (bad, np.float64(bad), np.array([bad])):
+        with pytest.raises(ValueError, match=r"^binary_entropy is defined on \[0, 1\]$"):
+            binary_entropy(value)
 
 
 def test_binary_entropy_rejects_nan():
@@ -348,6 +372,93 @@ def test_session_streams_pinned():
     assert s.photon_truth == {"sent_n0": 129620, "clicked_n0": 0,
                               "sent_n1": 54512, "clicked_n1": 2170,
                               "sifted_n1": 1097, "errors_n1": 30}
+
+
+class _LoggedGenerator:
+    """Forwards every draw to a Generator and logs its arguments' exact
+    bytes, so that draws at probabilities one ulp apart differ in the log."""
+
+    def __init__(self, seed):
+        self._rng = make_rng(seed)
+        self.log = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def logged(*args):
+            self.log.append((name, *((np.asarray(a).dtype.str, np.asarray(a).tobytes())
+                                     for a in args)))
+            return method(*args)
+        return logged
+
+
+def _reference_session(cfg, ch, det, n_pulses, rng, record_photon_truth):
+    """Per-class tallies, photon truth, QBER and key rate of a session whose
+    classes draw from gains and error gains computed in the session itself,
+    one class at a time, through _groups for the photon-number groups."""
+    n_units = n_pulses - 1 if cfg.kind == DPS else n_pulses
+    names, p_cls, mus = cfg.classes()
+    eta_t = cfg.temporal_efficiency * _system_efficiency(cfg, ch, det)
+    match = cfg.basis_match_probability()
+    tallies, truth = {}, [0] * 6
+    for name, mu, sent in zip(names, mus, rng.multinomial(n_units, p_cls)):
+        flux = mu * eta_t
+        law = (_unit_gain(flux, det.p_dark),
+               _mean_wrong_click(flux, cfg.sigma_phi, cfg.visibility_floor,
+                                 det.p_dark))
+        groups = (_groups(cfg, mu, eta_t, det.p_dark, *law)
+                  if record_photon_truth else [(1.0, *law)])
+        rows = []
+        for (_, gain, wrong), n in zip(
+                groups, rng.multinomial(sent, [g[0] for g in groups])):
+            clicks = int(rng.binomial(n, gain))
+            sifted = int(rng.binomial(clicks, match))
+            p_wrong = min(max(wrong / gain, 0.0), 1.0) if gain > 0 else 0.0
+            rows.append((int(n), clicks, sifted, int(rng.binomial(sifted, p_wrong))))
+        tallies[name] = tuple(map(sum, zip(*rows)))
+        if record_photon_truth:
+            truth = [t + v for t, v in zip(truth, (*rows[0][:2], *rows[1]))]
+    _, _, sifted, errors = tallies["signal"]
+    qber = min(errors / sifted, 0.5) if sifted else 0.0
+    rate = cfg.clock_hz * sum(t[2] for t in tallies.values()) / n_units
+    skr, _ = _key_rate(
+        cfg, {n: t[1] / t[0] if t[0] else 0.0 for n, t in tallies.items()},
+        {n: t[3] / t[2] if t[2] else 0.5 for n, t in tallies.items()},
+        qber, rate, sent_counts={n: t[0] for n, t in tallies.items()})
+    return tallies, truth if record_photon_truth else None, qber, skr
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from([DPS, BB84_DECOY]),
+       loss_db=st.floats(0.0, 60.0),
+       sigma_phi=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+       det=st.one_of(
+           st.just((0.0, 0.0)), st.just((0.0, 1e3)), st.just((1.0, 0.0)),
+           st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1e7))),
+       record_photon_truth=st.booleans(),
+       n_pulses=st.integers(1_000, 10 ** 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_session_draws_bit_for_bit_as_from_per_class_groups(
+        kind, loss_db, sigma_phi, det, record_photon_truth, n_pulses, seed):
+    # the session reads each class's law from the closed form; it must make
+    # the draws, at the same probabilities to the bit, that computing that
+    # law in the session made, including at a gain of exactly 0 (a blind
+    # detector without darks)
+    cfg = ProtocolConfig(kind, sigma_phi=sigma_phi)
+    det = DetectorModel(efficiency=det[0], dark_rate_hz=det[1],
+                        gate_rate_hz=cfg.clock_hz)
+    ch = ChannelModel(loss_db)
+    rng, ref_rng = _LoggedGenerator(seed), _LoggedGenerator(seed)
+    s = run_session(cfg, ch, det, n_pulses, rng,
+                    record_photon_truth=record_photon_truth)
+    tallies, truth, qber, skr = _reference_session(
+        cfg, ch, det, n_pulses, ref_rng, record_photon_truth)
+    assert rng.log == ref_rng.log
+    assert {n: (t.sent, t.clicks, t.sifted, t.errors)
+            for n, t in s.per_intensity.items()} == tallies
+    assert s.photon_truth == (None if truth is None else dict(
+        zip([k for keys in _TRUTH_KEYS for k in keys], truth)))
+    assert (s.qber.hex(), s.skr_bps.hex()) == (float(qber).hex(), float(skr).hex())
 
 
 @pytest.mark.parametrize("kind, e_opt", [(DPS, 0.025), (BB84_DECOY, 0.023)])
