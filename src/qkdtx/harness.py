@@ -83,7 +83,7 @@ def _protocol_from_dict(spec: dict, provenance: dict) -> ProtocolConfig:
     if not isinstance(spec, dict):
         raise ConfigError("protocol must be an object")
     kind = spec.get("kind")
-    fields = KINDS.get(kind, {}) if isinstance(kind, str) else {}
+    fields = KINDS[kind].fields if isinstance(kind, str) and kind in KINDS else {}
     kwargs = {name: _number(_default(spec, f"protocol.{name}", default,
                                      provenance), f"protocol.{name}")
               for name, default in fields.items()}

@@ -495,22 +495,21 @@ def fringe_visibility(intensities) -> float:
     return (hi - lo) / (hi + lo)
 
 
-def constellation_eye(levels, sigma_phi, n_symbols, rng,
-                      mean_photons=1.0) -> ConstellationReport:
+def constellation_eye(levels, sigma_phi, n_symbols, rng) -> ConstellationReport:
     """Demodulate a random M-ary phase-keyed train; report IQ points and eye.
 
-    The noiseless single-port eye levels are the distinct values of
-    I_in/2 * (1 + cos(2*pi*k/M)); for even M there are exactly M/2 + 1 of
-    them (for odd M the distinct-value count is reported as found).
+    Its pulses carry one photon on average, so the noiseless single-port eye
+    levels are the distinct values of (1 + cos(2*pi*k/M)) / 2: for even M,
+    exactly M/2 + 1 of them (for odd M the count is reported as found).
     """
     levels = _count(levels, "levels", 2)
     n_symbols = _count(n_symbols, "n_symbols", levels)
     idx = rng.integers(0, levels, n_symbols)
     seq = DifferentialPhaseSequence.mpsk(levels, idx)
     mode = InjectionMode.modulated(seq, phase_noise_sigma=sigma_phi)
-    train = emit_pulse_train(n_symbols + 1, mean_photons, mode, rng)
+    train = emit_pulse_train(n_symbols + 1, 1.0, mode, rng)
     points = dual_basis_demodulate(train)
     k = np.arange(levels)
-    eye = amzi_intensity(k * TWO_PI / levels, mean_photons, 0.0, "bar")
+    eye = amzi_intensity(k * TWO_PI / levels, 1.0, 0.0, "bar")
     eye = np.unique(np.round(eye, 12))
     return ConstellationReport(levels, points, np.sort(eye))

@@ -13,8 +13,8 @@ each class's Q and W once and a session draws from them, at the same cost
 for any number of units. :func:`run_session` runs either kind: DPS is the
 one-class, always-sifted case of the decoy BB84 session, its units the
 n - 1 interference slots of n pulses where BB84's are n pulse pairs. Both
-can split their tallies by emitted photon number (``record_photon_truth``)
-and take their key rate from :func:`_key_rate`.
+can split their tallies by emitted photon number (``record_photon_truth``).
+Each kind is one :data:`KINDS` record of fields, unit offset and key-rate step.
 
 Sessions bypass the injection-locked transmitter (``optics.emit_pulse_train``)
 and take each differential phase as the programmed one plus N(0, sigma_phi),
@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,43 +42,6 @@ DPS = "dps"
 BB84_DECOY = "bb84-decoy"
 
 INTENSITY_CLASSES = ("vacuum", "decoy", "signal")
-
-#: Every field each protocol kind reads, as field -> (default, source). The
-#: phase noise gives e_opt = (1 - exp(-sigma^2/2)) / 2; the DPS receiver
-#: loss stands for the receiver chip and detector coupling, and the BB84
-#: analysis needs none to land on its reference rates.
-_SHARED = {
-    "mu_signal": (0.5, "reference run: signal intensity 0.5 photons per encoded unit"),
-    "f_ec": (1 / 0.9, "error-correction efficiency 90%, f_ec = 1/0.9"),
-    "visibility_floor": (1.0, "no residual contrast penalty beyond phase noise"),
-}
-KINDS = {
-    DPS: {
-        "clock_hz": (2e9, "reference transmitter: 2 GHz gain-switched pulse train"),
-        **_SHARED,
-        "sigma_phi": (sigma_phi_for_error_rate(0.025),
-                      "calibrated: reproduces the reference 2.5% error rate "
-                      "at 20 dB channel loss"),
-        "temporal_efficiency": (1.0, "every DPS slot interferes"),
-        "receiver_loss_db": (
-            8.5, "calibrated against the reference 400 kb/s secure rate at 20 dB"),
-    },
-    BB84_DECOY: {
-        "clock_hz": (1e9, "reference transmitter: pulse pairs at 1 GHz"),
-        **_SHARED,
-        "mu_decoy": (0.125, "reference run: decoy intensity 0.125 photons per encoded unit"),
-        "p_signal": (14 / 16, "reference run: signal emission probability 14/16"),
-        "p_decoy": (1 / 16, "reference run: decoy emission probability 1/16"),
-        "p_vacuum": (1 / 16, "reference run: vacuum emission probability 1/16"),
-        "basis_prob_x": (0.5, "symmetric active basis choice"),
-        "sigma_phi": (sigma_phi_for_error_rate(0.023),
-                      "calibrated: reproduces the reference 2.2% error rate "
-                      "at 20 dB channel loss within tolerance"),
-        "temporal_efficiency": (0.5, "time-bin decoding: only the central "
-                                     "AMZI slot interferes"),
-        "receiver_loss_db": (0.0, "no receiver insertion loss applied"),
-    },
-}
 
 #: Largest mu_signal a config may set: the phase average below is exact to
 #: 1e-9 relative up to this many photons per unit.
@@ -138,7 +101,7 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.kind not in list(KINDS):  # a list: the kind may be unhashable
             raise ValueError(f"kind must be one of {list(KINDS)}, got {self.kind!r}")
-        fields = KINDS[self.kind]
+        fields = KINDS[self.kind].fields
         for name, value in vars(self).items():
             if name in fields and value is None:
                 setattr(self, name, fields[name][0])
@@ -312,28 +275,20 @@ def decoy_estimate(q_signal, q_decoy, q_vacuum, e_signal, e_decoy, e_vacuum,
     return DecoyEstimates(float(y0), float(y1), float(e1), float(q1), se, flags)
 
 
-def _waks_collision_probability(e: float) -> float:
-    # individual-attack collision bound: p_c = 1 - e^2 - (1 - 6e)^2 / 2,
-    # derived for e <= 1/6; beyond that the bound is void (no secure bits)
-    if e > 1.0 / 6.0:
-        return 1.0
-    return 1.0 - e * e - (1.0 - 6.0 * e) ** 2 / 2.0
-
-
 def skr_dps(sifted_rate_hz, error_rate, mu, cfg: ProtocolConfig) -> float:
     """Asymptotic DPS secure key rate.
 
     R = sifted_rate * [ -log2 p_c(e) - f_ec * h2(e) ], clamped at zero, with
-    p_c the individual-attack collision probability (p_c(0) = 1/2, so a
-    noiseless session keeps its full sifted rate).
+    p_c = 1 - e^2 - (1 - 6e)^2 / 2 the collision bound, derived for e <= 1/6
+    (no bit is secure beyond); p_c(0) = 1/2 keeps the full sifted rate.
     """
     if not 0.0 <= error_rate < 0.5:
         raise ValueError("error_rate must lie in [0, 0.5)")
-    if sifted_rate_hz <= 0.0:
+    if not 0.0 <= sifted_rate_hz < math.inf:  # NaN fails too
+        raise ValueError("sifted_rate_hz must be finite and >= 0")
+    if sifted_rate_hz == 0.0 or error_rate > 1.0 / 6.0:
         return 0.0
-    p_c = _waks_collision_probability(error_rate)
-    if p_c <= 0.0:
-        return 0.0
+    p_c = 1.0 - error_rate * error_rate - (1.0 - 6.0 * error_rate) ** 2 / 2.0
     fraction = -np.log2(p_c) - cfg.f_ec * binary_entropy(error_rate)
     return float(max(sifted_rate_hz * fraction, 0.0))
 
@@ -345,21 +300,24 @@ def skr_bb84(estimates: DecoyEstimates, q_signal, e_signal,
     R = sift * clock * p_signal * [ Q1 (1 - h2(e1)) - f_ec Q_s h2(E_s) ],
     clamped at zero; sift is the basis-match probability.
     """
+    for name, value in (("q_signal", q_signal), ("e_signal", e_signal)):
+        if not 0.0 <= value <= 1.0:  # NaN fails too
+            raise ValueError(f"{name} must lie in [0, 1]")
     sift = cfg.basis_match_probability()
     gain_term = estimates.q1 * (1.0 - binary_entropy(estimates.e1_upper))
-    ec_term = cfg.f_ec * q_signal * binary_entropy(min(max(e_signal, 0.0), 1.0))
+    ec_term = cfg.f_ec * q_signal * binary_entropy(e_signal)
     rate = sift * cfg.clock_hz * cfg.p_signal * (gain_term - ec_term)
     return float(max(rate, 0.0))
 
 
-def _key_rate(cfg: ProtocolConfig, gains, errors, qber, sifted_rate,
-              sent_counts=None):
-    """Secure key rate and decoy estimates (None for DPS): the collision
-    bound on the QBER for DPS, the vacuum + weak-decoy bound for BB84, where
-    sent_counts (units sent per class name) adds the Y1 standard error."""
-    if cfg.kind == DPS:
-        return skr_dps(sifted_rate, min(qber, 0.5 - 1e-15), cfg.mu_signal,
-                       cfg), None
+def _collision_key_rate(cfg, gains, errors, qber, sifted_rate, sent_counts=None):
+    """DPS: the collision bound on the QBER, and no decoy estimates."""
+    return skr_dps(sifted_rate, min(qber, 0.5 - 1e-15), cfg.mu_signal, cfg), None
+
+
+def _decoy_key_rate(cfg, gains, errors, qber, sifted_rate, sent_counts=None):
+    """BB84: the vacuum + weak-decoy bound, where sent_counts (units sent per
+    class name) adds the Y1 standard error."""
     if sent_counts is not None:
         sent_counts = tuple(sent_counts[c] for c in ("signal", "decoy", "vacuum"))
     est = decoy_estimate(gains["signal"], gains["decoy"], gains["vacuum"],
@@ -367,6 +325,49 @@ def _key_rate(cfg: ProtocolConfig, gains, errors, qber, sifted_rate,
                          cfg.mu_signal, cfg.mu_decoy, sent_counts=sent_counts)
     return skr_bb84(est, gains["signal"], errors["signal"], cfg), est
 
+
+#: One protocol kind: the fields it reads, as field -> (default, source); its
+#: unit offset, n pulses carrying n - unit_offset units; and its key-rate step.
+#: A step finds skr_dps, skr_bb84 and decoy_estimate by module name when it
+#: runs, so perfbench/tracing.py, which swaps those attributes, times them.
+Kind = NamedTuple("Kind", [("fields", dict), ("unit_offset", int),
+                           ("key_rate", Callable)])
+
+#: The phase noise gives e_opt = (1 - exp(-sigma^2/2)) / 2; the DPS receiver
+#: loss stands for the receiver chip and detector coupling, and the BB84
+#: analysis needs none to land on its reference rates.
+_SHARED = {
+    "mu_signal": (0.5, "reference run: signal intensity 0.5 photons per encoded unit"),
+    "f_ec": (1 / 0.9, "error-correction efficiency 90%, f_ec = 1/0.9"),
+    "visibility_floor": (1.0, "no residual contrast penalty beyond phase noise"),
+}
+KINDS = {
+    DPS: Kind({
+        "clock_hz": (2e9, "reference transmitter: 2 GHz gain-switched pulse train"),
+        **_SHARED,
+        "sigma_phi": (sigma_phi_for_error_rate(0.025),
+                      "calibrated: reproduces the reference 2.5% error rate "
+                      "at 20 dB channel loss"),
+        "temporal_efficiency": (1.0, "every DPS slot interferes"),
+        "receiver_loss_db": (
+            8.5, "calibrated against the reference 400 kb/s secure rate at 20 dB"),
+    }, unit_offset=1, key_rate=_collision_key_rate),
+    BB84_DECOY: Kind({
+        "clock_hz": (1e9, "reference transmitter: pulse pairs at 1 GHz"),
+        **_SHARED,
+        "mu_decoy": (0.125, "reference run: decoy intensity 0.125 photons per encoded unit"),
+        "p_signal": (14 / 16, "reference run: signal emission probability 14/16"),
+        "p_decoy": (1 / 16, "reference run: decoy emission probability 1/16"),
+        "p_vacuum": (1 / 16, "reference run: vacuum emission probability 1/16"),
+        "basis_prob_x": (0.5, "symmetric active basis choice"),
+        "sigma_phi": (sigma_phi_for_error_rate(0.023),
+                      "calibrated: reproduces the reference 2.2% error rate "
+                      "at 20 dB channel loss within tolerance"),
+        "temporal_efficiency": (0.5, "time-bin decoding: only the central "
+                                     "AMZI slot interferes"),
+        "receiver_loss_db": (0.0, "no receiver insertion loss applied"),
+    }, unit_offset=0, key_rate=_decoy_key_rate),
+}
 
 # ---------------------------------------------------------------------------
 # shared click model
@@ -480,7 +481,7 @@ def analytic_expectations(cfg: ProtocolConfig, channel: ChannelModel,
         errors[name] = wrong / q if q > 0 else 0.5
     raw = cfg.clock_hz * float(np.dot(p_cls, [gains[c] for c in names]))
     sifted = raw * cfg.basis_match_probability()
-    skr, est = _key_rate(cfg, gains, errors, errors["signal"], sifted)
+    skr, est = KINDS[cfg.kind].key_rate(cfg, gains, errors, errors["signal"], sifted)
     return AnalyticExpectations(
         gains=gains, error_rates=errors, error_gains=error_gains, raw_rate_hz=raw,
         sifted_rate_hz=sifted, qber=errors["signal"], skr_bps=skr, decoy=est)
@@ -522,7 +523,7 @@ def run_session(cfg: ProtocolConfig, channel: ChannelModel,
     if n_pulses < 1_000:
         raise ValueError("n_pulses must be >= 1e3")
     expected = expected or analytic_expectations(cfg, channel, det)
-    n_units = int(n_pulses) - 1 if cfg.kind == DPS else int(n_pulses)
+    n_units = int(n_pulses) - KINDS[cfg.kind].unit_offset
     names, p_cls, mus = cfg.classes()
     eta_t = cfg.temporal_efficiency * _system_efficiency(cfg, channel, det)
     match = cfg.basis_match_probability()
@@ -562,8 +563,8 @@ def run_session(cfg: ProtocolConfig, channel: ChannelModel,
     total_clicks = sum(t.clicks for t in tallies.values())
     total_sifted = sum(t.sifted for t in tallies.values())
     sifted_rate = cfg.clock_hz * total_sifted / n_units
-    skr, est = _key_rate(cfg, gains, errs, qber, sifted_rate,
-                         sent_counts={n: t.sent for n, t in tallies.items()})
+    skr, est = KINDS[cfg.kind].key_rate(cfg, gains, errs, qber, sifted_rate,
+                                        {n: t.sent for n, t in tallies.items()})
     if est is not None:
         flags.extend(est.flags)
     return SessionResult(

@@ -62,7 +62,7 @@ def test_provenance_tags_exactly_the_omitted_fields():
     # a kind's optional fields are the ones KINDS lists for it
     protocols = [(kind, {n: getattr(ProtocolConfig(kind), n) for n in given},
                   {f"protocol.{n}" for n in fields if n not in given})
-                 for kind, fields in KINDS.items()
+                 for kind, fields in ((k, v.fields) for k, v in KINDS.items())
                  for given in ((), ("mu_signal", "sigma_phi"), tuple(fields))]
     detectors = [({}, {"detector", "detector.gate_rate_hz"}),
                  ({"detector": "apd"}, {"detector.gate_rate_hz"}),
@@ -203,9 +203,9 @@ def test_dps_config_holds_only_the_fields_dps_reads(tmp_path, capsys):
         assert cli.main(["sweep", "--config", str(cfgp)]) == 1
         assert field in capsys.readouterr().err
     cfg = config_from_dict(minimal_dps())
-    assert len(KINDS["dps"]) == 7
+    assert len(KINDS["dps"].fields) == 7
     assert {k for k in cfg.provenance if k.startswith("protocol.")} == \
-        {f"protocol.{n}" for n in KINDS["dps"]}
+        {f"protocol.{n}" for n in KINDS["dps"].fields}
     # no decoy class bounds the signal from below
     raw = minimal_dps()
     raw["protocol"]["mu_signal"] = 0.1
@@ -213,7 +213,8 @@ def test_dps_config_holds_only_the_fields_dps_reads(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(cfgp)]) == 0
     assert config_from_dict(raw).protocol.mu_signal == 0.1
     # an emitted config holds only its kind's fields, and loads back unchanged
-    for kind, fields in KINDS.items():
+    for kind, record in KINDS.items():
+        fields = record.fields
         cfg = config_from_dict(minimal_dps(protocol={"kind": kind}))
         emitted = json.loads(json.dumps(cfg.to_dict()))
         assert set(emitted["protocol"]) == {"kind", *fields}

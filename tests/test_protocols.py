@@ -14,13 +14,13 @@ from qkdtx.protocols import (
     BB84_DECOY,
     DPS,
     INTENSITY_CLASSES,
+    KINDS,
     DecoyEstimates,
     MU_SIGNAL_MAX,
     ProtocolConfig,
     _TRUTH_KEYS,
     _click_probability,
     _groups,
-    _key_rate,
     _mean_wrong_click,
     _system_efficiency,
     _unit_gain,
@@ -253,6 +253,65 @@ def test_skr_dps_limits():
         skr_dps(1e6, 0.5, 0.5, cfg)
     # high error: clamped at zero
     assert skr_dps(1e6, 0.12, 0.5, cfg) == 0.0
+    # an interior point against the collision bound p_c = 1 - e^2 - (1-6e)^2/2
+    e = 0.02
+    p_c = 1 - e ** 2 - (1 - 6 * e) ** 2 / 2
+    h2 = -e * np.log2(e) - (1 - e) * np.log2(1 - e)
+    want = 1e6 * (-np.log2(p_c) - cfg.f_ec * h2)
+    assert want > 0
+    assert skr_dps(1e6, e, 0.5, cfg) == pytest.approx(want, rel=1e-12)
+    # past e = 1/6 the bound is void and no bit is secure
+    assert skr_dps(1e6, 0.3, 0.5, cfg) == 0.0
+
+
+@pytest.mark.parametrize("rate", [-1.0, -np.inf, np.nan, np.inf])
+def test_skr_dps_rejects_a_sifted_rate_not_finite_and_non_negative(rate):
+    # at a low error rate the key fraction is positive, so a negative rate
+    # would come back as 0, NaN as NaN and inf as inf
+    with pytest.raises(ValueError, match="^sifted_rate_hz must be finite and >= 0$"):
+        skr_dps(rate, 0.01, 0.5, ProtocolConfig(DPS))
+
+
+@pytest.mark.parametrize("name, q_signal, e_signal", [
+    ("q_signal", -1e-3, 0.02), ("q_signal", 1.5, 0.02), ("q_signal", np.nan, 0.02),
+    ("e_signal", 1e-3, -0.3), ("e_signal", 1e-3, 1.2), ("e_signal", 1e-3, np.nan)])
+def test_skr_bb84_rejects_a_signal_gain_or_error_rate_outside_0_1(
+        name, q_signal, e_signal):
+    # a clamp on e_signal used to turn -0.3 into 0 and return a positive rate
+    cfg = ProtocolConfig(BB84_DECOY)
+    est = decoy_estimate(1e-3, 2.5e-4, 1e-6, 0.02, 0.03, 0.5, 0.5, 0.125)
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\]$"):
+        skr_bb84(est, q_signal, e_signal, cfg)
+
+
+@pytest.mark.parametrize("kind, want", [
+    (DPS, {"skr_dps": 1}),
+    (BB84_DECOY, {"decoy_estimate": 1, "skr_bb84": 1})])
+def test_key_rate_steps_call_the_module_level_formulas(monkeypatch, kind, want):
+    # perfbench/tracing.py times the key rate by swapping these module
+    # attributes; a KINDS record that held the functions themselves would
+    # bypass the swap and zero that timing without failing anything else
+    from qkdtx import protocols
+    calls = {}
+
+    def counting(name):
+        inner = getattr(protocols, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in ("skr_dps", "skr_bb84", "decoy_estimate"):
+        monkeypatch.setattr(protocols, name, counting(name))
+    cfg = ProtocolConfig(kind)
+    ch, det = ChannelModel(20.0), snspd(cfg.clock_hz)
+    expected = analytic_expectations(cfg, ch, det)
+    assert calls == want
+    calls.clear()
+    s = run_session(cfg, ch, det, 10 ** 10, make_rng(5), expected=expected)
+    assert calls == want
+    assert s.skr_bps > 0
 
 
 def test_skr_bb84_limits():
@@ -421,7 +480,7 @@ def _reference_session(cfg, ch, det, n_pulses, rng, record_photon_truth):
     _, _, sifted, errors = tallies["signal"]
     qber = min(errors / sifted, 0.5) if sifted else 0.0
     rate = cfg.clock_hz * sum(t[2] for t in tallies.values()) / n_units
-    skr, _ = _key_rate(
+    skr, _ = KINDS[cfg.kind].key_rate(
         cfg, {n: t[1] / t[0] if t[0] else 0.0 for n, t in tallies.items()},
         {n: t[3] / t[2] if t[2] else 0.5 for n, t in tallies.items()},
         qber, rate, sent_counts={n: t[0] for n, t in tallies.items()})
