@@ -11,7 +11,6 @@ import numpy as np
 
 from qkdtx import (
     analyze,
-    arcsine_pdf,
     byte_autocorrelation,
     entropy_budget_bits,
     extract_bits,
@@ -52,8 +51,8 @@ else:
     ax.bar(centers, report.histogram / N * 256, width=1 / 256, alpha=0.6,
            label="measured")
     interior = np.linspace(0.002, 0.998, 400)
-    ax.plot(interior, arcsine_pdf(interior, 1.0), "k-", lw=1.5,
-            label="arcsine density")
+    ax.plot(interior, 1 / (np.pi * np.sqrt(interior * (1 - interior))), "k-",
+            lw=1.5, label="arcsine density")
     ax.set_xlabel("output intensity / I_in")
     ax.set_ylabel("density")
     ax.set_ylim(0, 8)

@@ -32,7 +32,6 @@ from .randomness import (
     RandomnessReport,
     analyze,
     arcsine_cdf,
-    arcsine_pdf,
     byte_autocorrelation,
     byte_histogram,
     entropy_budget_bits,

@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import protocols
-from .linkmodel import (FIBER_ALPHA_DEFAULT, ChannelModel, DetectorModel,
-                        detector_preset)
+from .linkmodel import ChannelModel, DetectorModel, detector_preset
 from .protocols import (DPS, KINDS, ProtocolConfig, SessionResult,
                         analytic_expectations)
 
@@ -150,25 +149,11 @@ def _numbers(value, name: str) -> list:
     return values
 
 
-def _losses_from_spec(spec: dict, provenance: dict) -> list:
+def _losses_from_spec(spec: dict) -> list:
     if not isinstance(spec, dict):
         raise ConfigError("channel must be an object")
-    if "loss_db" in spec:
-        _reject_unknown(spec, ("loss_db",), "channel")
-        losses = _numbers(spec["loss_db"], "channel.loss_db")
-    elif "length_km" in spec:
-        _reject_unknown(spec, ("length_km", "alpha_db_per_km"), "channel")
-        lengths = _numbers(spec["length_km"], "channel.length_km")
-        where = "channel.alpha_db_per_km"
-        alpha = _number(_default(spec, where, FIBER_ALPHA_DEFAULT, provenance),
-                        where)
-        try:
-            losses = [ChannelModel.from_length(l, alpha).loss_db for l in lengths]
-        except ValueError as exc:
-            # linkmodel's messages open with the field's name
-            raise ConfigError(f"channel.{exc}") from exc
-    else:
-        raise ConfigError("channel needs loss_db or length_km")
+    _reject_unknown(spec, ("loss_db",), "channel")
+    losses = _numbers(spec.get("loss_db", []), "channel.loss_db")
     if len(losses) == 0:
         raise ConfigError("channel.loss_db: at least one loss point is required")
     losses = [float(l) for l in losses]
@@ -196,7 +181,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     detector = _detector_from_spec(
         _default(raw, "detector", _DETECTOR_DEFAULT, provenance),
         protocol.clock_hz, provenance)
-    losses = _losses_from_spec(raw["channel"], provenance)
+    losses = _losses_from_spec(raw["channel"])
     pulses = _default(raw, "pulses_per_point", _PULSES_DEFAULT, provenance)
     if not isinstance(pulses, int) or pulses < 1_000:
         raise ConfigError("pulses_per_point must be an integer >= 1e3")
@@ -309,12 +294,11 @@ def _seeded_session(cfg, channel, seed, expected=None) -> SessionResult:
                    np.random.Generator(np.random.PCG64(seed)), expected=expected)
 
 
-def run_session(cfg: ExperimentConfig, loss_db: float,
-                index: int = 0) -> SessionResult:
+def run_session(cfg: ExperimentConfig, loss_db: float) -> SessionResult:
     """The configured protocol's Monte-Carlo session at one loss, seeded by
-    ``point_seed(cfg.seed, index)``; it computes its own class laws."""
+    ``point_seed(cfg.seed, 0)``; it computes its own class laws."""
     return _seeded_session(cfg, ChannelModel(loss_db=loss_db),
-                           point_seed(cfg.seed, index))
+                           point_seed(cfg.seed, 0))
 
 
 def run_point(cfg: ExperimentConfig, loss_db: float, index: int) -> SweepRow:

@@ -1,4 +1,4 @@
-"""Lossy channel and threshold single-photon detectors.
+"""Lossy channel, given by its loss in dB, and threshold single-photon detectors.
 
 Attenuation acts on mean photon number; detectors are non-photon-number
 resolving with a per-gate dark probability. The click law these parameters
@@ -10,29 +10,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-#: Default fiber attenuation: (dB/km of standard single-mode fiber, source).
-FIBER_ALPHA_DEFAULT = (0.2, "standard single-mode fiber: 0.2 dB/km")
-
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Attenuating quantum channel, specified in dB or by fiber length."""
+    """Attenuating quantum channel, given by its total loss in dB."""
 
     loss_db: float
 
     def __post_init__(self):
         if not 0.0 <= self.loss_db < math.inf:
             raise ValueError("loss_db must be finite and >= 0")
-
-    @classmethod
-    def from_length(cls, length_km,
-                    alpha_db_per_km=FIBER_ALPHA_DEFAULT[0]) -> "ChannelModel":
-        """Fiber loss = length * alpha, by default standard single-mode fiber."""
-        if length_km < 0:
-            raise ValueError("length_km must be >= 0")
-        if alpha_db_per_km < 0:
-            raise ValueError("alpha_db_per_km must be >= 0")
-        return cls(loss_db=length_km * alpha_db_per_km)
 
 
 def transmittance(channel: ChannelModel) -> float:

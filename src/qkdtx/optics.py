@@ -457,8 +457,8 @@ def dual_basis_demodulate(train: PulseTrain) -> np.recarray:
     return np.rec.fromarrays([np.full(diffs.size, i_in), angle], names="radius,angle")
 
 
-def fringe_scan(mode, mean_photons, theta_grid, pulses_per_point, rng,
-                period_s=5e-10) -> InterferenceResult:
+def fringe_scan(mode, mean_photons, theta_grid, pulses_per_point,
+                rng) -> InterferenceResult:
     """Sweep the demodulator phase and record the mean bar-port intensity.
 
     Emits a fresh train per grid point (the slow thermal sweep of the real
@@ -471,8 +471,7 @@ def fringe_scan(mode, mean_photons, theta_grid, pulses_per_point, rng,
     pulses_per_point = _count(pulses_per_point, "pulses_per_point", 2)
     means = np.empty(theta_grid.size)
     for j, theta in enumerate(theta_grid):
-        train = emit_pulse_train(pulses_per_point, mean_photons, mode, rng,
-                                 period_s=period_s)
+        train = emit_pulse_train(pulses_per_point, mean_photons, mode, rng)
         means[j] = np.mean(amzi_intensity(train.differential_phases(),
                                           mean_photons, theta, "bar"))
     return InterferenceResult(_read_only(np.arange(theta_grid.size)),

@@ -56,22 +56,17 @@ _COS_TRANSFORM = np.cos(np.outer(_FREQS, _PHASES)) / 32
 _COS_TRANSFORM[-1] /= 2
 
 
-def binary_entropy(x):
+def binary_entropy(x: float) -> float:
     """Shannon entropy of a binary variable, -x log2 x - (1-x) log2 (1-x).
 
     Defined on [0, 1] with 0 log 0 := 0; NaN is outside the domain.
     """
-    if isinstance(x, float) and 0.0 < x < 1.0:
-        a = np.float64(x)  # the array path's ufunc loops, without its masks
-        return float(-a * np.log2(a) - (1 - a) * np.log2(1 - a))
-    arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= 0) & (arr <= 1)):
+    if not 0.0 <= x <= 1.0:
         raise ValueError("binary_entropy is defined on [0, 1]")
-    inner = (arr > 0) & (arr < 1)
-    out = np.zeros_like(arr)
-    a = arr[inner]
-    out[inner] = -a * np.log2(a) - (1 - a) * np.log2(1 - a)
-    return float(out) if np.ndim(x) == 0 else out
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    a = np.float64(x)
+    return float(-a * np.log2(a) - (1 - a) * np.log2(1 - a))
 
 
 # ---------------------------------------------------------------------------

@@ -45,21 +45,6 @@ class RandomnessReport:
 # arcsine law
 # ---------------------------------------------------------------------------
 
-def arcsine_pdf(i_out, i_in):
-    """Density 1 / (pi * sqrt(i_out * (i_in - i_out))) on (0, i_in).
-
-    The endpoints are vertical asymptotes (fully destructive / constructive
-    interference) and are rejected.
-    """
-    if i_in <= 0:
-        raise ValueError("i_in must be > 0")
-    i_out = np.asarray(i_out, dtype=float)
-    if np.any((i_out <= 0) | (i_out >= i_in)):
-        raise ValueError("i_out must lie strictly inside (0, i_in)")
-    out = 1.0 / (np.pi * np.sqrt(i_out * (i_in - i_out)))
-    return float(out) if out.ndim == 0 else out
-
-
 def arcsine_cdf(i_out, i_in):
     """Cumulative distribution (2/pi) * arcsin(sqrt(i_out / i_in)) on [0, i_in]."""
     if i_in <= 0:
@@ -181,9 +166,11 @@ def analyze(byte_values, max_lag=50) -> RandomnessReport:
 # ---------------------------------------------------------------------------
 
 def entropy_budget_bits(byte_values) -> int:
-    """Extractable bits: floor(n_bytes * min_entropy) minus the safety margin."""
+    """Extractable bits: floor(n_bytes * h) minus the safety margin, with h the
+    arcsine law's min-entropy per byte capped by the sample's plug-in value."""
     hist = byte_histogram(byte_values)
-    budget = int(np.floor(hist.sum() * min_entropy(hist))) - EXTRACTOR_MARGIN_BITS
+    h = min(min_entropy(hist), -np.log2(_bin_masses().max()))
+    budget = int(np.floor(hist.sum() * h)) - EXTRACTOR_MARGIN_BITS
     return max(budget, 0)
 
 

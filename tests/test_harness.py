@@ -71,9 +71,7 @@ def test_provenance_tags_exactly_the_omitted_fields():
                   {"detector.gate_rate_hz", "detector.label"}),
                  ({"detector": {"efficiency": 0.3, "dark_rate_hz": 100.0,
                                 "gate_rate_hz": 1e9, "label": "lab"}}, set())]
-    channels = [({"loss_db": 10}, set()),
-                ({"length_km": [50]}, {"channel.alpha_db_per_km"}),
-                ({"length_km": [50], "alpha_db_per_km": 0.25}, set())]
+    channels = [({"loss_db": 10}, set()), ({"loss_db": [20, 10]}, set())]
     pulses = [({}, {"pulses_per_point"}), ({"pulses_per_point": 20_000}, set())]
     for (kind, proto, p_out), (det, d_out), (channel, c_out), (n, n_out) in \
             itertools.product(protocols, detectors, channels, pulses):
@@ -143,25 +141,17 @@ def test_channel_validation():
         config_from_dict(minimal_dps(channel={"loss_db": []}))
     with pytest.raises(ConfigError, match=">= 0"):
         config_from_dict(minimal_dps(channel={"loss_db": [-3.0]}))
-    cfg = config_from_dict(minimal_dps(channel={"length_km": [50, 100]}))
-    assert cfg.losses_db == [10.0, 20.0]
-    assert "channel.alpha_db_per_km" in cfg.provenance
     for channel, field in [({"loss_db": "10"}, "channel.loss_db"),
                            ({"loss_db": [0, "5"]}, "channel.loss_db"),
                            ({"loss_db": [float("nan")]}, "channel.loss_db"),
-                           ({"length_km": "50"}, "channel.length_km"),
-                           ({"length_km": [-5]}, "channel.length_km"),
-                           ({"loss_db": [10], "length_km": [50]}, "length_km"),
-                           ({"length_km": [50], "alpha_db_per_kn": 0.3},
-                            "alpha_db_per_kn"),
-                           ({"length_km": [50], "alpha_db_per_km": True},
-                            "channel.alpha_db_per_km"),
-                           ({"length_km": [50], "alpha_db_per_km": "0.2"},
-                            "channel.alpha_db_per_km"),
-                           ({"length_km": [50], "alpha_db_per_km": float("nan")},
-                            "channel.alpha_db_per_km"),
-                           ({"length_km": [50], "alpha_db_per_km": -0.2},
-                            "channel.alpha_db_per_km")]:
+                           ({}, "channel.loss_db"),
+                           # the channel is its loss in dB; no fiber length
+                           ({"length_km": [50]},
+                            "^unknown channel fields: length_km$"),
+                           ({"length_km": [50], "alpha_db_per_km": 0.2},
+                            "^unknown channel fields: alpha_db_per_km, length_km$"),
+                           ({"loss_db": [10], "alpha_db_per_km": 0.2},
+                            "^unknown channel fields: alpha_db_per_km$")]:
         with pytest.raises(ConfigError, match=field):
             config_from_dict(minimal_dps(channel=channel))
 
@@ -356,11 +346,11 @@ def test_compare_names_the_line_and_column_of_a_bad_field(tmp_path, capsys,
 
 def test_run_session():
     cfg = config_from_dict(minimal_dps())
-    res = run_session(cfg, 10.0, 1)
+    res = run_session(cfg, 10.0)
     assert res.protocol == "dps"
     assert res.pulses_sent == 100_000
-    # the sweep point at the same index runs the same session
-    row = run_point(cfg, 10.0, 1)
+    # it runs the session of the sweep's first point
+    row = run_point(cfg, 10.0, 0)
     assert (row.qber, row.clicks) == (res.qber, res.per_intensity["signal"].clicks)
     raw = minimal_dps()
     raw["protocol"]["kind"] = "bb84-decoy"

@@ -30,16 +30,12 @@ def make_rng(seed=0):
 def test_transmittance_reference_points():
     assert transmittance(ChannelModel(0.0)) == 1.0
     assert transmittance(ChannelModel(20.0)) == pytest.approx(0.01, rel=1e-12)
-    fiber = ChannelModel.from_length(100.0)  # 0.2 dB/km
-    assert fiber.loss_db == pytest.approx(20.0)
     assert transmittance(ChannelModel(16.7)) == pytest.approx(0.021380, abs=1e-5)
 
 
 def test_channel_validation():
     with pytest.raises(ValueError):
         ChannelModel(-1.0)
-    with pytest.raises(ValueError):
-        ChannelModel.from_length(-5.0)
     for loss in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="loss_db"):
             ChannelModel(loss)
