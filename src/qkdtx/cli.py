@@ -27,14 +27,13 @@ _ANGLE_KEY = ',\n      "angle": '
 _NEXT_POINT = '\n    },\n    {\n      "radius": '
 
 
-def _points_json(points) -> str:
+def _points_json(report) -> str:
     """The items of "points" as json.dumps(indent=2) writes them, without the
-    last point's closing brace, from one list filled by slices."""
-    parts = [_NEXT_POINT, None, _ANGLE_KEY, None] * len(points)
-    parts[0] = _FIRST_POINT
-    parts[1::4] = map(float.__repr__, points.radius.tolist())
-    parts[3::4] = map(float.__repr__, points.angle.tolist())
-    return "".join(parts)
+    last point's closing brace; every point shares the report's one radius,
+    so its repr is written once."""
+    radius = f"{report.radius!r}{_ANGLE_KEY}"
+    return (_FIRST_POINT + radius
+            + (_NEXT_POINT + radius).join(map(float.__repr__, report.points.angle.tolist())))
 
 
 def _write_or_print(text: str, out):
@@ -100,7 +99,7 @@ def _cmd_constellation(args) -> int:
         "n_symbols": len(points),
         "eye_levels": report.eye_levels.tolist(),
     }, indent=2)
-    body = _points_json(points)
+    body = _points_json(report)
     _write_or_print(f'{header[:-2]},\n  "points": [\n{body}\n    }}\n  ]\n}}\n', args.out)
     return 0
 

@@ -5,6 +5,9 @@ master laser (no injection, CW injection, directly modulated injection) and
 the delay-line interferometer that converts differential phase into intensity.
 Each pulse is a point event carrying a mean photon number and an optical
 phase; pulse shape, chirp and jitter are below the abstraction level.
+Emitted differential phases are the programmed steps plus locking noise,
+exactly (across a randomized pair boundary, the difference of the two
+absolute phases; without injection, np.diff of the uniform phases).
 Each phase array is reduced mod 2*pi exactly once: a train's phases on
 their first read, its emitted differential phases when it is built, and
 ``differential_phases()`` returns that one read-only array on every call.
@@ -23,6 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+_PERIOD_S = 5e-10  # the default slot period, a 2 GHz train
 
 
 #: Shorter arrays take np.mod: the fast line's guard and arithmetic cost a fixed
@@ -56,8 +60,8 @@ def reduce_phase(phi):
 
 
 def _count(value, name: str, least: int) -> int:
-    """``value`` as an int: a Python or numpy integer >= least, or ValueError."""
-    if not isinstance(value, (int, np.integer)):
+    """``value`` as an int: a Python or numpy integer, not a bool, >= least."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
@@ -152,7 +156,7 @@ class PulseTrain:
         """Phase increments between consecutive pulses in [0, 2*pi), as one
         read-only array computed once."""
         if self._diff_phases is None:
-            self._diff_phases = _read_only(reduce_phase(np.diff(self.phases)))
+            self._diff_phases = _read_only(reduce_phase(self.phases[1:] - self.phases[:-1]))
         return self._diff_phases
 
 
@@ -318,12 +322,55 @@ class ConstellationReport:
     points: np.recarray
     eye_levels: np.ndarray
 
+    @property
+    def radius(self) -> float:
+        """Every point's radius: dual_basis_demodulate fills the column with
+        the train's one pulse intensity."""
+        return self.points.radius[0].item()
+
 
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
 
-def emit_pulse_train(n_pulses, mean_photons, mode, rng, period_s=5e-10,
+def _emission(n_pulses, mode, rng, period_s):
+    """Draw one train in emit_pulse_train's stream order. Returns its absolute
+    phases before any global offset and its n-1 emitted differential phases,
+    unreduced."""
+    if mode.variant == "off":
+        unwrapped = rng.uniform(0.0, TWO_PI, n_pulses)
+        return unwrapped, unwrapped[1:] - unwrapped[:-1]
+    if mode.variant == "cw":
+        step = reduce_phase(mode.master_angular_freq * period_s)
+    else:
+        seq = mode.phase_sequence
+        if len(seq) < n_pulses - 1:
+            raise ValueError(
+                f"phase sequence has {len(seq)} symbols; need >= {n_pulses - 1}")
+        step = seq.diff_phases[:n_pulses - 1]
+    start = rng.uniform(0.0, TWO_PI)
+    sigma = mode.phase_noise_sigma
+    diffs = rng.normal(0.0, sigma, n_pulses - 1) if sigma > 0 else np.zeros(n_pulses - 1)
+    diffs += step  # programmed step plus noise, in a new array
+    unwrapped = np.empty(n_pulses)
+    unwrapped[0] = 0.0
+    np.cumsum(diffs, out=unwrapped[1:])
+    unwrapped += start
+    boundaries = (np.flatnonzero(mode.phase_sequence.pair_boundary[:n_pulses - 1])
+                  if mode.pair_randomization else ())  # read by modulated only
+    if len(boundaries):
+        redraws = rng.uniform(0.0, TWO_PI, boundaries.size)
+        # pulse p+1 restarts at a fresh absolute phase; later pulses
+        # keep accumulating the programmed steps from there
+        seg_offsets = np.concatenate(([0.0], redraws - unwrapped[boundaries + 1]))
+        seg_of = np.searchsorted(boundaries + 1, np.arange(n_pulses), side="right")
+        unwrapped += seg_offsets[seg_of]
+        # reduced on their own, so that all of diffs lies in (-2*pi, 2*pi)
+        diffs[boundaries] = reduce_phase(unwrapped[boundaries + 1] - unwrapped[boundaries])
+    return unwrapped, diffs
+
+
+def emit_pulse_train(n_pulses, mean_photons, mode, rng, period_s=_PERIOD_S,
                      global_phase_offset=0.0):
     """Emit a gain-switched pulse train under a given injection regime.
 
@@ -353,39 +400,10 @@ def emit_pulse_train(n_pulses, mean_photons, mode, rng, period_s=5e-10,
     -------
     PulseTrain
     """
-    n_pulses = _count(n_pulses, "n_pulses", 1)
-
-    if mode.variant == "off":
-        unwrapped = rng.uniform(0.0, TWO_PI, n_pulses)
-    else:
-        start = rng.uniform(0.0, TWO_PI)
-        sigma = mode.phase_noise_sigma
-        noise = (rng.normal(0.0, sigma, n_pulses - 1) if sigma > 0
-                 else np.zeros(n_pulses - 1))
-        if mode.variant == "cw":
-            steps = reduce_phase(mode.master_angular_freq * period_s) + noise
-        else:
-            seq = mode.phase_sequence
-            if len(seq) < n_pulses - 1:
-                raise ValueError(
-                    f"phase sequence has {len(seq)} symbols; need >= {n_pulses - 1}")
-            steps = seq.diff_phases[:n_pulses - 1] + noise
-        unwrapped = start + np.concatenate(([0.0], np.cumsum(steps)))
-
-    if mode.pair_randomization:  # read by modulated injection only
-        boundaries = np.flatnonzero(mode.phase_sequence.pair_boundary[:n_pulses - 1])
-        if boundaries.size:
-            redraws = rng.uniform(0.0, TWO_PI, boundaries.size)
-            # pulse p+1 restarts at a fresh absolute phase; later pulses
-            # keep accumulating the programmed steps from there
-            seg_offsets = np.concatenate(([0.0], redraws - unwrapped[boundaries + 1]))
-            seg_of = np.searchsorted(boundaries + 1, np.arange(n_pulses),
-                                     side="right")
-            unwrapped += seg_offsets[seg_of]
-
+    unwrapped, diffs = _emission(_count(n_pulses, "n_pulses", 1), mode, rng, period_s)
+    unwrapped += global_phase_offset
     # PulseTrain reduces both arrays, each once
-    return PulseTrain(unwrapped + global_phase_offset, mean_photons, period_s,
-                      diff_phases=np.diff(unwrapped))
+    return PulseTrain(unwrapped, mean_photons, period_s, diff_phases=diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -463,17 +481,18 @@ def fringe_scan(mode, mean_photons, theta_grid, pulses_per_point,
 
     Emits a fresh train per grid point (the slow thermal sweep of the real
     receiver), so slot j of the result holds the mean intensity at fringe
-    position ``theta_grid[j]``.
+    position ``theta_grid[j]``; each point draws what ``emit_pulse_train`` draws.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.ndim != 1 or theta_grid.size < 2 or not np.isfinite(theta_grid).all():
         raise ValueError("theta_grid must be a 1-d array of at least 2 finite values")
     pulses_per_point = _count(pulses_per_point, "pulses_per_point", 2)
+    if not 0.0 <= mean_photons < np.inf:
+        raise ValueError("mean_photons must be finite and >= 0")
     means = np.empty(theta_grid.size)
     for j, theta in enumerate(theta_grid):
-        train = emit_pulse_train(pulses_per_point, mean_photons, mode, rng)
-        means[j] = np.mean(amzi_intensity(train.differential_phases(),
-                                          mean_photons, theta, "bar"))
+        diffs = _emission(pulses_per_point, mode, rng, _PERIOD_S)[1]
+        means[j] = np.mean(amzi_intensity(reduce_phase(diffs), mean_photons, theta, "bar"))
     return InterferenceResult(_read_only(np.arange(theta_grid.size)),
                               _read_only(means), float(mean_photons))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import TWO_PI, port_intensities
+from .optics import TWO_PI, _count, port_intensities
 
 QUANT_LEVELS = 256           # 8-bit digitizer
 EXTRACTOR_MARGIN_BITS = 64   # security margin subtracted from the entropy budget
@@ -61,9 +61,7 @@ def sample_interference(n, rng) -> np.ndarray:
 
     Equivalent in distribution to inverse-CDF sampling of the arcsine law.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cos_phi = np.cos(rng.uniform(0.0, TWO_PI, int(n)))
+    cos_phi = np.cos(rng.uniform(0.0, TWO_PI, _count(n, "n", 1)))
     return port_intensities(cos_phi, 0.5)[0]  # the bar port
 
 

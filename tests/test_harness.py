@@ -596,9 +596,9 @@ def test_cli_constellation_bytes_are_pinned(tmp_path):
     assert cli.main(["constellation", "--levels", "8", "--sigma", "0.05",
                      "--symbols", "25000", "--seed", "7", "--out", str(out)]) == 0
     blob = out.read_bytes()
-    assert len(blob) == 1_688_705
+    assert len(blob) == 1_688_609
     assert hashlib.sha256(blob).hexdigest() == (
-        "732f056e8338f18b2eb08cd0700ca6bbbcc5ed1164c5dc0e5dd2c5d16cc69d31")
+        "3a86755dabb57b368b5bc20f1bc90271d6c0a1cde667ca373be01b516c99e127")
 
 
 #: sha256 of each bundled config's CLI outputs: the sweep CSV on 1 worker,

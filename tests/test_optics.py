@@ -256,6 +256,13 @@ def test_pulse_counts_must_be_integers():
     with pytest.raises(ValueError, match="pulses_per_point must be an integer, got 2.5"):
         fringe_scan(InjectionMode.off(), 1.0, [0.0, 1.0], 2.5, rng)
     assert emit_pulse_train(np.int64(3), 1.0, InjectionMode.off(), rng).n_pulses == 3
+    # a bool is no count, though Python counts it an int
+    with pytest.raises(ValueError, match="n_pulses must be an integer, got True"):
+        emit_pulse_train(True, 1.0, InjectionMode.off(), rng)
+    with pytest.raises(ValueError, match="pulses_per_point must be an integer"):
+        fringe_scan(InjectionMode.off(), 1.0, [0.0, 1.0], True, rng)
+    with pytest.raises(ValueError, match="levels must be an integer, got True"):
+        DifferentialPhaseSequence.mpsk(True, [0])
     assert fringe_scan(InjectionMode.off(), 1.0, [0.0, 1.0], np.int32(2), rng).intensity_out.size == 2
 
 
@@ -344,6 +351,8 @@ def test_emit_rejects_non_finite_mean_photons():
     for bad in (-0.5, np.nan, np.inf):
         with pytest.raises(ValueError, match="mean_photons"):
             emit_pulse_train(4, bad, InjectionMode.off(), make_rng(0))
+        with pytest.raises(ValueError, match="mean_photons"):
+            fringe_scan(InjectionMode.off(), bad, [0.0, 1.0], 4, make_rng(0))
 
 
 def test_modulated_sequence_too_short():
@@ -397,6 +406,85 @@ def test_emission_noise_consumption_reproducible():
     assert np.array_equal(t1.phases, t2.phases)
 
 
+def _circular_gap(a, b):
+    """Largest distance between two phase arrays on the circle."""
+    d = reduce_phase(np.asarray(a) - np.asarray(b))
+    return float(np.max(np.minimum(d, TWO_PI - d), initial=0.0))
+
+
+def test_noise_free_emission_returns_the_programmed_steps_bitwise():
+    n = 1_000_000
+    seq = DifferentialPhaseSequence.mpsk(4, make_rng(30).integers(0, 4, n - 1))
+    tr = emit_pulse_train(n, 0.5, InjectionMode.modulated(seq), make_rng(31),
+                          global_phase_offset=2.1)
+    assert tr.differential_phases().tobytes() == reduce_phase(seq.diff_phases).tobytes()
+    assert _circular_gap(tr.differential_phases(), np.diff(tr.phases)) < 1e-9
+
+
+@pytest.mark.parametrize("variant", ["cw", "modulated"])
+def test_noisy_emission_returns_step_plus_noise_bitwise(variant):
+    n, sigma, period = 3000, 0.3, 5e-10
+    seq = DifferentialPhaseSequence.mpsk(8, make_rng(32).integers(0, 8, n - 1))
+    if variant == "cw":
+        mode = InjectionMode.cw(master_angular_freq=4.4 / period, phase_noise_sigma=sigma)
+        step = reduce_phase(4.4)
+    else:
+        mode = InjectionMode.modulated(seq, phase_noise_sigma=sigma)
+        step = seq.diff_phases
+    rng = make_rng(33)
+    tr = emit_pulse_train(n, 0.5, mode, rng, period_s=period)
+    replica = make_rng(33)
+    replica.uniform(0.0, TWO_PI)  # the start phase, then the noise
+    noise = replica.normal(0.0, sigma, n - 1)
+    assert tr.differential_phases().tobytes() == reduce_phase(step + noise).tobytes()
+    assert rng.random() == replica.random()
+    assert _circular_gap(tr.differential_phases(), np.diff(tr.phases)) < 1e-9
+
+
+def test_pair_randomised_emission_differs_from_the_steps_only_at_boundaries():
+    n, sigma = 3001, 0.1
+    boundary = make_rng(34).random(n - 1) < 0.3
+    seq = DifferentialPhaseSequence(make_rng(35).integers(0, 4, n - 1) * (TWO_PI / 4), 4,
+                                    pair_boundary=boundary)
+    mode = InjectionMode.modulated(seq, phase_noise_sigma=sigma, pair_randomization=True)
+    rng = make_rng(36)
+    tr = emit_pulse_train(n, 0.5, mode, rng)
+    replica = make_rng(36)
+    start = replica.uniform(0.0, TWO_PI)
+    steps = seq.diff_phases + replica.normal(0.0, sigma, n - 1)
+    redraws = iter(replica.uniform(0.0, TWO_PI, np.count_nonzero(boundary)))
+    assert rng.random() == replica.random()
+    unwrapped = [start]  # pulse by pulse: a boundary restarts at a fresh phase
+    for k in range(n - 1):
+        unwrapped.append(next(redraws) if boundary[k] else unwrapped[-1] + steps[k])
+    d = tr.differential_phases()
+    assert d[~boundary].tobytes() == reduce_phase(steps)[~boundary].tobytes()
+    assert _circular_gap(d[boundary], np.diff(unwrapped)[boundary]) < 1e-9
+    assert _circular_gap(d, np.diff(tr.phases)) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["off", "cw", "modulated", "pairs"]),
+       st.sampled_from([0.0, 0.4]), st.integers(2, 40), st.integers(2, 500),
+       st.integers(0, 2**32 - 1))
+def test_fringe_scan_draws_as_emit_pulse_train(variant, sigma, points, pulses, seed):
+    seq = DifferentialPhaseSequence(make_rng(37).integers(0, 4, 499) * (TWO_PI / 4), 4,
+                                    pair_boundary=np.arange(499) % 2 == 1)
+    mode = {"off": InjectionMode.off(),
+            "cw": InjectionMode.cw(master_angular_freq=1.3e9, phase_noise_sigma=sigma),
+            "modulated": InjectionMode.modulated(seq, phase_noise_sigma=sigma),
+            "pairs": InjectionMode.modulated(seq, phase_noise_sigma=sigma,
+                                             pair_randomization=True)}[variant]
+    grid = np.linspace(0.0, TWO_PI, points, endpoint=False)
+    rng, reference = make_rng(seed), make_rng(seed)
+    got = fringe_scan(mode, 0.7, grid, pulses, rng).intensity_out
+    want = [np.mean(amzi_intensity(
+                emit_pulse_train(pulses, 0.7, mode, reference).differential_phases(),
+                0.7, theta, "bar")) for theta in grid]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert rng.random() == reference.random()
+
+
 # ---------------------------------------------------------------------------
 # AMZI interference
 # ---------------------------------------------------------------------------
@@ -443,6 +531,11 @@ def test_amzi_intensity_rejects_unknown_ports():
     for port in ("Bar", "diagonal", ""):
         with pytest.raises(ValueError, match=f"got {port!r}"):
             amzi_intensity([0.0, 1.0], 1.0, port=port)
+
+
+def test_amzi_intensity_broadcasts_the_offset():
+    theta = np.linspace(0.0, TWO_PI, 8)  # a fringe: one phase, swept offset
+    assert np.array_equal(amzi_intensity(0.0, 1.0, theta), 0.5 * (np.cos(theta) + 1.0))
 
 
 def test_bulk_records_equal_the_array_law_exactly():
@@ -691,6 +784,7 @@ def test_constellation_clusters_on_grid():
     err = np.abs(reduce_phase(angles - k * TWO_PI / 8 + np.pi) - np.pi)
     assert np.max(err) < 1e-9
     assert set(k) == set(range(8))
+    assert rep.radius == 1.0 and np.all(rep.points.radius == rep.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -729,13 +823,13 @@ def _pinned_trains():
 #: any single bit fails these tests.
 PINS = {
     "phases-off": "25449789f1b0d56fb67f6c9fed9082f20272c64e44e06b8e5a06b7ecf829da93",
-    "phases-cw": "4d8e8503a5c36841449c38168ee096529b1f3c66e2968c30b0834c65b8d3875e",
-    "phases-modulated": "92d7a7348493798351b8f322151460eb35cc9072465862b46057ac5247050c65",
+    "phases-cw": "157b9b03666d16034978bdeee7cb2862befd95561d182e1c2eae434d3426b694",
+    "phases-modulated": "f6d7613dc304ffd889346e334d546f2a2587e2249d742bd9035c1a96fe4f8c62",
     "demodulate-off": "547259094ba70a0224d9b5311dfe798e2844207337049da429bbee2b7a46e960",
-    "demodulate-modulated": "a31699aa8718cfedb3b2ea738df98fae968dd79f3e58dd6178daec730748f564",
-    "interfere-bar": "284fcce1a0abbb97129c84e818c8bc55ccc154c7f923a217e52eb09fbc488335",
-    "interfere-cross": "ed3060a6bec6b52c2634fe8c7cf2df22de21885520e6ef94a35f862cc468c000",
-    "fringe-scan": "14c3bbc81454576e1698f4b576a07d060eaafcfa9af395e734c212ee8295bf22",
+    "demodulate-modulated": "bde06b1acc4f43b31d41f05106fdd7d6838dc9790e919a7b91c8613b862c1d8f",
+    "interfere-bar": "1d0596ba4594f9e532e3467574d55f0843aa34af5944f788a49fa0c692b95094",
+    "interfere-cross": "96d98ea89c9f655159888513a1382050d4232c593e96d378c21197bd270aeb22",
+    "fringe-scan": "2e51f2f570c114e8ed8ddb2e7495e2e878062e66074191faaccaadfa815dddf8",
 }
 
 

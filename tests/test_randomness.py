@@ -151,8 +151,13 @@ def test_sampling_equivalence_inverse_cdf():
 
 
 def test_sample_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be >= 1"):
         sample_interference(0, make_rng(0))
+    # a count is an integer: no float is truncated, and a bool is no count
+    for bad in (2.7, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample_interference(bad, make_rng(0))
+    assert sample_interference(np.int32(3), make_rng(0)).shape == (3,)
 
 
 # ---------------------------------------------------------------------------
