@@ -7,14 +7,13 @@ samples are float arrays of I/I_in in [0, 1]. They are digitized to uint8
 bytes, validated (chi-square, autocorrelation, min-entropy) and condensed
 with a Toeplitz extractor.
 
-Importing this module loads numpy and qkdtx.optics only; scipy is imported
-inside goodness_of_fit (scipy.special) and toeplitz_hash (scipy.fft).
+Importing this module loads numpy and qkdtx.optics only; scipy and the
+thread pool are imported inside the functions that use them.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from .optics import TWO_PI, _count, port_intensities
 
 QUANT_LEVELS = 256           # 8-bit digitizer
-EXTRACTOR_MARGIN_BITS = 64   # security margin subtracted from the entropy budget
+EXTRACTOR_MARGIN_BITS = 64   # security margin subtracted from each block's budget
 _BLOCK_BITS = 1 << 16        # Toeplitz hashing block size (input bits)
 
 
@@ -129,14 +128,9 @@ def goodness_of_fit(histogram) -> tuple[float, float]:
     if n < 1e4:
         raise ValueError("need at least 1e4 samples for a stable chi-square")
     expected = n * _bin_masses()
-
-    # chdtrc is the function scipy.stats.chi2.sf evaluates; imported here so
-    # that importing qkdtx does not pay for loading scipy.
-    from scipy.special import chdtrc
-
+    from scipy.special import chdtrc  # the kernel of scipy.stats.chi2.sf, loaded on first use
     chi2 = float(np.sum((hist - expected) ** 2 / expected))
-    p = float(chdtrc(QUANT_LEVELS - 1, chi2))
-    return chi2, p
+    return chi2, float(chdtrc(QUANT_LEVELS - 1, chi2))
 
 
 def min_entropy(histogram) -> float:
@@ -163,29 +157,43 @@ def analyze(byte_values, max_lag=50) -> RandomnessReport:
 # extraction
 # ---------------------------------------------------------------------------
 
-def entropy_budget_bits(byte_values) -> int:
-    """Extractable bits: floor(n_bytes * h) minus the safety margin, with h the
-    arcsine law's min-entropy per byte capped by the sample's plug-in value."""
+def _block_quotas(byte_values) -> np.ndarray:
+    """Each hashing block's max(floor(n_b * h) - margin, 0) bits for n_b bytes, with
+    h the arcsine law's min-entropy per byte capped by the sample's plug-in value."""
     hist = byte_histogram(byte_values)
     h = min(min_entropy(hist), -np.log2(_bin_masses().max()))
-    budget = int(np.floor(hist.sum() * h)) - EXTRACTOR_MARGIN_BITS
-    return max(budget, 0)
+    n, block_bytes = int(hist.sum()), _BLOCK_BITS // 8
+    sizes = np.minimum(block_bytes, n - np.arange(0, n, block_bytes))
+    return np.maximum(np.floor(sizes * h).astype(np.int64) - EXTRACTOR_MARGIN_BITS, 0)
+
+
+def entropy_budget_bits(byte_values) -> int:
+    """Extractable bits: the sum of the hashing blocks' quotas."""
+    return int(_block_quotas(byte_values).sum())
+
+
+def _convolution_parity(bits, t_spectrum, n_fft, first, n_out) -> np.ndarray:
+    """Parities of entries first .. first + n_out - 1 of the integer
+    convolution of bits with the sequence whose length-n_fft rFFT is t_spectrum."""
+    spectrum = np.fft.rfft(np.asarray(bits, dtype=np.float64), n_fft)
+    spectrum *= t_spectrum
+    conv = np.fft.irfft(spectrum, n_fft)[first:first + n_out]
+    counts = np.rint(conv)
+    if np.max(np.abs(conv - counts)) >= 0.25:
+        raise ArithmeticError("FFT rounding error too large for an exact parity")
+    return (counts.astype(np.int64) & 1).astype(np.uint8)
 
 
 def toeplitz_hash(bits, diagonal_bits, n_out) -> np.ndarray:
     """Multiply a bit vector by a binary Toeplitz matrix over GF(2).
 
-    The matrix T (n_out x n_in) is defined by its diagonal sequence t of
-    length n_in + n_out - 1 via T[i, j] = t[i - j + n_in - 1]; t[n_in-1:]
-    is the first column and t[n_in-1::-1] the first row. Output bit i is the
-    parity of entry n_in - 1 + i of the integer convolution t * x.
-
-    The convolution is one circular float64 FFT convolution of length
-    L = next_fast_len(n_in + n_out - 1, real=True) (scipy.fft). Linear
-    entries at or beyond L wrap onto entries 0 .. n_in - 2 only, which are
-    discarded, so the kept entries are exact integer sums up to rounding
-    error. If that error reaches 0.25 the parity could be wrong, and
-    ArithmeticError is raised instead of returning bits.
+    T (n_out x n_in) has the diagonal sequence t of n_in + n_out - 1 bits,
+    T[i, j] = t[i - j + n_in - 1], so output bit i is the parity of entry
+    n_in - 1 + i of the integer convolution t * x. That is one circular
+    float64 FFT convolution of length L = next_fast_len(t.size, real=True),
+    whose wrapped entries land on indices 0 .. n_in - 2 only, so the kept
+    ones are exact up to rounding. ArithmeticError is raised if the rounding
+    error reaches 0.25, where the parity could be wrong.
     """
     x = np.asarray(bits, dtype=np.uint8) & 1
     t = np.asarray(diagonal_bits, dtype=np.uint8) & 1
@@ -200,13 +208,8 @@ def toeplitz_hash(bits, diagonal_bits, n_out) -> np.ndarray:
         raise ValueError("diagonal sequence must have n_in + n_out - 1 bits")
     from scipy.fft import next_fast_len
     n_fft = next_fast_len(t.size, real=True)
-    spectrum = np.fft.rfft(t.astype(np.float64), n_fft)
-    spectrum *= np.fft.rfft(x.astype(np.float64), n_fft)
-    conv = np.fft.irfft(spectrum, n_fft)[n_in - 1:n_in - 1 + n_out]
-    counts = np.rint(conv)
-    if np.max(np.abs(conv - counts)) >= 0.25:
-        raise ArithmeticError("FFT rounding error too large for an exact parity")
-    return (counts.astype(np.int64) & 1).astype(np.uint8)
+    return _convolution_parity(x, np.fft.rfft(t.astype(np.float64), n_fft),
+                               n_fft, n_in - 1, n_out)
 
 
 def _usable_cpus() -> int:
@@ -215,51 +218,48 @@ def _usable_cpus() -> int:
             else os.cpu_count() or 1)
 
 
-def _hash_block_into(byte_block, out, diagonal_bits):
-    """Unpack one block's bytes and write its Toeplitz hash into out."""
-    out[:] = toeplitz_hash(np.unpackbits(byte_block), diagonal_bits, out.size)
-
-
 def extract_bits(byte_values, out_len_bits, seed_matrix_seed) -> np.ndarray:
     """Condense raw bytes into nearly uniform bits by Toeplitz hashing.
 
-    The input bit string is hashed in 64-Kibit blocks, each with fresh
-    matrix bits drawn from a PRNG seeded by seed_matrix_seed, so the result
-    is deterministic for fixed inputs and seed. out_len_bits may not exceed
-    the min-entropy budget less a 64-bit margin. With n usable CPUs, the
-    caller draws the matrix bits of n blocks at a time in block order and
-    hashes one of them while n - 1 worker threads hash the rest, so the
-    output does not depend on n.
+    Blocks of W = min(64 Ki, n_in) input bits get m_b output bits each, split
+    from out_len_bits by cumulative floors over the block quotas; at a 64-bit
+    margin the leftover hash lemma puts each block within 2^-32 of uniform,
+    and the errors add over blocks. One max(m_b) x W Toeplitz matrix from a
+    PCG64 PRNG seeded by seed_matrix_seed serves every block through its first
+    m_b rows and first n_b columns. The caller and n - 1 threads (n usable
+    CPUs) drain one queue of blocks, so the output does not depend on n.
     """
     byte_values = np.asarray(byte_values, dtype=np.uint8)
     if out_len_bits < 0:
         raise ValueError("out_len_bits must be >= 0")
     if out_len_bits == 0:
         return np.zeros(0, dtype=np.uint8)
-    budget = entropy_budget_bits(byte_values)
+    quotas = _block_quotas(byte_values)
+    budget = int(quotas.sum())
     if out_len_bits > budget:
-        raise ValueError(
-            f"requested {out_len_bits} bits exceeds the entropy budget of "
-            f"{budget} bits (min-entropy minus {EXTRACTOR_MARGIN_BITS}-bit margin)")
+        raise ValueError(f"requested {out_len_bits} bits exceeds the entropy budget of {budget}"
+                         f" bits (min-entropy less {EXTRACTOR_MARGIN_BITS} bits per block)")
 
-    n_in = 8 * byte_values.size
-    starts = np.arange(0, n_in, _BLOCK_BITS)
-    # spread the requested output across blocks proportionally to block size
-    ends = np.floor(out_len_bits * np.cumsum(np.minimum(_BLOCK_BITS, n_in - starts))
-                    / n_in).astype(np.int64)
+    ends = out_len_bits * np.cumsum(quotas) // budget  # integer: no share exceeds its quota
+    width, block_bytes = min(_BLOCK_BITS, 8 * byte_values.size), _BLOCK_BITS // 8
+    from concurrent.futures import ThreadPoolExecutor
+    from scipy.fft import next_fast_len
+    t = np.random.Generator(np.random.PCG64(seed_matrix_seed)).integers(
+        0, 2, width + int(np.diff(ends, prepend=0).max()) - 1, dtype=np.uint8)
+    n_fft = next_fast_len(t.size, real=True)
+    t_spectrum = np.fft.rfft(t.astype(np.float64), n_fft)
     out = np.empty(out_len_bits, dtype=np.uint8)
-    blocks = [(byte_values[start // 8:(start + _BLOCK_BITS) // 8], out[lo:hi])
-              for start, lo, hi in zip(starts, np.concatenate(([0], ends[:-1])), ends)
-              if hi > lo]
-    matrix_rng = np.random.Generator(np.random.PCG64(seed_matrix_seed))
-    n_cpu = _usable_cpus()
-    # worker threads start on the first submit, so one CPU starts none
-    with ThreadPoolExecutor(max(n_cpu - 1, 1)) as pool:
-        for w in range(0, len(blocks), n_cpu):
-            jobs = [(b, o, matrix_rng.integers(0, 2, 8 * b.size + o.size - 1, dtype=np.uint8))
-                    for b, o in blocks[w:w + n_cpu]]
-            futures = [pool.submit(_hash_block_into, *job) for job in jobs[:-1]]
-            _hash_block_into(*jobs[-1])
-            for future in futures:
-                future.result()
+    blocks = iter([(byte_values[b * block_bytes:(b + 1) * block_bytes], dest)
+                   for b, dest in enumerate(np.split(out, ends[:-1])) if dest.size])
+    def drain():  # next() on a list iterator holds the GIL: each block is taken once
+        for byte_block, dest in blocks:
+            # kept entries width - 1 .. width - 2 + m_b; wrapped ones land below n_b - 1
+            dest[:] = _convolution_parity(np.unpackbits(byte_block), t_spectrum,
+                                          n_fft, width - 1, dest.size)
+    n_workers = _usable_cpus() - 1
+    with ThreadPoolExecutor(max(n_workers, 1)) as pool:  # threads start on submit: one CPU, none
+        futures = [pool.submit(drain) for _ in range(n_workers)]
+        drain()
+        for future in futures:
+            future.result()
     return out

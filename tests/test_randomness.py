@@ -43,26 +43,43 @@ def seed7_bytes():
     return quantize(sample_interference(1_025_000, make_rng(7)))
 
 
+@pytest.fixture(scope="module")
+def seed7_extract(seed7_bytes):
+    """(budget, bits): the seed-7 extraction of the full entropy budget."""
+    budget = entropy_budget_bits(seed7_bytes)
+    return budget, extract_bits(seed7_bytes, budget, seed_matrix_seed=7)
+
+
 #: sha256 of the packed seed-7 extraction of the full entropy budget
-SEED7_EXTRACT_SHA256 = "4bbffd51552b7a256a9734219ddf2e023b53c8861e27be069dd68bab6981f997"
+SEED7_EXTRACT_SHA256 = "0533b4519b578ff9863d1588cfa39b621bb4ed05636df7ef2e815954ee8b1c98"
+
+
+def block_split(byte_values, out_len_bits, block_bits=1 << 16):
+    """(first byte, n_b bytes, m_b output bits) of each hashing block. The
+    quota is max(floor(n_b * h) - 64, 0), h the arcsine law's min-entropy per
+    byte capped by the sample's, and out_len_bits is split by cumulative
+    floors over the quotas."""
+    b = np.asarray(byte_values, dtype=np.uint8)
+    h = min(-np.log2(np.bincount(b, minlength=256).max() / b.size),
+            -np.log2(_bin_masses().max()))
+    starts = np.arange(0, b.size, block_bits // 8)
+    sizes = np.minimum(block_bits // 8, b.size - starts)
+    quotas = np.maximum(np.floor(sizes * h).astype(np.int64) - 64, 0)
+    ends = out_len_bits * np.cumsum(quotas) // quotas.sum()
+    return starts, sizes, np.diff(ends, prepend=0)
 
 
 def serial_extract(byte_values, out_len_bits, seed_matrix_seed):
-    """Block-by-block reference for extract_bits: the whole input unpacked
-    at once, blocks hashed one after another on the calling thread."""
+    """One-seed reference for extract_bits, block after block on the calling
+    thread. One diagonal t of W + max(m_b) - 1 bits (W the block width) gives
+    block b the diagonal t[W - n_b : W + m_b - 1]: the first m_b rows and the
+    first n_b columns of one max(m_b) x W Toeplitz matrix."""
     bits = np.unpackbits(np.asarray(byte_values, dtype=np.uint8))
-    n_in = bits.size
-    starts = np.arange(0, n_in, 1 << 16)
-    sizes = np.minimum(1 << 16, n_in - starts)
-    quota = np.floor(out_len_bits * np.cumsum(sizes) / n_in).astype(np.int64)
-    outs = np.diff(np.concatenate(([0], quota)))
-    matrix_rng = np.random.Generator(np.random.PCG64(seed_matrix_seed))
-    pieces = []
-    for start, size, m in zip(starts, sizes, outs):
-        if m == 0:
-            continue
-        t = matrix_rng.integers(0, 2, size=int(size + m - 1), dtype=np.uint8)
-        pieces.append(toeplitz_hash(bits[start:start + size], t, int(m)))
+    starts, sizes, shares = block_split(byte_values, out_len_bits)
+    w = min(1 << 16, bits.size)
+    t = make_rng(seed_matrix_seed).integers(0, 2, w + shares.max() - 1, dtype=np.uint8)
+    pieces = [toeplitz_hash(bits[8 * s:8 * (s + n)], t[w - 8 * n:w + m - 1], int(m))
+              for s, n, m in zip(starts, sizes, shares) if m]
     return np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
 
 
@@ -371,25 +388,60 @@ def test_toeplitz_rounding_guard(monkeypatch):
         toeplitz_hash(np.ones(8, np.uint8), np.ones(11, np.uint8), 4)
 
 
-def test_extract_pinned_output(seed7_bytes):
-    budget = entropy_budget_bits(seed7_bytes)
-    assert budget == 4_766_755
-    bits = extract_bits(seed7_bytes, budget, seed_matrix_seed=7)
+def test_extract_pinned_output(seed7_extract):
+    budget, bits = seed7_extract
+    assert budget == 4_758_711
+    assert bits.size == budget
     digest = hashlib.sha256(np.packbits(bits).tobytes()).hexdigest()
     assert digest == SEED7_EXTRACT_SHA256
+
+
+def test_no_block_share_exceeds_its_min_entropy_less_the_margin(seed7_bytes, monkeypatch):
+    # each block keeps a 64-bit margin of its own, so the leftover hash lemma
+    # bounds every block's distance from uniform by 2^-32
+    shares = []
+    parity = randomness._convolution_parity
+
+    def recording_parity(bits, *args):
+        shares.append((bits.size, args[-1]))
+        return parity(bits, *args)
+
+    monkeypatch.setattr(randomness, "_convolution_parity", recording_parity)
+    budget = entropy_budget_bits(seed7_bytes)
+    extract_bits(seed7_bytes, budget, seed_matrix_seed=7)
+    h = -np.log2(_bin_masses().max())  # the seed-7 plug-in value lies above the law
+    assert len(shares) == 126 and sum(m for _, m in shares) == budget
+    assert sorted(n for n, _ in shares) == [8_000] + [1 << 16] * 125
+    for n_bits, m in shares:
+        assert m <= np.floor(n_bits / 8 * h) - 64
+
+
+def test_consecutive_blocks_agree_half_the_time(seed7_bytes, seed7_extract):
+    # one seed serves every block; bits at equal offsets in consecutive
+    # blocks' outputs still agree half the time, within 5 sigma
+    budget, bits = seed7_extract
+    shares = block_split(seed7_bytes, budget)[2]
+    pieces = np.split(bits, np.cumsum(shares)[:-1])
+    agree = total = 0
+    for first, second in zip(pieces, pieces[1:]):
+        m = min(first.size, second.size)
+        agree += int(np.count_nonzero(first[:m] == second[:m]))
+        total += m
+    assert total > 4_700_000
+    assert abs(agree - total / 2) < 5 * np.sqrt(total) / 2
 
 
 @pytest.mark.parametrize("n_cpu", [1, 2, 3, 8])
 def test_extract_output_independent_of_cpu_count(seed7_bytes, monkeypatch, n_cpu):
     monkeypatch.setattr(randomness, "_usable_cpus", lambda: n_cpu)
     threads = set()
-    toeplitz = randomness.toeplitz_hash
+    parity = randomness._convolution_parity
 
-    def recording_toeplitz(*args):
+    def recording_parity(*args):
         threads.add(threading.current_thread())
-        return toeplitz(*args)
+        return parity(*args)
 
-    monkeypatch.setattr(randomness, "toeplitz_hash", recording_toeplitz)
+    monkeypatch.setattr(randomness, "_convolution_parity", recording_parity)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # workers writing disjoint slices of one array
     try:
@@ -397,7 +449,7 @@ def test_extract_output_independent_of_cpu_count(seed7_bytes, monkeypatch, n_cpu
     finally:
         sys.setswitchinterval(interval)
     assert hashlib.sha256(np.packbits(bits).tobytes()).hexdigest() == SEED7_EXTRACT_SHA256
-    # the caller hashes one block of each window, up to n - 1 workers the rest
+    # the caller and up to n - 1 workers take blocks from one queue
     assert threading.main_thread() in threads
     assert (len(threads) == 1) if n_cpu == 1 else (1 < len(threads) <= n_cpu)
 
@@ -415,21 +467,51 @@ def test_extract_matches_serial_block_loop(monkeypatch, n_cpu, out_len_bits):
     assert np.array_equal(extract_bits(b, out_len_bits, seed_matrix_seed=23), want)
 
 
+@pytest.mark.parametrize("n_cpu", [1, 2, 3])
+def test_extract_matches_dense_gf2_oracle(monkeypatch, n_cpu):
+    # 256-bit blocks (32 bytes, a quota of at most floor(32 * 4.65) - 64 = 84
+    # bits) against the one matrix written out: block b is T[:m_b, :n_b] x_b
+    monkeypatch.setattr(randomness, "_BLOCK_BITS", 256)
+    monkeypatch.setattr(randomness, "_usable_cpus", lambda: n_cpu)
+    rng = make_rng(19)
+    cases = [(32 * 5 + 7, None),   # a short last block with a zero quota
+             (32 * 5 + 20, None),  # a short last block with a quota
+             (32 * 6, 3),          # most blocks get a zero share
+             (25, None)]           # one block, narrower than 256 bits
+    cases += [(int(rng.integers(14, 600)), int(rng.integers(1, 10**6))) for _ in range(40)]
+    for n_bytes, out_len in cases:
+        b = quantize(sample_interference(n_bytes, rng))
+        budget = entropy_budget_bits(b)
+        assert budget > 0
+        out_len = budget if out_len is None else 1 + out_len % budget
+        seed = int(rng.integers(2**32))
+        starts, sizes, shares = block_split(b, out_len, 256)
+        w = min(256, 8 * b.size)
+        t = make_rng(seed).integers(0, 2, w + shares.max() - 1, dtype=np.uint8)
+        T = dense_toeplitz(t.astype(np.int64), w, int(shares.max()))
+        bits = np.unpackbits(b)
+        want = np.concatenate([T[:m, :8 * n] @ bits[8 * s:8 * (s + n)] % 2
+                               for s, n, m in zip(starts, sizes, shares) if m])
+        assert np.array_equal(extract_bits(b, out_len, seed_matrix_seed=seed), want)
+
+
 def test_extract_worker_error_propagates(monkeypatch):
     monkeypatch.setattr(randomness, "_usable_cpus", lambda: 2)
-    raised_in = []
+    worker_raised = threading.Event()
+    parity = randomness._convolution_parity
 
-    def failing_in_workers(bits, t, n_out):
-        if threading.current_thread() is not threading.main_thread():
-            raised_in.append(threading.current_thread())
-            raise ArithmeticError("FFT rounding error too large for an exact parity")
-        return toeplitz_hash(bits, t, n_out)
+    def failing_in_workers(*args):
+        if threading.current_thread() is threading.main_thread():
+            worker_raised.wait(timeout=60)  # leave the other blocks to the worker
+            return parity(*args)
+        worker_raised.set()
+        raise ArithmeticError("FFT rounding error too large for an exact parity")
 
-    monkeypatch.setattr(randomness, "toeplitz_hash", failing_in_workers)
+    monkeypatch.setattr(randomness, "_convolution_parity", failing_in_workers)
     b = quantize(sample_interference(8192 * 4, make_rng(18)))
     with pytest.raises(ArithmeticError, match="exact parity"):
         extract_bits(b, 1_000, seed_matrix_seed=1)
-    assert raised_in
+    assert worker_raised.is_set()
 
 
 # Peak traced allocations on the pinned 1,025,000-byte stream (numpy buffers
@@ -461,10 +543,12 @@ def test_budget_never_exceeds_the_arcsine_law(seed):
     # these seeds' plug-in min-entropy lies above the law's 4.6505555 bits
     # per byte (by up to 5,593 bits over the run), which is sampling noise
     n = 1_025_000
-    law_bits = int(np.floor(n * -np.log2(_bin_masses().max()))) - 64
-    assert law_bits == 4_766_755
+    law = -np.log2(_bin_masses().max())
+    sizes = [8192] * 125 + [1_000]  # 64-Kibit hashing blocks, the last one short
+    law_bits = sum(int(np.floor(size * law)) - 64 for size in sizes)
+    assert law_bits == 4_758_711
     b = quantize(sample_interference(n, make_rng(seed)))
-    assert n * min_entropy(byte_histogram(b)) - 64 > law_bits + 1_000
+    assert n * min_entropy(byte_histogram(b)) > n * law + 1_000
     assert entropy_budget_bits(b) == law_bits
 
 
@@ -473,8 +557,9 @@ def test_budget_capped_by_the_sample():
     assert entropy_budget_bits(np.zeros(100_000, np.uint8)) == 0
     b = quantize(sample_interference(50_000, make_rng(16)))
     one_bit = np.where(b < 128, 0, 255).astype(np.uint8)
-    assert entropy_budget_bits(one_bit) == \
-        int(np.floor(50_000 * min_entropy(byte_histogram(one_bit)))) - 64
+    h = min_entropy(byte_histogram(one_bit))  # about 1 bit per byte
+    sizes = [8192] * 6 + [848]  # every block keeps its own 64-bit margin
+    assert entropy_budget_bits(one_bit) == sum(int(np.floor(size * h)) - 64 for size in sizes)
 
 
 def test_extract_zero_length():
@@ -515,8 +600,7 @@ def test_cli_import_leaves_out_scipy_stats_and_process_pool():
     code = ("import sys, qkdtx.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'])"
-            " or m.split('.')[0] == 'multiprocessing'"
-            " or m == 'concurrent.futures.process'))")
+            " or m.split('.')[0] in ('multiprocessing', 'concurrent', 'logging')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=src, timeout=120,
                          env=dict(os.environ, PYTHONPATH=src))
