@@ -15,17 +15,15 @@ from importlib import resources
 
 import numpy as np
 
-from qkdtx import (
-    ChannelModel,
+from qkdtx.harness import (
     SweepTable,
-    analytic_expectations,
     compare_to_reference,
     config_from_dict,
-    detector_preset,
     load_reference_points,
-    protocols,
     run_sweep,
 )
+from qkdtx.linkmodel import ChannelModel, detector_preset
+from qkdtx.protocols import analytic_expectations, run_session
 
 with resources.files("qkdtx.data").joinpath("bb84_snspd.json").open() as f:
     raw = json.load(f)
@@ -40,9 +38,9 @@ for r in table.rows:
 
 # decoy-bound internals at the field-fiber loss
 rng = np.random.default_rng(cfg.seed)
-session = protocols.run_session(cfg.protocol, ChannelModel(16.7),
-                                detector_preset("snspd", cfg.protocol.clock_hz),
-                                4_000_000, rng, record_photon_truth=True)
+session = run_session(cfg.protocol, ChannelModel(16.7),
+                      detector_preset("snspd", cfg.protocol.clock_hz),
+                      4_000_000, rng, record_photon_truth=True)
 est = session.decoy
 truth = session.photon_truth
 print(f"\nat 16.7 dB: Y0 = {est.y0:.2e}, Y1 lower bound = {est.y1_lower:.4e} "

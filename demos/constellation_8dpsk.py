@@ -7,7 +7,7 @@ then shows exactly five distinct eye levels for the noiseless signal.
 
 import numpy as np
 
-from qkdtx import constellation_eye
+from qkdtx.optics import constellation_eye
 
 rng = np.random.default_rng(33)
 

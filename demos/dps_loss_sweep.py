@@ -11,7 +11,7 @@ from importlib import resources
 
 import numpy as np
 
-from qkdtx import config_from_dict, run_sweep
+from qkdtx.harness import config_from_dict, run_sweep
 
 with resources.files("qkdtx.data").joinpath("dps_snspd.json").open() as f:
     raw = json.load(f)

@@ -14,7 +14,7 @@ available; always prints a short summary.
 
 import numpy as np
 
-from qkdtx import (
+from qkdtx.optics import (
     DifferentialPhaseSequence,
     InjectionMode,
     dual_basis_demodulate,

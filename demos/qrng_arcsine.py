@@ -9,7 +9,7 @@ the bytes into nearly uniform bits with the Toeplitz extractor.
 
 import numpy as np
 
-from qkdtx import (
+from qkdtx.randomness import (
     analyze,
     byte_autocorrelation,
     entropy_budget_bits,

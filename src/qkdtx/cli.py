@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, optics, randomness
+from . import harness, optics
 from .harness import ConfigError
 
 #: The text json.dumps(indent=2) writes around each point's radius and angle
@@ -81,6 +81,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_qrng(args) -> int:
+    from . import randomness  # only this command samples: sweeps never load it
     # no name holds the float intensities, so analyze does not keep them alive
     byte_values = randomness.quantize(randomness.sample_interference(args.n, _rng(args.seed)))
     report = randomness.analyze(byte_values, max_lag=args.lags)

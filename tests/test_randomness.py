@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
@@ -388,6 +389,42 @@ def test_toeplitz_rounding_guard(monkeypatch):
         toeplitz_hash(np.ones(8, np.uint8), np.ones(11, np.uint8), 4)
 
 
+def test_extract_rounding_guard(monkeypatch):
+    # the same guard holds on the packed pairs extract_bits hashes
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + 0.3)
+    b = quantize(sample_interference(8192 * 3, make_rng(21)))
+    with pytest.raises(ArithmeticError, match="exact parity"):
+        extract_bits(b, 1_000, seed_matrix_seed=1)
+
+
+@pytest.mark.parametrize("diagonal", ["random", "ones"])
+def test_packed_pair_rounding_margin(monkeypatch, diagonal):
+    # two all-ones 64-Kibit blocks at the seed-7 share give the largest packed
+    # entries, up to 2^16 + 2^33; their error stays far below the 0.25 guard
+    w, m = 1 << 16, 38_033
+    t = (make_rng(20).integers(0, 2, w + m - 1, dtype=np.uint8) if diagonal == "random"
+         else np.ones(w + m - 1, np.uint8))
+    n_fft = next_fast_len(t.size, real=True)
+    errors = []
+    irfft = np.fft.irfft
+
+    def recording_irfft(a, n):
+        conv = irfft(a, n)
+        kept = conv[w - 1:w - 1 + m]
+        errors.append(float(np.max(np.abs(kept - np.rint(kept)))))
+        return conv
+
+    monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+    ones = np.ones(w, np.uint8)
+    pair = randomness._convolution_parity([ones, ones], np.fft.rfft(t.astype(np.float64), n_fft),
+                                          n_fft, w - 1, [m, m])
+    window = np.concatenate(([0], np.cumsum(t, dtype=np.int64)))
+    want = ((window[w:w + m] - window[:m]) & 1).astype(np.uint8)  # row i: sum of t[i : i + w]
+    assert len(errors) == 1 and errors[0] < 1e-3
+    assert all(np.array_equal(parity, want) for parity in pair)
+
+
 def test_extract_pinned_output(seed7_extract):
     budget, bits = seed7_extract
     assert budget == 4_758_711
@@ -398,19 +435,22 @@ def test_extract_pinned_output(seed7_extract):
 
 def test_no_block_share_exceeds_its_min_entropy_less_the_margin(seed7_bytes, monkeypatch):
     # each block keeps a 64-bit margin of its own, so the leftover hash lemma
-    # bounds every block's distance from uniform by 2^-32
-    shares = []
+    # bounds every block's distance from uniform by 2^-32; blocks are hashed
+    # in pairs, one forward and one inverse FFT each
+    shares, pairs = [], []
     parity = randomness._convolution_parity
 
-    def recording_parity(bits, *args):
-        shares.append((bits.size, args[-1]))
-        return parity(bits, *args)
+    def recording_parity(vectors, *args):
+        shares.extend((bits.size, m) for bits, m in zip(vectors, args[-1], strict=True))
+        pairs.append(len(vectors))
+        return parity(vectors, *args)
 
     monkeypatch.setattr(randomness, "_convolution_parity", recording_parity)
     budget = entropy_budget_bits(seed7_bytes)
     extract_bits(seed7_bytes, budget, seed_matrix_seed=7)
     h = -np.log2(_bin_masses().max())  # the seed-7 plug-in value lies above the law
     assert len(shares) == 126 and sum(m for _, m in shares) == budget
+    assert pairs == [2] * 63
     assert sorted(n for n, _ in shares) == [8_000] + [1 << 16] * 125
     for n_bits, m in shares:
         assert m <= np.floor(n_bits / 8 * h) - 64
@@ -449,7 +489,7 @@ def test_extract_output_independent_of_cpu_count(seed7_bytes, monkeypatch, n_cpu
     finally:
         sys.setswitchinterval(interval)
     assert hashlib.sha256(np.packbits(bits).tobytes()).hexdigest() == SEED7_EXTRACT_SHA256
-    # the caller and up to n - 1 workers take blocks from one queue
+    # the caller and up to n - 1 workers take block pairs from one queue
     assert threading.main_thread() in threads
     assert (len(threads) == 1) if n_cpu == 1 else (1 < len(threads) <= n_cpu)
 
@@ -474,8 +514,10 @@ def test_extract_matches_dense_gf2_oracle(monkeypatch, n_cpu):
     monkeypatch.setattr(randomness, "_BLOCK_BITS", 256)
     monkeypatch.setattr(randomness, "_usable_cpus", lambda: n_cpu)
     rng = make_rng(19)
-    cases = [(32 * 5 + 7, None),   # a short last block with a zero quota
+    cases = [(32 * 5 + 7, None),   # a short last block with a zero quota: the fifth goes alone
              (32 * 5 + 20, None),  # a short last block with a quota
+             (32 * 7, None),       # an odd block count: the last block goes alone
+             (32 * 7 + 20, None),  # the short last block is the second of a pair
              (32 * 6, 3),          # most blocks get a zero share
              (25, None)]           # one block, narrower than 256 bits
     cases += [(int(rng.integers(14, 600)), int(rng.integers(1, 10**6))) for _ in range(40)]
@@ -502,7 +544,7 @@ def test_extract_worker_error_propagates(monkeypatch):
 
     def failing_in_workers(*args):
         if threading.current_thread() is threading.main_thread():
-            worker_raised.wait(timeout=60)  # leave the other blocks to the worker
+            worker_raised.wait(timeout=60)  # leave the other pair to the worker
             return parity(*args)
         worker_raised.set()
         raise ArithmeticError("FFT rounding error too large for an exact parity")
@@ -518,10 +560,12 @@ def test_extract_worker_error_propagates(monkeypatch):
 # are traced). Before blocks were unpacked one at a time and the in-place
 # trims, the peaks were 17.8 MB (extract_bits), 17.4 MB (quantize) and
 # 25.7 MB (qkdtx qrng); after, 10.6, 9.2 and 17.5 MB. Each bound sits
-# between the two, at least 2 MB from either.
+# between the two, at least 2 MB from either. Hashing blocks in pairs, each
+# pair packed into one buffer freed before the inverse FFT, keeps
+# extract_bits at 10.5-10.8 MB.
 
 def test_extract_memory_bounded(seed7_bytes, monkeypatch):
-    # two CPUs: the caller and one worker each hold one block's FFT buffers
+    # two CPUs: the caller and one worker each hold one pair's FFT buffers
     monkeypatch.setattr(randomness, "_usable_cpus", lambda: 2)
     budget = entropy_budget_bits(seed7_bytes)
     assert traced_peak_mb(extract_bits, seed7_bytes, budget, 7) < 13.0
@@ -600,7 +644,8 @@ def test_cli_import_leaves_out_scipy_stats_and_process_pool():
     code = ("import sys, qkdtx.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'])"
-            " or m.split('.')[0] in ('multiprocessing', 'concurrent', 'logging')))")
+            " or m.split('.')[0] in ('multiprocessing', 'concurrent', 'logging')"
+            " or m == 'qkdtx.randomness'))")  # only qkdtx qrng imports it
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=src, timeout=120,
                          env=dict(os.environ, PYTHONPATH=src))
