@@ -14,7 +14,7 @@ for any number of units. :func:`run_session` runs either kind: DPS is the
 one-class, always-sifted case of the decoy BB84 session, its units the
 n - 1 interference slots of n pulses where BB84's are n pulse pairs. Both
 can split their tallies by emitted photon number (``record_photon_truth``).
-Each kind is one :data:`KINDS` record of fields, unit offset and key-rate step.
+Each kind is one :data:`KINDS` record of fields, frame and key-rate step.
 
 Sessions bypass the injection-locked transmitter (``optics.emit_pulse_train``)
 and take each differential phase as the programmed one plus N(0, sigma_phi),
@@ -89,9 +89,7 @@ class ProtocolConfig:
     basis_prob_x: Optional[float] = None
     f_ec: Optional[float] = None
     sigma_phi: Optional[float] = None
-    temporal_efficiency: Optional[float] = None
     receiver_loss_db: Optional[float] = None
-    visibility_floor: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in list(KINDS):  # a list: the kind may be unhashable
@@ -123,12 +121,8 @@ class ProtocolConfig:
             raise ValueError("f_ec must be finite and >= 1")
         if not 0.0 <= self.sigma_phi < math.inf:
             raise ValueError("sigma_phi must be finite and >= 0")
-        if not 0.0 < self.temporal_efficiency <= 1.0:
-            raise ValueError("temporal_efficiency must be in (0, 1]")
         if not 0.0 <= self.receiver_loss_db < math.inf:
             raise ValueError("receiver_loss_db must be finite and >= 0")
-        if not 0.0 < self.visibility_floor <= 1.0:
-            raise ValueError("visibility_floor must be in (0, 1]")
 
     def basis_match_probability(self) -> float:
         """Probability that a detection is sifted (1 for DPS: no bases)."""
@@ -322,11 +316,12 @@ def _decoy_key_rate(cfg, gains, errors, qber, sifted_rate, sent_counts=None):
 
 
 #: One protocol kind: the fields it reads, as field -> (default, source); its
-#: unit offset, n pulses carrying n - unit_offset units; and its key-rate step.
+#: frame, n pulses carrying n - unit_offset units of which the fraction
+#: temporal_efficiency of the light interferes; and its key-rate step.
 #: A step finds skr_dps, skr_bb84 and decoy_estimate by module name when it
 #: runs, so perfbench/tracing.py, which swaps those attributes, times them.
 Kind = NamedTuple("Kind", [("fields", dict), ("unit_offset", int),
-                           ("key_rate", Callable)])
+                           ("temporal_efficiency", float), ("key_rate", Callable)])
 
 #: The phase noise gives e_opt = (1 - exp(-sigma^2/2)) / 2; the DPS receiver
 #: loss stands for the receiver chip and detector coupling, and the BB84
@@ -334,19 +329,19 @@ Kind = NamedTuple("Kind", [("fields", dict), ("unit_offset", int),
 _SHARED = {
     "mu_signal": (0.5, "reference run: signal intensity 0.5 photons per encoded unit"),
     "f_ec": (1 / 0.9, "error-correction efficiency 90%, f_ec = 1/0.9"),
-    "visibility_floor": (1.0, "no residual contrast penalty beyond phase noise"),
 }
 KINDS = {
     DPS: Kind({
         "clock_hz": (2e9, "reference transmitter: 2 GHz gain-switched pulse train"),
         **_SHARED,
         "sigma_phi": (sigma_phi_for_error_rate(0.025),
-                      "calibrated: reproduces the reference 2.5% error rate "
-                      "at 20 dB channel loss"),
-        "temporal_efficiency": (1.0, "every DPS slot interferes"),
+                      "calibrated: e_opt = 2.5%, the reference error rate at 20 dB; "
+                      "the closed form reads 2.508% there (root 0.31979 rad)"),
         "receiver_loss_db": (
-            8.5, "calibrated against the reference 400 kb/s secure rate at 20 dB"),
-    }, unit_offset=1, key_rate=_collision_key_rate),
+            8.5, "calibrated toward the reference 400 kb/s secure rate at 20 dB; "
+                 "the closed form reads 519.1 kb/s there (root 9.628 dB)"),
+    }, unit_offset=1, temporal_efficiency=1.0,  # every DPS slot interferes
+        key_rate=_collision_key_rate),
     BB84_DECOY: Kind({
         "clock_hz": (1e9, "reference transmitter: pulse pairs at 1 GHz"),
         **_SHARED,
@@ -356,23 +351,24 @@ KINDS = {
         "p_vacuum": (1 / 16, "reference run: vacuum emission probability 1/16"),
         "basis_prob_x": (0.5, "symmetric active basis choice"),
         "sigma_phi": (sigma_phi_for_error_rate(0.023),
-                      "calibrated: reproduces the reference 2.2% error rate "
-                      "at 20 dB channel loss within tolerance"),
-        "temporal_efficiency": (0.5, "time-bin decoding: only the central "
-                                     "AMZI slot interferes"),
+                      "calibrated: e_opt = 2.3%; against the reference 2.2% error rate "
+                      "at 20 dB the closed form reads 2.304% (root 0.29969 rad)"),
         "receiver_loss_db": (0.0, "no receiver insertion loss applied"),
-    }, unit_offset=0, key_rate=_decoy_key_rate),
+    }, unit_offset=0, temporal_efficiency=0.5,  # time-bin: only the central AMZI slot interferes
+        key_rate=_decoy_key_rate),
 }
 
 # ---------------------------------------------------------------------------
 # shared click model
 # ---------------------------------------------------------------------------
 
-def _system_efficiency(cfg: ProtocolConfig, channel: ChannelModel,
+def _usable_efficiency(cfg: ProtocolConfig, channel: ChannelModel,
                        det: DetectorModel) -> float:
-    return (transmittance(channel)
-            * 10.0 ** (-cfg.receiver_loss_db / 10.0)
-            * det.efficiency)
+    """eta_t: the probability that an emitted photon reaches a detector in
+    the kind's interfering slot and is detected."""
+    return KINDS[cfg.kind].temporal_efficiency * (
+        transmittance(channel) * 10.0 ** (-cfg.receiver_loss_db / 10.0)
+        * det.efficiency)
 
 
 def _click_probability(lam, p_dark):
@@ -386,20 +382,20 @@ def _click_probability(lam, p_dark):
     return np.negative(lam, out=lam)
 
 
-def _mean_wrong_click(flux, sigma, v_floor, p_dark) -> float:
+def _mean_wrong_click(flux, sigma, p_dark) -> float:
     """Probability W that a unit of usable flux clicks and decodes wrongly,
     averaged over its phase error delta ~ N(0, sigma) taken mod 2 pi.
 
-    With c = V cos(delta), the right and wrong ports get independent Poisson
-    light of means flux*(1 +/- c)/2 and click with p_r and p_w; a single
-    click reads its own port and a double click a random one, so
+    The right and wrong ports get independent Poisson light of means
+    flux*(1 +/- cos delta)/2 and click with p_r and p_w; a single click reads
+    its own port and a double click a random one, so
     w = p_w (1 - p_r) + p_r p_w / 2. W is the trapezoid rule on the phases
     theta_j weighted by the wrapped normal's series
-    (1 + 2 sum_k exp(-k^2 sigma^2/2) cos k theta_j)/M. Written as w(V) plus
-    each frequency's expm1 damping times w's cosine coefficient, it is w(V)
+    (1 + 2 sum_k exp(-k^2 sigma^2/2) cos k theta_j)/M. Written as w(0) plus
+    each frequency's expm1 damping times w's cosine coefficient, it is w(0)
     exactly at sigma = 0 and keeps its relative precision near 0.
     """
-    lam_r, lam_w = port_intensities(v_floor * np.cos(_PHASES), 0.5 * flux)
+    lam_r, lam_w = port_intensities(np.cos(_PHASES), 0.5 * flux)
     p_r = _click_probability(lam_r, p_dark)
     p_w = _click_probability(lam_w, p_dark)
     w = p_w * (1.0 - p_r) + 0.5 * p_r * p_w
@@ -425,8 +421,8 @@ def _groups(cfg: ProtocolConfig, mu, eta_t, p_dark, q, wrong):
     y1 = 1.0 - (1.0 - p_dark) ** 2 * (1.0 - eta_t)
     # the photon lights the right port with probability eta_t (1 + c) / 2,
     # the wrong one with eta_t (1 - c) / 2, or is lost; this is linear in
-    # c = V cos(delta), whose mean is V exp(-sigma^2 / 2)
-    c = cfg.visibility_floor * math.exp(-0.5 * cfg.sigma_phi ** 2)
+    # c = cos(delta), whose mean is exp(-sigma^2 / 2)
+    c = math.exp(-0.5 * cfg.sigma_phi ** 2)
     w1 = 0.5 * (eta_t * (1.0 - (1.0 - p_dark) * c) + (1.0 - eta_t) * y0)
     y2 = min(max((q - p0 * y0 - p1 * y1) / p2, 0.0), 1.0) if p2 > 0 else 0.0
     w2 = (wrong - 0.5 * p0 * y0 - p1 * w1) / p2 if p2 > 0 else 0.0
@@ -456,23 +452,22 @@ def analytic_expectations(cfg: ProtocolConfig, channel: ChannelModel,
     """Expected gains, error rates and key rate without Monte-Carlo noise.
 
     Each class's gain Q = 1 - (1-p_dark)^2 * exp(-mu_eff), with mu_eff the
-    usable unit flux mu * temporal_efficiency * eta_sys, and its error gain
-    W = E_delta[w(V cos delta)], the law a session given the result draws
+    usable unit flux mu * eta_t (:func:`_usable_efficiency`), and its error
+    gain W = E_delta[w(delta)], the law a session given the result draws
     from, give its error rate W / Q. To leading order that is the familiar
     E = [e_opt (Q - Q_dark) + Q_dark/2] / Q with
-    e_opt = (1 - exp(-sigma^2/2) * V_floor) / 2, but the phase average keeps
-    it exact in the high-flux regime too. The same key-rate step as the
+    e_opt = (1 - exp(-sigma^2/2)) / 2, but the phase average keeps it exact
+    in the high-flux regime too. The same key-rate step as the
     Monte-Carlo path is applied to the expected tallies.
     """
-    eta_t = cfg.temporal_efficiency * _system_efficiency(cfg, channel, det)
+    eta_t = _usable_efficiency(cfg, channel, det)
     names, p_cls, mus = cfg.classes()
 
     gains, errors, error_gains = {}, {}, {}
     for name, mu in zip(names, mus):
         flux = mu * eta_t
         q = gains[name] = _unit_gain(flux, det.p_dark)
-        wrong = error_gains[name] = _mean_wrong_click(
-            flux, cfg.sigma_phi, cfg.visibility_floor, det.p_dark)
+        wrong = error_gains[name] = _mean_wrong_click(flux, cfg.sigma_phi, det.p_dark)
         errors[name] = wrong / q if q > 0 else 0.5
     raw = cfg.clock_hz * float(np.dot(p_cls, [gains[c] for c in names]))
     sifted = raw * cfg.basis_match_probability()
@@ -520,7 +515,7 @@ def run_session(cfg: ProtocolConfig, channel: ChannelModel,
     expected = expected or analytic_expectations(cfg, channel, det)
     n_units = int(n_pulses) - KINDS[cfg.kind].unit_offset
     names, p_cls, mus = cfg.classes()
-    eta_t = cfg.temporal_efficiency * _system_efficiency(cfg, channel, det)
+    eta_t = _usable_efficiency(cfg, channel, det)
     match = cfg.basis_match_probability()
     tallies = {}
     truth = {k: 0 for keys in _TRUTH_KEYS for k in keys}

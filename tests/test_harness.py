@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -193,7 +194,8 @@ def test_dps_config_holds_only_the_fields_dps_reads(tmp_path, capsys):
         assert cli.main(["sweep", "--config", str(cfgp)]) == 1
         assert field in capsys.readouterr().err
     cfg = config_from_dict(minimal_dps())
-    assert len(KINDS["dps"].fields) == 7
+    assert len(KINDS["dps"].fields) == 5
+    assert len(KINDS["bb84-decoy"].fields) == 10
     assert {k for k in cfg.provenance if k.startswith("protocol.")} == \
         {f"protocol.{n}" for n in KINDS["dps"].fields}
     # no decoy class bounds the signal from below
@@ -214,6 +216,29 @@ def test_dps_config_holds_only_the_fields_dps_reads(tmp_path, capsys):
     for protocol in ({}, {"kind": "b92"}, {"kind": ["dps"]}):
         with pytest.raises(ConfigError, match="protocol: kind must be one of"):
             config_from_dict(minimal_dps(protocol=protocol))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_the_frame_and_contrast_are_no_config_fields(tmp_path, capsys, kind):
+    # a kind's frame is KINDS[kind].temporal_efficiency, and imperfect locking
+    # is sigma_phi alone, so a config naming either fails at load, by name
+    cfgp = tmp_path / "cfg.json"
+    for field in ("temporal_efficiency", "visibility_floor"):
+        raw = minimal_dps(protocol={"kind": kind, field: 1.0})
+        with pytest.raises(ConfigError,
+                           match=f"^unknown {kind} protocol fields: {field}$"):
+            config_from_dict(raw)
+        cfgp.write_text(json.dumps(raw))
+        assert cli.main(["sweep", "--config", str(cfgp)]) == 1
+        assert field in capsys.readouterr().err
+
+
+def test_readme_names_every_protocol_field():
+    # README's field and provenance tables name each field some kind reads,
+    # and no other
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"`protocol\.(\w+)`", readme))
+    assert named == {name for kind in KINDS.values() for name in kind.fields}
 
 
 def test_pulses_floor():
@@ -608,11 +633,11 @@ BUNDLED_OUTPUT_SHA256 = {
     "dps_snspd.json": (
         "2488bd645838fe1b7675d27089bd41dfba1a3ad1fed9b54970551e17e49f8692",
         "737150354bb226d7d39347a16c3d48b537a88c2d3a4de4173e829a97e59fc340",
-        "0ac1257ed40fd653a7b14735618ffbc573dfe9f216f676deda67d61068102a30"),
+        "347f225330df63073955c31022f1b7fb6f2a6eb98d837910a1dae56c4a1414c7"),
     "bb84_snspd.json": (
         "bdbdeea3c8479664372fc188db8c41fbd4a1331ddcdce1a7a1ec01663cd2bd70",
         "03604dab4ce9f68096e566eec1f3d3991ad0fd6ef2734a4c4139666bd977428b",
-        "f6ff0de88f693d26f7a5edb990079619c8928b9e28c71756157abed60bd7c9c9"),
+        "0492ec79a65172a96cffd34346d58293ca7cce9fcf3d9561fcc23bcfc534c4b0"),
 }
 
 

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
+from qkdtx.harness import _within, load_reference_points
 from qkdtx.linkmodel import (DETECTOR_PRESETS, ChannelModel, DetectorModel,
-                             detector_preset)
+                             detector_preset, transmittance)
 from qkdtx.optics import (DifferentialPhaseSequence, InjectionMode,
                           amzi_intensity, emit_pulse_train, port_intensities,
                           sigma_phi_for_error_rate)
@@ -22,8 +23,8 @@ from qkdtx.protocols import (
     _click_probability,
     _groups,
     _mean_wrong_click,
-    _system_efficiency,
     _unit_gain,
+    _usable_efficiency,
     analytic_expectations,
     binary_entropy,
     decoy_estimate,
@@ -154,10 +155,10 @@ def test_class_probabilities_follow_classes():
 
 def test_default_configs():
     d = ProtocolConfig(DPS)
-    assert d.clock_hz == 2e9 and d.temporal_efficiency == 1.0
+    assert d.clock_hz == 2e9 and KINDS[DPS].temporal_efficiency == 1.0
     assert d.mu_signal == 0.5 and d.f_ec == pytest.approx(1 / 0.9)
     b = ProtocolConfig(BB84_DECOY)
-    assert b.clock_hz == 1e9 and b.temporal_efficiency == 0.5
+    assert b.clock_hz == 1e9 and KINDS[BB84_DECOY].temporal_efficiency == 0.5
     assert b.p_signal == pytest.approx(14 / 16)
     assert b.basis_match_probability() == pytest.approx(0.5)
 
@@ -250,22 +251,19 @@ def test_decoy_soundness_sampled():
        p_decoy=st.floats(0.01, 0.45),
        p_vacuum=st.floats(0.01, 0.45),
        sigma_phi=st.floats(0.0, 1.5),
-       visibility_floor=st.floats(0.5, 1.0),
        loss_db=st.floats(0.0, 40.0),
        preset=st.sampled_from(sorted(DETECTOR_PRESETS)))
 def test_closed_form_decoy_bounds_are_sound_across_configs(
-        mu, nu_fraction, p_decoy, p_vacuum, sigma_phi, visibility_floor,
-        loss_db, preset):
+        mu, nu_fraction, p_decoy, p_vacuum, sigma_phi, loss_db, preset):
     # with no sampling noise the decoy bounds hold with no slack against the
     # true single-photon yield Y1 and error numerator W1 of _groups
     cfg = ProtocolConfig(BB84_DECOY, mu_signal=mu, mu_decoy=mu * nu_fraction,
                          p_signal=1.0 - p_decoy - p_vacuum, p_decoy=p_decoy,
-                         p_vacuum=p_vacuum, sigma_phi=sigma_phi,
-                         visibility_floor=visibility_floor)
+                         p_vacuum=p_vacuum, sigma_phi=sigma_phi)
     det = detector_preset(preset, gate_rate_hz=cfg.clock_hz)
     ch = ChannelModel(loss_db)
     a = analytic_expectations(cfg, ch, det)
-    eta_t = cfg.temporal_efficiency * _system_efficiency(cfg, ch, det)
+    eta_t = _usable_efficiency(cfg, ch, det)
     _, y1, w1 = _groups(cfg, mu, eta_t, det.p_dark, a.gains["signal"],
                         a.error_gains["signal"])[1]
     assert a.decoy.y1_lower <= y1
@@ -489,14 +487,13 @@ def _reference_session(cfg, ch, det, n_pulses, rng, record_photon_truth):
     one class at a time, through _groups for the photon-number groups."""
     n_units = n_pulses - 1 if cfg.kind == DPS else n_pulses
     names, p_cls, mus = cfg.classes()
-    eta_t = cfg.temporal_efficiency * _system_efficiency(cfg, ch, det)
+    eta_t = _usable_efficiency(cfg, ch, det)
     match = cfg.basis_match_probability()
     tallies, truth = {}, [0] * 6
     for name, mu, sent in zip(names, mus, rng.multinomial(n_units, p_cls)):
         flux = mu * eta_t
         law = (_unit_gain(flux, det.p_dark),
-               _mean_wrong_click(flux, cfg.sigma_phi, cfg.visibility_floor,
-                                 det.p_dark))
+               _mean_wrong_click(flux, cfg.sigma_phi, det.p_dark))
         groups = (_groups(cfg, mu, eta_t, det.p_dark, *law)
                   if record_photon_truth else [(1.0, *law)])
         rows = []
@@ -653,22 +650,19 @@ def _wrapped_normal_mean(f, sigma):
 @pytest.mark.parametrize("flux", [1e-4, 0.01, 0.5, 5.0, MU_SIGNAL_MAX])
 def test_phase_average_matches_quad(flux):
     # the closed form's (and the sessions') wrong-decode numerator against
-    # adaptive quadrature of the same law written with 1 - V cos = (1 - V) +
-    # 2 V sin^2(delta/2); relative error at most 1e-9 at every sigma, to
-    # wrapped-uniform noise and up to the largest flux a config allows
+    # adaptive quadrature of the same law written with 1 - cos = 2 sin^2(delta/2);
+    # relative error at most 1e-9 at every sigma, to wrapped-uniform noise and
+    # up to the largest flux a config allows
     for sigma in (0.0, 0.01, 0.05, 0.185, 0.5, 1.0, 3.0, 10.0):
-        for v_floor in (1.0, 0.98, 0.3):
-            for p_dark in (0.0, 1e-7, 1e-3):
-                def wrong(d):
-                    lam_w = 0.5 * flux * ((1 - v_floor)
-                                          + 2 * v_floor * np.sin(0.5 * d) ** 2)
-                    p_w, p_r = -np.expm1(np.log1p(-p_dark) - [lam_w, flux - lam_w])
-                    return p_w * (1 - p_r) + 0.5 * p_r * p_w
+        for p_dark in (0.0, 1e-7, 1e-3):
+            def wrong(d):
+                lam_w = flux * np.sin(0.5 * d) ** 2
+                p_w, p_r = -np.expm1(np.log1p(-p_dark) - [lam_w, flux - lam_w])
+                return p_w * (1 - p_r) + 0.5 * p_r * p_w
 
-                want = wrong(0.0) if sigma == 0 else _wrapped_normal_mean(wrong, sigma)
-                got = _mean_wrong_click(flux, sigma, v_floor, p_dark)
-                assert got == pytest.approx(want, rel=1e-9, abs=0.0), (
-                    sigma, v_floor, p_dark)
+            want = wrong(0.0) if sigma == 0 else _wrapped_normal_mean(wrong, sigma)
+            got = _mean_wrong_click(flux, sigma, p_dark)
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0), (sigma, p_dark)
 
 
 _TAIL_5_SIGMA = stats.norm.sf(5.0)
@@ -685,10 +679,10 @@ def dense_tallies(cfg, channel, det, n_units, rng):
     """Per-class (sent, clicks, sifted, errors) drawn slot by slot, with no
     use of the sessions' per-class gains or the quadrature: each unit draws
     its class, bit, bases and phase noise; its bar and cross ports get the
-    means flux*(1 +/- V cos(phase))/2 and click on one uniform each against
+    means flux*(1 +/- cos(phase))/2 and click on one uniform each against
     _click_probability; a double click reads a coin."""
     names, p_cls, mus = cfg.classes()
-    flux = mus * cfg.temporal_efficiency * _system_efficiency(cfg, channel, det)
+    flux = mus * _usable_efficiency(cfg, channel, det)
     cls = rng.choice(len(names), n_units, p=p_cls)
     bit = rng.integers(0, 2, n_units)
     if cfg.kind == DPS:
@@ -700,8 +694,7 @@ def dense_tallies(cfg, channel, det, n_units, rng):
     # lights the bar port
     phase = np.pi / 2 * (2 * bit + x_b.astype(int) - x_a)
     phase += rng.normal(0.0, cfg.sigma_phi, n_units)
-    bar_lam, cross_lam = port_intensities(
-        cfg.visibility_floor * np.cos(phase), 0.5 * flux[cls])
+    bar_lam, cross_lam = port_intensities(np.cos(phase), 0.5 * flux[cls])
     bar = rng.random(n_units) < _click_probability(bar_lam, det.p_dark)
     cross = rng.random(n_units) < _click_probability(cross_lam, det.p_dark)
     read_bar = np.where(bar & cross, rng.random(n_units) < 0.5, bar)
@@ -720,18 +713,16 @@ def dense_tallies(cfg, channel, det, n_units, rng):
        p_vacuum=st.floats(0.05, 0.45),
        # past sigma ~ 9 the wrapped phase noise is uniform to double precision
        sigma_phi=st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 100.0)),
-       visibility_floor=st.floats(0.0, 1.0, exclude_min=True),
        loss_db=st.floats(0.0, 30.0),
        preset=st.sampled_from(sorted(DETECTOR_PRESETS)),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_mc_tallies_match_analytic_across_configs(
-        kind, mu, nu_fraction, p_decoy, p_vacuum, sigma_phi, visibility_floor,
-        loss_db, preset, seed):
+        kind, mu, nu_fraction, p_decoy, p_vacuum, sigma_phi, loss_db, preset, seed):
     # per class, each tally of the session and of the slot-by-slot
     # reference sampler lies in the exact 5-sigma range of its binomial law
     # given the tally it is drawn from: sent of the units, clicks of sent,
     # sifted of clicks, errors of sifted
-    kw = dict(mu_signal=mu, sigma_phi=sigma_phi, visibility_floor=visibility_floor)
+    kw = dict(mu_signal=mu, sigma_phi=sigma_phi)
     n = 200_000
     if kind == DPS:
         cfg = ProtocolConfig(DPS, **kw)
@@ -791,10 +782,10 @@ def test_session_past_int32_counts(variant, n):
     # zero- and one-photon units: the yields Y0, Y1 and the one-photon
     # wrong-decode numerator w1 of README's click model
     t = s.photon_truth
-    eta_t = cfg.temporal_efficiency * _system_efficiency(cfg, ch, det)
+    eta_t = _usable_efficiency(cfg, ch, det)
     y0 = 1 - (1 - det.p_dark) ** 2
     y1 = 1 - (1 - det.p_dark) ** 2 * (1 - eta_t)
-    c = cfg.visibility_floor * np.exp(-cfg.sigma_phi ** 2 / 2)
+    c = np.exp(-cfg.sigma_phi ** 2 / 2)
     w1 = (eta_t * (1 + c) / 2 * det.p_dark / 2
           + eta_t * (1 - c) / 2 * (1 - det.p_dark / 2) + (1 - eta_t) * y0 / 2)
     # sent_n0 and sent_n1 are each a sum of one binomial per class
@@ -806,6 +797,98 @@ def test_session_past_int32_counts(variant, n):
     assert _binomial_5_sigma(t["clicked_n1"], t["sent_n1"], y1)
     assert _binomial_5_sigma(t["sifted_n1"], t["clicked_n1"], match)
     assert _binomial_5_sigma(t["errors_n1"], t["sifted_n1"], w1 / y1)
+
+
+def test_sessions_and_closed_form_read_the_kinds_frame(monkeypatch):
+    # halving BB84's temporal efficiency in its KINDS record is 10 log10(2) dB
+    # more channel loss, for the closed form and for the session's photon-number
+    # groups alike
+    cfg = ProtocolConfig(BB84_DECOY)
+    det = snspd(cfg.clock_hz)
+    ch = ChannelModel(10.0)
+    half = analytic_expectations(cfg, ChannelModel(10.0 + 10 * np.log10(2)), det)
+    monkeypatch.setitem(KINDS, BB84_DECOY,
+                        KINDS[BB84_DECOY]._replace(temporal_efficiency=0.25))
+    a = analytic_expectations(cfg, ch, det)
+    for name in INTENSITY_CLASSES:
+        assert a.gains[name] == pytest.approx(half.gains[name], rel=1e-12, abs=0.0)
+        assert a.error_gains[name] == pytest.approx(half.error_gains[name],
+                                                    rel=1e-12, abs=0.0)
+    t = run_session(cfg, ch, det, 10 ** 10, make_rng(9),
+                    record_photon_truth=True).photon_truth
+    # BB84 has no receiver loss: a photon is usable with 0.25 T eta_det
+    y1 = 1 - (1 - det.p_dark) ** 2 * (1 - 0.25 * transmittance(ch) * det.efficiency)
+    assert _binomial_5_sigma(t["clicked_n1"], t["sent_n1"], y1)
+
+
+def _closed_form(kind, preset, loss_db, **fields):
+    cfg = ProtocolConfig(kind, **fields)
+    det = detector_preset(preset, gate_rate_hz=cfg.clock_hz)
+    return analytic_expectations(cfg, ChannelModel(loss_db), det)
+
+
+_REFERENCES = {r.label: r for r in load_reference_points()}
+
+
+@pytest.mark.parametrize("kind, knob, label, reads, bracket", [
+    (DPS, "receiver_loss_db", "dps-snspd-20db-skr", "519.1 kb/s", (0.0, 15.0)),
+    (DPS, "sigma_phi", "dps-snspd-20db-qber", "2.508%", (0.1, 0.5)),
+    (BB84_DECOY, "sigma_phi", "bb84-snspd-20db-qber", "2.304%", (0.1, 0.5))])
+def test_calibrated_defaults_state_their_closed_form_and_root(
+        kind, knob, label, reads, bracket):
+    # each calibrated default's source states what the closed form reads at
+    # its reference point and the root that would land on the reference value
+    ref = _REFERENCES[label]
+    default, source = KINDS[kind].fields[knob]
+    assert source.startswith("calibrated")
+
+    def reading(value):
+        return getattr(_closed_form(kind, "snspd", ref.loss_db, **{knob: value}),
+                       ref.quantity)
+
+    root = optimize.brentq(lambda v: reading(v) - ref.expected, *bracket, xtol=1e-12)
+    got = reading(default)
+    shown = (f"{got / 1e3:.1f} kb/s" if ref.quantity == "skr_bps"
+             else f"{100 * got:.3f}%")
+    unit, digits = ("dB", 3) if knob == "receiver_loss_db" else ("rad", 5)
+    assert shown == reads and f"reads {reads}" in source
+    assert f"(root {root:.{digits}f} {unit})" in source
+    assert _within(got, ref)  # the default keeps its reference point in band
+
+
+def test_no_dps_receiver_loss_puts_all_four_dps_points_in_band():
+    # README's Calibration and limits: in the closed form, the APD rate falls
+    # and the APD QBER rises with the DPS receiver loss, and the APD rate
+    # reaches its band only past the loss where the APD QBER leaves its own
+    refs = [r for label, r in _REFERENCES.items() if label.startswith("dps-")]
+    assert len(refs) == 4
+
+    losses = np.linspace(0.0, 15.0, 751)
+    points = [{"snspd": _closed_form(DPS, "snspd", 20.0, receiver_loss_db=loss),
+               "apd": _closed_form(DPS, "apd", 10.0, receiver_loss_db=loss)}
+              for loss in losses]
+    for loss, point in zip(losses, points):
+        assert not all(_within(getattr(point[r.label.split("-")[1]], r.quantity), r)
+                       for r in refs), loss
+    apd = [point["apd"] for point in points]
+    assert all(a.skr_bps >= b.skr_bps and a.qber <= b.qber
+               for a, b in zip(apd, apd[1:]))
+    skr, qber = _REFERENCES["dps-apd-10db-skr"], _REFERENCES["dps-apd-10db-qber"]
+
+    def apd_edge(quantity, edge):
+        return optimize.brentq(
+            lambda l: getattr(_closed_form(DPS, "apd", 10.0, receiver_loss_db=l),
+                              quantity) - edge, 0.0, 15.0, xtol=1e-9)
+
+    skr_from = apd_edge("skr_bps", skr.expected * skr.tolerance)
+    qber_until = apd_edge("qber", qber.expected + qber.tolerance)
+    assert (round(skr_from, 3), round(qber_until, 3)) == (11.458, 11.259)
+    # README's figures at the default and near the QBER edge
+    for loss, kbps, factor, percent in ((8.5, 807.7, 6.46, 3.42),
+                                        (11.2, 284.0, 2.27, 4.18)):
+        a = _closed_form(DPS, "apd", 10.0, receiver_loss_db=loss)
+        assert (round(a.skr_bps / 1e3, 1), round(a.skr_bps / skr.expected, 2),
+                round(100 * a.qber, 2)) == (kbps, factor, percent)
 
 
 def test_skr_monotonicity_grids():
