@@ -12,9 +12,10 @@ once (:func:`_mean_wrong_click`). :func:`analytic_expectations` computes
 each class's Q and W once and a session draws from them, at the same cost
 for any number of units. :func:`run_session` runs either kind: DPS is the
 one-class, always-sifted case of the decoy BB84 session, its units the
-n - 1 interference slots of n pulses where BB84's are n pulse pairs. Both
-can split their tallies by emitted photon number (``record_photon_truth``).
+n - 1 interference slots of n pulses where BB84's are n pulse pairs.
 Each kind is one :data:`KINDS` record of fields, frame and key-rate step.
+:func:`single_photon_yield` gives the one-photon yield and error rate that
+the decoy bounds estimate.
 
 Sessions bypass the injection-locked transmitter (``optics.emit_pulse_train``)
 and take each differential phase as the programmed one plus N(0, sigma_phi),
@@ -172,7 +173,6 @@ class SessionResult:
     skr_bps: float
     flags: list = field(default_factory=list)
     decoy: Optional["DecoyEstimates"] = None
-    photon_truth: Optional[dict] = None
 
     def to_dict(self) -> dict:
         return {k: v for k, v in dataclasses.asdict(self).items()
@@ -408,25 +408,23 @@ def _unit_gain(flux, p_dark) -> float:
     return -math.expm1(-(flux - 2.0 * math.log1p(-p_dark)))
 
 
-def _groups(cfg: ProtocolConfig, mu, eta_t, p_dark, q, wrong):
-    """(mass, gain, wrong numerator) of the units of a class of gain q and
-    numerator wrong that emit 0, 1 and >= 2 photons, with Poisson masses P_n
-    of mean mu. A photon is usable with probability eta_t. A numerator W is
-    the probability that a unit of the group clicks and decodes wrongly,
-    averaged over the phase noise; the >= 2 group holds what the class's
-    gain and numerator leave over."""
-    p0, p1 = math.exp(-mu), mu * math.exp(-mu)
-    p2 = max(-math.expm1(-mu) - p1, 0.0)
-    y0 = _unit_gain(0.0, p_dark)
+def single_photon_yield(cfg: ProtocolConfig, channel: ChannelModel,
+                        det: DetectorModel) -> tuple:
+    """(Y1, e1): the probability that a unit emitting one photon clicks, and
+    the share of its clicks that decode wrongly, averaged over the phase
+    noise. These are what :class:`DecoyEstimates`' y1_lower and e1_upper
+    bound. A photon is usable with probability eta_t
+    (:func:`_usable_efficiency`)."""
+    eta_t = _usable_efficiency(cfg, channel, det)
+    p_dark = det.p_dark
     y1 = 1.0 - (1.0 - p_dark) ** 2 * (1.0 - eta_t)
     # the photon lights the right port with probability eta_t (1 + c) / 2,
     # the wrong one with eta_t (1 - c) / 2, or is lost; this is linear in
     # c = cos(delta), whose mean is exp(-sigma^2 / 2)
     c = math.exp(-0.5 * cfg.sigma_phi ** 2)
-    w1 = 0.5 * (eta_t * (1.0 - (1.0 - p_dark) * c) + (1.0 - eta_t) * y0)
-    y2 = min(max((q - p0 * y0 - p1 * y1) / p2, 0.0), 1.0) if p2 > 0 else 0.0
-    w2 = (wrong - 0.5 * p0 * y0 - p1 * w1) / p2 if p2 > 0 else 0.0
-    return [(p0, y0, 0.5 * y0), (p1, y1, w1), (p2, y2, w2)]
+    w1 = 0.5 * (eta_t * (1.0 - (1.0 - p_dark) * c)
+                + (1.0 - eta_t) * _unit_gain(0.0, p_dark))
+    return y1, w1 / y1 if y1 > 0 else 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +479,8 @@ def analytic_expectations(cfg: ProtocolConfig, channel: ChannelModel,
 # Monte-Carlo sessions
 # ---------------------------------------------------------------------------
 
-#: photon_truth keys filled from the tallies of the 0- and 1-photon groups.
-_TRUTH_KEYS = (("sent_n0", "clicked_n0"),
-               ("sent_n1", "clicked_n1", "sifted_n1", "errors_n1"))
-
-
 def run_session(cfg: ProtocolConfig, channel: ChannelModel,
-                det: DetectorModel, n_pulses, rng, record_photon_truth=False,
+                det: DetectorModel, n_pulses, rng,
                 expected: Optional[AnalyticExpectations] = None) -> SessionResult:
     """Monte-Carlo session of the config's kind over n_pulses pulses.
 
@@ -504,38 +497,21 @@ def run_session(cfg: ProtocolConfig, channel: ChannelModel,
     the same arguments (computed when None). A unit's click is independent
     of its phase error, as are the phase errors of units, so the last draw
     is exact; a session costs the same at any size.
-
-    ``record_photon_truth`` splits each class's units into the 0-, 1- and
-    >= 2-photon groups of :func:`_groups` with one more multinomial draw. The
-    class tallies are the group sums, with the same law; ``photon_truth``
-    tallies the 0- and 1-photon units.
     """
     if n_pulses < 1_000:
         raise ValueError("n_pulses must be >= 1e3")
     expected = expected or analytic_expectations(cfg, channel, det)
     n_units = int(n_pulses) - KINDS[cfg.kind].unit_offset
-    names, p_cls, mus = cfg.classes()
-    eta_t = _usable_efficiency(cfg, channel, det)
+    names, p_cls, _ = cfg.classes()
     match = cfg.basis_match_probability()
     tallies = {}
-    truth = {k: 0 for keys in _TRUTH_KEYS for k in keys}
-    for name, mu, sent in zip(names, mus, rng.multinomial(n_units, p_cls)):
-        law = expected.gains[name], expected.error_gains[name]
-        groups = (_groups(cfg, mu, eta_t, det.p_dark, *law)
-                  if record_photon_truth else [(1.0, *law)])
-        rows = []
-        for (_, gain, wrong), n in zip(
-                groups, rng.multinomial(sent, [g[0] for g in groups])):
-            clicks = int(rng.binomial(n, gain))
-            sifted = int(rng.binomial(clicks, match))
-            p_wrong = min(max(wrong / gain, 0.0), 1.0) if gain > 0 else 0.0
-            rows.append((int(n), clicks, sifted,
-                         int(rng.binomial(sifted, p_wrong))))
-        tallies[name] = IntensityTally(*map(sum, zip(*rows)))
-        if record_photon_truth:
-            for keys, row in zip(_TRUTH_KEYS, rows):
-                for k, v in zip(keys, row):
-                    truth[k] += v
+    for name, sent in zip(names, rng.multinomial(n_units, p_cls)):
+        gain, wrong = expected.gains[name], expected.error_gains[name]
+        clicks = int(rng.binomial(sent, gain))
+        sifted = int(rng.binomial(clicks, match))
+        p_wrong = min(max(wrong / gain, 0.0), 1.0) if gain > 0 else 0.0
+        tallies[name] = IntensityTally(int(sent), clicks, sifted,
+                                       int(rng.binomial(sifted, p_wrong)))
 
     flags = []
     gains = {n: t.clicks / t.sent if t.sent else 0.0 for n, t in tallies.items()}
@@ -561,5 +537,4 @@ def run_session(cfg: ProtocolConfig, channel: ChannelModel,
         protocol=cfg.kind, pulses_sent=int(n_pulses), per_intensity=tallies,
         sifted_bits=total_sifted, errors=sig.errors, qber=qber,
         raw_rate_hz=cfg.clock_hz * total_clicks / n_units,
-        sifted_rate_hz=sifted_rate, skr_bps=skr, flags=flags, decoy=est,
-        photon_truth=truth if record_photon_truth else None)
+        sifted_rate_hz=sifted_rate, skr_bps=skr, flags=flags, decoy=est)

@@ -19,9 +19,7 @@ from qkdtx.protocols import (
     DecoyEstimates,
     MU_SIGNAL_MAX,
     ProtocolConfig,
-    _TRUTH_KEYS,
     _click_probability,
-    _groups,
     _mean_wrong_click,
     _unit_gain,
     _usable_efficiency,
@@ -29,6 +27,7 @@ from qkdtx.protocols import (
     binary_entropy,
     decoy_estimate,
     run_session,
+    single_photon_yield,
     skr_bb84,
     skr_dps,
 )
@@ -212,37 +211,47 @@ def test_decoy_rejects_error_rates_outside_unit_interval():
                                mu_signal=0.5, mu_decoy=0.125)
 
 
-def test_poisson_expansion_oracle():
-    # brute-force photon-number bookkeeping reproduces the closed-form gain
-    from math import exp, factorial
-    eta_sys = 0.008
-    t_eff = 0.5
-    p_dark = 9e-8
-    for mu in (0.5, 0.125):
-        q_closed = 1 - (1 - p_dark) ** 2 * exp(-mu * t_eff * eta_sys)
-        q_brute = 0.0
-        for n in range(0, 21):
-            pois = exp(-mu) * mu ** n / factorial(n)
-            p_no_click = (1 - t_eff * eta_sys) ** n * (1 - p_dark) ** 2
-            q_brute += pois * (1 - p_no_click)
-        assert q_brute == pytest.approx(q_closed, abs=1e-10)
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from([DPS, BB84_DECOY]),
+       preset=st.sampled_from(sorted(DETECTOR_PRESETS)),
+       loss_db=st.floats(0.0, 40.0),
+       mu=st.floats(1e-3, MU_SIGNAL_MAX),
+       sigma_phi=st.floats(0.0, 1.5))
+@example(kind=BB84_DECOY, preset="snspd", loss_db=0.0, mu=MU_SIGNAL_MAX,
+         sigma_phi=0.0)
+def test_poisson_expansion_oracle(kind, preset, loss_db, mu, sigma_phi):
+    # brute-force photon-number bookkeeping: each class's gain is the
+    # Poisson-weighted sum of the n-photon yields 1 - (1 - p_dark)^2 (1 - eta_t)^n,
+    # summed until the Poisson tail is below 1e-15, and the n = 1 term with
+    # the one-photon wrong-decode numerator w1 of README's click model gives
+    # the closed-form single-photon yield and error rate
+    fields = dict(mu_signal=mu, sigma_phi=sigma_phi)
+    if kind == BB84_DECOY:
+        fields["mu_decoy"] = mu / 4
+    cfg = ProtocolConfig(kind, **fields)
+    det = detector_preset(preset, gate_rate_hz=cfg.clock_hz)
+    ch = ChannelModel(loss_db)
+    a = analytic_expectations(cfg, ch, det)
+    eta_t = _usable_efficiency(cfg, ch, det)
+    p_dark = det.p_dark
 
+    def yield_n(n):
+        return 1 - (1 - p_dark) ** 2 * (1 - eta_t) ** n
 
-def test_decoy_soundness_sampled():
-    # MC bound stays below the true single-photon yield (3 SE allowance)
-    cfg = ProtocolConfig(BB84_DECOY)
-    ch = ChannelModel(10.0)
-    det = snspd(cfg.clock_hz)
-    ok = 0
-    trials = 20
-    for seed in range(trials):
-        s = run_session(cfg, ch, det, 200_000, make_rng(seed),
-                        record_photon_truth=True)
-        t = s.photon_truth
-        true_y1 = t["clicked_n1"] / t["sent_n1"]
-        if s.decoy.y1_lower <= true_y1 + 3 * s.decoy.y1_lower_se:
-            ok += 1
-    assert ok >= trials - 1
+    for name, mu_class in zip(*cfg.classes()[::2]):
+        n_max = int(stats.poisson.isf(1e-15, mu_class)) + 1
+        assert stats.poisson.sf(n_max, mu_class) < 1e-15
+        n = np.arange(n_max + 1)
+        q_brute = float(np.dot(stats.poisson.pmf(n, mu_class), yield_n(n)))
+        assert q_brute == pytest.approx(a.gains[name], rel=1e-12, abs=1e-14), name
+
+    y1, e1 = single_photon_yield(cfg, ch, det)
+    assert y1 == yield_n(1)
+    y0 = 1 - (1 - p_dark) ** 2
+    c = np.exp(-sigma_phi ** 2 / 2)
+    w1 = (eta_t * (1 + c) / 2 * p_dark / 2
+          + eta_t * (1 - c) / 2 * (1 - p_dark / 2) + (1 - eta_t) * y0 / 2)
+    assert e1 == pytest.approx(w1 / y1, rel=1e-8)
 
 
 @settings(max_examples=200, deadline=None)
@@ -256,18 +265,16 @@ def test_decoy_soundness_sampled():
 def test_closed_form_decoy_bounds_are_sound_across_configs(
         mu, nu_fraction, p_decoy, p_vacuum, sigma_phi, loss_db, preset):
     # with no sampling noise the decoy bounds hold with no slack against the
-    # true single-photon yield Y1 and error numerator W1 of _groups
+    # true single-photon yield Y1 and error rate e1
     cfg = ProtocolConfig(BB84_DECOY, mu_signal=mu, mu_decoy=mu * nu_fraction,
                          p_signal=1.0 - p_decoy - p_vacuum, p_decoy=p_decoy,
                          p_vacuum=p_vacuum, sigma_phi=sigma_phi)
     det = detector_preset(preset, gate_rate_hz=cfg.clock_hz)
     ch = ChannelModel(loss_db)
     a = analytic_expectations(cfg, ch, det)
-    eta_t = _usable_efficiency(cfg, ch, det)
-    _, y1, w1 = _groups(cfg, mu, eta_t, det.p_dark, a.gains["signal"],
-                        a.error_gains["signal"])[1]
+    y1, e1 = single_photon_yield(cfg, ch, det)
     assert a.decoy.y1_lower <= y1
-    assert a.decoy.e1_upper >= w1 / y1
+    assert a.decoy.e1_upper >= e1
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +461,6 @@ def test_session_streams_pinned():
     s = run_session(bb, ch, snspd(bb.clock_hz), 200_000, make_rng(123))
     assert tallies(s) == {"vacuum": (12699, 0, 0, 0), "decoy": (12511, 59, 34, 1),
                           "signal": (174790, 3400, 1672, 36)}
-    s = run_session(bb, ch, snspd(bb.clock_hz), 200_000, make_rng(123),
-                    record_photon_truth=True)
-    assert tallies(s) == {"vacuum": (12699, 0, 0, 0), "decoy": (12511, 58, 29, 0),
-                          "signal": (174790, 3509, 1762, 40)}
-    assert s.photon_truth == {"sent_n0": 129620, "clicked_n0": 0,
-                              "sent_n1": 54512, "clicked_n1": 2170,
-                              "sifted_n1": 1097, "errors_n1": 30}
 
 
 class _LoggedGenerator:
@@ -481,31 +481,23 @@ class _LoggedGenerator:
         return logged
 
 
-def _reference_session(cfg, ch, det, n_pulses, rng, record_photon_truth):
-    """Per-class tallies, photon truth, QBER and key rate of a session whose
-    classes draw from gains and error gains computed in the session itself,
-    one class at a time, through _groups for the photon-number groups."""
+def _reference_session(cfg, ch, det, n_pulses, rng):
+    """Per-class tallies, QBER and key rate of a session whose classes draw
+    from gains and error gains computed in the session itself, one class at
+    a time."""
     n_units = n_pulses - 1 if cfg.kind == DPS else n_pulses
     names, p_cls, mus = cfg.classes()
     eta_t = _usable_efficiency(cfg, ch, det)
     match = cfg.basis_match_probability()
-    tallies, truth = {}, [0] * 6
+    tallies = {}
     for name, mu, sent in zip(names, mus, rng.multinomial(n_units, p_cls)):
         flux = mu * eta_t
-        law = (_unit_gain(flux, det.p_dark),
-               _mean_wrong_click(flux, cfg.sigma_phi, det.p_dark))
-        groups = (_groups(cfg, mu, eta_t, det.p_dark, *law)
-                  if record_photon_truth else [(1.0, *law)])
-        rows = []
-        for (_, gain, wrong), n in zip(
-                groups, rng.multinomial(sent, [g[0] for g in groups])):
-            clicks = int(rng.binomial(n, gain))
-            sifted = int(rng.binomial(clicks, match))
-            p_wrong = min(max(wrong / gain, 0.0), 1.0) if gain > 0 else 0.0
-            rows.append((int(n), clicks, sifted, int(rng.binomial(sifted, p_wrong))))
-        tallies[name] = tuple(map(sum, zip(*rows)))
-        if record_photon_truth:
-            truth = [t + v for t, v in zip(truth, (*rows[0][:2], *rows[1]))]
+        gain = _unit_gain(flux, det.p_dark)
+        wrong = _mean_wrong_click(flux, cfg.sigma_phi, det.p_dark)
+        clicks = int(rng.binomial(sent, gain))
+        sifted = int(rng.binomial(clicks, match))
+        p_wrong = min(max(wrong / gain, 0.0), 1.0) if gain > 0 else 0.0
+        tallies[name] = (int(sent), clicks, sifted, int(rng.binomial(sifted, p_wrong)))
     _, _, sifted, errors = tallies["signal"]
     qber = min(errors / sifted, 0.5) if sifted else 0.0
     rate = cfg.clock_hz * sum(t[2] for t in tallies.values()) / n_units
@@ -513,7 +505,7 @@ def _reference_session(cfg, ch, det, n_pulses, rng, record_photon_truth):
         cfg, {n: t[1] / t[0] if t[0] else 0.0 for n, t in tallies.items()},
         {n: t[3] / t[2] if t[2] else 0.5 for n, t in tallies.items()},
         qber, rate, sent_counts={n: t[0] for n, t in tallies.items()})
-    return tallies, truth if record_photon_truth else None, qber, skr
+    return tallies, qber, skr
 
 
 @settings(max_examples=150, deadline=None)
@@ -523,11 +515,10 @@ def _reference_session(cfg, ch, det, n_pulses, rng, record_photon_truth):
        det=st.one_of(
            st.just((0.0, 0.0)), st.just((0.0, 1e3)), st.just((1.0, 0.0)),
            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1e7))),
-       record_photon_truth=st.booleans(),
        n_pulses=st.integers(1_000, 10 ** 12),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_session_draws_bit_for_bit_as_from_per_class_groups(
-        kind, loss_db, sigma_phi, det, record_photon_truth, n_pulses, seed):
+        kind, loss_db, sigma_phi, det, n_pulses, seed):
     # the session reads each class's law from the closed form; it must make
     # the draws, at the same probabilities to the bit, that computing that
     # law in the session made, including at a gain of exactly 0 (a blind
@@ -537,15 +528,11 @@ def test_session_draws_bit_for_bit_as_from_per_class_groups(
                         gate_rate_hz=cfg.clock_hz)
     ch = ChannelModel(loss_db)
     rng, ref_rng = _LoggedGenerator(seed), _LoggedGenerator(seed)
-    s = run_session(cfg, ch, det, n_pulses, rng,
-                    record_photon_truth=record_photon_truth)
-    tallies, truth, qber, skr = _reference_session(
-        cfg, ch, det, n_pulses, ref_rng, record_photon_truth)
+    s = run_session(cfg, ch, det, n_pulses, rng)
+    tallies, qber, skr = _reference_session(cfg, ch, det, n_pulses, ref_rng)
     assert rng.log == ref_rng.log
     assert {n: (t.sent, t.clicks, t.sifted, t.errors)
             for n, t in s.per_intensity.items()} == tallies
-    assert s.photon_truth == (None if truth is None else dict(
-        zip([k for keys in _TRUTH_KEYS for k in keys], truth)))
     assert (s.qber.hex(), s.skr_bps.hex()) == (float(qber).hex(), float(skr).hex())
 
 
@@ -754,17 +741,16 @@ def test_mc_tallies_match_analytic_across_configs(
 
 
 @pytest.mark.parametrize("n", [10 ** 10, 10 ** 12], ids=["1e10", "1e12"])
-@pytest.mark.parametrize("variant", ["bb84", "bb84-truth", "dps", "dps-truth"])
+@pytest.mark.parametrize("variant", ["bb84", "dps"])
 def test_session_past_int32_counts(variant, n):
     # the signal class alone sends more than 2^31 units, so an int32 count
     # in the multinomial or binomial draws would show here; a session costs
     # the same at 1e12 units as at 1e10
     ch = ChannelModel(30.0)
-    cfg = ProtocolConfig(DPS if variant.startswith("dps") else BB84_DECOY)
+    cfg = ProtocolConfig(DPS if variant == "dps" else BB84_DECOY)
     det = snspd(cfg.clock_hz)
-    s = run_session(cfg, ch, det, n, make_rng(12),
-                    record_photon_truth=variant.endswith("truth"))
-    names, p_cls, mus = cfg.classes()
+    s = run_session(cfg, ch, det, n, make_rng(12))
+    names, p_cls, _ = cfg.classes()
     units = n - 1 if cfg.kind == DPS else n  # DPS: interference slots
     send = dict(zip(names, p_cls))
     a = analytic_expectations(cfg, ch, det)
@@ -777,36 +763,17 @@ def test_session_past_int32_counts(variant, n):
         assert _binomial_5_sigma(t.clicks, t.sent, a.gains[name]), name
         assert _binomial_5_sigma(t.sifted, t.clicks, match), name
         assert _binomial_5_sigma(t.errors, t.sifted, a.error_rates[name]), name
-    if not variant.endswith("truth"):
-        return
-    # zero- and one-photon units: the yields Y0, Y1 and the one-photon
-    # wrong-decode numerator w1 of README's click model
-    t = s.photon_truth
-    eta_t = _usable_efficiency(cfg, ch, det)
-    y0 = 1 - (1 - det.p_dark) ** 2
-    y1 = 1 - (1 - det.p_dark) ** 2 * (1 - eta_t)
-    c = np.exp(-cfg.sigma_phi ** 2 / 2)
-    w1 = (eta_t * (1 + c) / 2 * det.p_dark / 2
-          + eta_t * (1 - c) / 2 * (1 - det.p_dark / 2) + (1 - eta_t) * y0 / 2)
-    # sent_n0 and sent_n1 are each a sum of one binomial per class
-    sent = np.array([s.per_intensity[k].sent for k in names])
-    for key, p in (("sent_n0", np.exp(-mus)), ("sent_n1", mus * np.exp(-mus))):
-        sd = np.sqrt(np.dot(sent, p * (1 - p)))
-        assert abs(t[key] - np.dot(sent, p)) <= 5 * sd + 1, key
-    assert _binomial_5_sigma(t["clicked_n0"], t["sent_n0"], y0)
-    assert _binomial_5_sigma(t["clicked_n1"], t["sent_n1"], y1)
-    assert _binomial_5_sigma(t["sifted_n1"], t["clicked_n1"], match)
-    assert _binomial_5_sigma(t["errors_n1"], t["sifted_n1"], w1 / y1)
 
 
 def test_sessions_and_closed_form_read_the_kinds_frame(monkeypatch):
     # halving BB84's temporal efficiency in its KINDS record is 10 log10(2) dB
-    # more channel loss, for the closed form and for the session's photon-number
-    # groups alike
+    # more channel loss, for the class gains and the single-photon yield alike
     cfg = ProtocolConfig(BB84_DECOY)
     det = snspd(cfg.clock_hz)
     ch = ChannelModel(10.0)
-    half = analytic_expectations(cfg, ChannelModel(10.0 + 10 * np.log10(2)), det)
+    half_ch = ChannelModel(10.0 + 10 * np.log10(2))
+    half = analytic_expectations(cfg, half_ch, det)
+    half_y1, half_e1 = single_photon_yield(cfg, half_ch, det)
     monkeypatch.setitem(KINDS, BB84_DECOY,
                         KINDS[BB84_DECOY]._replace(temporal_efficiency=0.25))
     a = analytic_expectations(cfg, ch, det)
@@ -814,11 +781,12 @@ def test_sessions_and_closed_form_read_the_kinds_frame(monkeypatch):
         assert a.gains[name] == pytest.approx(half.gains[name], rel=1e-12, abs=0.0)
         assert a.error_gains[name] == pytest.approx(half.error_gains[name],
                                                     rel=1e-12, abs=0.0)
-    t = run_session(cfg, ch, det, 10 ** 10, make_rng(9),
-                    record_photon_truth=True).photon_truth
+    y1, e1 = single_photon_yield(cfg, ch, det)
+    assert (y1, e1) == pytest.approx((half_y1, half_e1), rel=1e-12, abs=0.0)
     # BB84 has no receiver loss: a photon is usable with 0.25 T eta_det
-    y1 = 1 - (1 - det.p_dark) ** 2 * (1 - 0.25 * transmittance(ch) * det.efficiency)
-    assert _binomial_5_sigma(t["clicked_n1"], t["sent_n1"], y1)
+    assert y1 == pytest.approx(
+        1 - (1 - det.p_dark) ** 2 * (1 - 0.25 * transmittance(ch) * det.efficiency),
+        rel=1e-12, abs=0.0)
 
 
 def _closed_form(kind, preset, loss_db, **fields):
@@ -951,7 +919,6 @@ def test_session_result_serializes():
     assert set(d["per_intensity"]) == {"vacuum", "decoy", "signal"}
     assert d["qber"] == s.qber
     assert isinstance(d["decoy"]["y1_lower"], float)
-    assert "photon_truth" not in d
 
     cfg = ProtocolConfig(DPS)
     s = run_session(cfg, ChannelModel(5.0), snspd(2e9), 20_000, make_rng(8))
