@@ -52,9 +52,7 @@ def _load_experiment(args):
     if args.seed is not None:
         cfg.seed = harness.check_seed(args.seed, "--seed")
     if args.points is not None:
-        if args.points < 1_000:
-            raise ConfigError("--points must be >= 1e3")
-        cfg.pulses_per_point = args.points
+        cfg.pulses_per_point = harness.check_run_size(args.points, "--points")
         cfg.provenance.pop("pulses_per_point", None)  # no longer a default
     return cfg
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import protocols
 from .linkmodel import ChannelModel, DetectorModel, detector_preset
-from .protocols import (DPS, KINDS, ProtocolConfig, SessionResult,
+from .protocols import (DPS, KINDS, MAX_PULSES, ProtocolConfig, SessionResult,
                         analytic_expectations)
 
 SCHEMA_VERSION = 1
@@ -182,9 +182,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         _default(raw, "detector", _DETECTOR_DEFAULT, provenance),
         protocol.clock_hz, provenance)
     losses = _losses_from_spec(raw["channel"])
-    pulses = _default(raw, "pulses_per_point", _PULSES_DEFAULT, provenance)
-    if not isinstance(pulses, int) or pulses < 1_000:
-        raise ConfigError("pulses_per_point must be an integer >= 1e3")
+    pulses = check_run_size(_default(raw, "pulses_per_point", _PULSES_DEFAULT, provenance),
+                            "pulses_per_point")
     return ExperimentConfig(protocol=protocol, detector=detector,
                             losses_db=losses, pulses_per_point=pulses,
                             seed=check_seed(raw["seed"]), provenance=provenance)
@@ -197,6 +196,14 @@ def check_seed(seed, name: str = "seed") -> int:
     if seed < 0:
         raise ConfigError(f"{name} must be >= 0")
     return seed
+
+
+def check_run_size(size, name: str) -> int:
+    """The pulses or pairs per point if an integer in [1e3, 2**63 - 1], the
+    sizes a session can draw, else a ConfigError naming ``name``."""
+    if not isinstance(size, int) or isinstance(size, bool) or not 1_000 <= size <= MAX_PULSES:
+        raise ConfigError(f"{name} must be an integer in [1e3, 2**63 - 1], got {size!r}")
+    return size
 
 
 def load_config(path) -> ExperimentConfig:

@@ -6,21 +6,22 @@ the delay-line interferometer that converts differential phase into intensity.
 Each pulse is a point event carrying a mean photon number and an optical
 phase; pulse shape, chirp and jitter are below the abstraction level.
 Emitted differential phases are the programmed steps plus locking noise,
-exactly (across a randomized pair boundary, the difference of the two
-absolute phases; without injection, np.diff of the uniform phases).
+exactly (across a pair boundary that a modulated train's sequence marks,
+where the absolute phase is redrawn, the difference of the two absolute
+phases; without injection, np.diff of the uniform phases).
 Each phase array is reduced mod 2*pi exactly once: a train's phases on
 their first read, its emitted differential phases when it is built, and
 ``differential_phases()`` returns that one read-only array on every call.
 ``dual_basis_demodulate`` returns a float64 record array (``radius``,
 ``angle``), and ``amzi_interfere`` and ``fringe_scan`` an
-``InterferenceResult`` of read-only columns, with no object per pulse; its
-row view serves only the benchmark's checks, which still read rows.
+``InterferenceResult`` of read-only bar-port columns, with no object per
+pulse; its row view serves only the benchmark's checks, which still read
+rows. The cross port is ``port_intensities(...)[1]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -106,8 +107,7 @@ class PulseTrain:
     the first read of ``phases``, which from then on is one read-only array.
     When the train was produced by :func:`emit_pulse_train`, the
     emission-time differential phases are kept alongside (reduced once, here),
-    so demodulation is exactly invariant under a global phase shift of the
-    whole train and never reads ``phases``.
+    so demodulation reads them and never ``phases``.
 
     Parameters
     ----------
@@ -164,10 +164,10 @@ class DifferentialPhaseSequence:
     """Protocol-level differential phases, array-backed.
 
     ``diff_phases[k]`` is the phase step from pulse k to pulse k+1;
-    ``pair_boundary[k]`` marks steps across which global-phase coherence is
-    deliberately broken (pulse-pair randomization). ``modulation_levels`` is
-    the M of the M-ary phase format; every phase must sit on the
-    2*pi*k/M grid.
+    ``pair_boundary[k]`` marks steps across which the emitted train redraws
+    its absolute phase (pulse-pair randomization, as BB84 sends). The
+    ``modulation_levels`` argument is the M of the M-ary phase format; every
+    phase must sit on the 2*pi*k/M grid.
     """
 
     def __init__(self, diff_phases, modulation_levels, pair_boundary=None):
@@ -188,7 +188,6 @@ class DifferentialPhaseSequence:
                 raise ValueError("pair_boundary must match diff_phases in length")
         self.diff_phases = dp
         self.pair_boundary = pair_boundary
-        self.modulation_levels = modulation_levels
 
     @classmethod
     def mpsk(cls, levels: int, symbol_indices) -> "DifferentialPhaseSequence":
@@ -205,8 +204,7 @@ class DifferentialPhaseSequence:
 
 #: The InjectionMode fields each seeding variant reads.
 _VARIANT_READS = {"off": (), "cw": ("master_angular_freq", "phase_noise_sigma"),
-                  "modulated": ("phase_sequence", "phase_noise_sigma",
-                                "pair_randomization")}
+                  "modulated": ("phase_sequence", "phase_noise_sigma")}
 
 
 @dataclass(frozen=True)  # the field rule below holds for the mode's lifetime
@@ -216,18 +214,17 @@ class InjectionMode:
     variant is one of "off", "cw", "modulated". For "cw" the differential
     phase per slot is master_angular_freq * period (the free evolution of the
     master wave over one repetition period); for "modulated" it follows
-    phase_sequence. phase_noise_sigma is the standard deviation of Gaussian
-    differential-phase noise modeling imperfect locking; pair_randomization
-    re-draws the absolute phase at every pair boundary. A field the variant
-    does not read (:data:`_VARIANT_READS`) must keep its default, or
-    ValueError names it.
+    phase_sequence, and the absolute phase is redrawn at every step the
+    sequence marks in ``pair_boundary``. phase_noise_sigma is the standard
+    deviation of Gaussian differential-phase noise modeling imperfect
+    locking. A field the variant does not read (:data:`_VARIANT_READS`) must
+    keep its default, or ValueError names it.
     """
 
     variant: str
     master_angular_freq: float = 0.0
     phase_sequence: Optional[DifferentialPhaseSequence] = None
     phase_noise_sigma: float = 0.0
-    pair_randomization: bool = False
 
     def __post_init__(self):
         if self.variant not in list(_VARIANT_READS):  # the variant may be unhashable
@@ -253,11 +250,9 @@ class InjectionMode:
                    phase_noise_sigma=phase_noise_sigma)
 
     @classmethod
-    def modulated(cls, phase_sequence, phase_noise_sigma=0.0,
-                  pair_randomization=False) -> "InjectionMode":
+    def modulated(cls, phase_sequence, phase_noise_sigma=0.0) -> "InjectionMode":
         return cls("modulated", phase_sequence=phase_sequence,
-                   phase_noise_sigma=phase_noise_sigma,
-                   pair_randomization=pair_randomization)
+                   phase_noise_sigma=phase_noise_sigma)
 
 
 @dataclass(frozen=True)
@@ -265,29 +260,24 @@ class AmziConfig:
     """Asymmetric Mach-Zehnder demodulator: one-slot delay plus phase trim.
 
     delay_s must match the train period; phase_offset is the relative phase
-    theta_A between long and short arm; output_port selects which
-    complementary port is read out.
+    theta_A between long and short arm. The bar port is read out.
     """
 
     delay_s: float
     phase_offset: float = 0.0
-    output_port: str = "bar"
 
     def __post_init__(self):
         if not 0.0 < self.delay_s < np.inf:
             raise ValueError("delay_s must be finite and > 0")
         if not np.isfinite(self.phase_offset):
             raise ValueError("phase_offset must be finite")
-        if self.output_port not in ("bar", "cross"):
-            raise ValueError("output_port must be 'bar' or 'cross'")
 
 
 class InterferenceRecord(NamedTuple):
-    """Intensity leaving one AMZI port for one interference slot."""
+    """Intensity leaving the AMZI bar port for one interference slot."""
 
     slot_index: int
     intensity_out: float
-    input_intensity: float
 
 
 @dataclass(frozen=True, eq=False)  # a generated __eq__ over arrays would be wrong
@@ -300,18 +290,16 @@ class InterferenceResult:
 
     slot_index: np.ndarray
     intensity_out: np.ndarray
-    input_intensity: float
 
     def __len__(self) -> int:
         return self.slot_index.size
 
     def __getitem__(self, k: int) -> InterferenceRecord:
-        return InterferenceRecord(self.slot_index[k].item(),
-                                  self.intensity_out[k].item(), self.input_intensity)
+        return InterferenceRecord(self.slot_index[k].item(), self.intensity_out[k].item())
 
     def __iter__(self):
-        return map(InterferenceRecord._make, zip(self.slot_index.tolist(),
-                   self.intensity_out.tolist(), repeat(self.input_intensity)))
+        return map(InterferenceRecord._make,
+                   zip(self.slot_index.tolist(), self.intensity_out.tolist()))
 
 
 @dataclass
@@ -335,19 +323,20 @@ class ConstellationReport:
 
 def _emission(n_pulses, mode, rng, period_s):
     """Draw one train in emit_pulse_train's stream order. Returns its absolute
-    phases before any global offset and its n-1 emitted differential phases,
-    unreduced."""
+    phases and its n-1 emitted differential phases, unreduced."""
     if mode.variant == "off":
         unwrapped = rng.uniform(0.0, TWO_PI, n_pulses)
         return unwrapped, unwrapped[1:] - unwrapped[:-1]
     if mode.variant == "cw":
         step = reduce_phase(mode.master_angular_freq * period_s)
+        boundaries = ()
     else:
         seq = mode.phase_sequence
         if len(seq) < n_pulses - 1:
             raise ValueError(
                 f"phase sequence has {len(seq)} symbols; need >= {n_pulses - 1}")
         step = seq.diff_phases[:n_pulses - 1]
+        boundaries = np.flatnonzero(seq.pair_boundary[:n_pulses - 1])
     start = rng.uniform(0.0, TWO_PI)
     sigma = mode.phase_noise_sigma
     diffs = rng.normal(0.0, sigma, n_pulses - 1) if sigma > 0 else np.zeros(n_pulses - 1)
@@ -356,8 +345,6 @@ def _emission(n_pulses, mode, rng, period_s):
     unwrapped[0] = 0.0
     np.cumsum(diffs, out=unwrapped[1:])
     unwrapped += start
-    boundaries = (np.flatnonzero(mode.phase_sequence.pair_boundary[:n_pulses - 1])
-                  if mode.pair_randomization else ())  # read by modulated only
     if len(boundaries):
         redraws = rng.uniform(0.0, TWO_PI, boundaries.size)
         # pulse p+1 restarts at a fresh absolute phase; later pulses
@@ -370,14 +357,13 @@ def _emission(n_pulses, mode, rng, period_s):
     return unwrapped, diffs
 
 
-def emit_pulse_train(n_pulses, mean_photons, mode, rng, period_s=_PERIOD_S,
-                     global_phase_offset=0.0):
+def emit_pulse_train(n_pulses, mean_photons, mode, rng, period_s=_PERIOD_S):
     """Emit a gain-switched pulse train under a given injection regime.
 
     Random-stream consumption is fixed per regime so that runs with the same
     seed are reproducible: n uniform draws (off), or one uniform start phase,
     n-1 Gaussian noise draws when phase_noise_sigma > 0, then one uniform draw
-    per randomized pair boundary.
+    per pair boundary that a modulated train's sequence marks.
 
     Parameters
     ----------
@@ -391,17 +377,12 @@ def emit_pulse_train(n_pulses, mean_photons, mode, rng, period_s=_PERIOD_S,
         Seeded random stream.
     period_s : float
         Slot period (default 500 ps, a 2 GHz train).
-    global_phase_offset : float
-        Constant added to every absolute phase; the emitted differential
-        phases are unaffected, which makes demodulation bitwise invariant
-        under this offset.
 
     Returns
     -------
     PulseTrain
     """
     unwrapped, diffs = _emission(_count(n_pulses, "n_pulses", 1), mode, rng, period_s)
-    unwrapped += global_phase_offset
     # PulseTrain reduces both arrays, each once
     return PulseTrain(unwrapped, mean_photons, period_s, diff_phases=diffs)
 
@@ -422,24 +403,22 @@ def port_intensities(cos_phi, half_input):
     return bar, cross
 
 
-def amzi_intensity(diff_phases, input_intensity, phase_offset=0.0, port="bar"):
-    """Port intensity for given differential phases (vectorized core).
+def amzi_intensity(diff_phases, input_intensity, phase_offset=0.0):
+    """Bar-port intensity for given differential phases (vectorized core).
 
-    Implements I_out = I_in/2 * [1 +/- cos(dphi + theta_A)] for the bar (+)
-    and cross (-) port of a balanced one-slot-delay interferometer.
+    Implements I_out = I_in/2 * [1 + cos(dphi + theta_A)] for the bar port of
+    a balanced one-slot-delay interferometer; the cross port is
+    ``port_intensities(...)[1]``.
     """
-    if port not in ("bar", "cross"):
-        raise ValueError(f"port must be 'bar' or 'cross', got {port!r}")
     c = np.asarray(np.cos(np.asarray(diff_phases, dtype=float) + phase_offset))
-    bar, cross = port_intensities(c, 0.5 * input_intensity)
-    return (bar if port == "bar" else cross)[()]  # a scalar for scalar input
+    return port_intensities(c, 0.5 * input_intensity)[0][()]  # a scalar for scalar input
 
 
 def amzi_interfere(train: PulseTrain, cfg: AmziConfig) -> InterferenceResult:
     """Interfere consecutive pulses in the AMZI.
 
     Slot k (k >= 1) holds the intensity of the overlap between pulse k and
-    the delayed pulse k-1 at the configured port.
+    the delayed pulse k-1 at the bar port.
     """
     if train.n_pulses < 2:
         raise ValueError("train must contain at least 2 pulses")
@@ -447,10 +426,8 @@ def amzi_interfere(train: PulseTrain, cfg: AmziConfig) -> InterferenceResult:
         raise ValueError(
             f"AMZI delay {cfg.delay_s} s does not match train period "
             f"{train.period_s} s")
-    out = amzi_intensity(train.differential_phases(), train.mean_photons,
-                         cfg.phase_offset, cfg.output_port)
-    return InterferenceResult(_read_only(np.arange(1, train.n_pulses)),
-                              _read_only(out), train.mean_photons)
+    out = amzi_intensity(train.differential_phases(), train.mean_photons, cfg.phase_offset)
+    return InterferenceResult(_read_only(np.arange(1, train.n_pulses)), _read_only(out))
 
 
 def dual_basis_demodulate(train: PulseTrain) -> np.recarray:
@@ -469,8 +446,8 @@ def dual_basis_demodulate(train: PulseTrain) -> np.recarray:
     if i_in == 0.0:
         angle = np.zeros(diffs.size)
     else:
-        i_i = amzi_intensity(diffs, i_in, 0.0, "bar")
-        i_q = amzi_intensity(diffs, i_in, -np.pi / 2.0, "bar")
+        i_i = amzi_intensity(diffs, i_in, 0.0)
+        i_q = amzi_intensity(diffs, i_in, -np.pi / 2.0)
         angle = reduce_phase(np.arctan2(2.0 * i_q / i_in - 1.0, 2.0 * i_i / i_in - 1.0))
     return np.rec.fromarrays([np.full(diffs.size, i_in), angle], names="radius,angle")
 
@@ -492,9 +469,8 @@ def fringe_scan(mode, mean_photons, theta_grid, pulses_per_point,
     means = np.empty(theta_grid.size)
     for j, theta in enumerate(theta_grid):
         diffs = _emission(pulses_per_point, mode, rng, _PERIOD_S)[1]
-        means[j] = np.mean(amzi_intensity(reduce_phase(diffs), mean_photons, theta, "bar"))
-    return InterferenceResult(_read_only(np.arange(theta_grid.size)),
-                              _read_only(means), float(mean_photons))
+        means[j] = np.mean(amzi_intensity(reduce_phase(diffs), mean_photons, theta))
+    return InterferenceResult(_read_only(np.arange(theta_grid.size)), _read_only(means))
 
 
 def fringe_visibility(intensities) -> float:
@@ -528,6 +504,6 @@ def constellation_eye(levels, sigma_phi, n_symbols, rng) -> ConstellationReport:
     train = emit_pulse_train(n_symbols + 1, 1.0, mode, rng)
     points = dual_basis_demodulate(train)
     k = np.arange(levels)
-    eye = amzi_intensity(k * TWO_PI / levels, 1.0, 0.0, "bar")
+    eye = amzi_intensity(k * TWO_PI / levels, 1.0)
     eye = np.unique(np.round(eye, 12))
     return ConstellationReport(levels, points, np.sort(eye))

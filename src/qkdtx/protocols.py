@@ -48,6 +48,9 @@ INTENSITY_CLASSES = ("vacuum", "decoy", "signal")
 #: 1e-9 relative up to this many photons per unit.
 MU_SIGNAL_MAX = 20.0
 
+#: Largest session size: the class split is one multinomial of int64 count.
+MAX_PULSES = 2**63 - 1
+
 #: The phase average's M = 64 phases theta_j = 2 pi j / M, its frequencies
 #: k = 1 .. M/2 and the cosine transform 2 cos(k theta_j) / M, whose Nyquist
 #: row k = M/2 takes half weight.
@@ -498,8 +501,8 @@ def run_session(cfg: ProtocolConfig, channel: ChannelModel,
     of its phase error, as are the phase errors of units, so the last draw
     is exact; a session costs the same at any size.
     """
-    if n_pulses < 1_000:
-        raise ValueError("n_pulses must be >= 1e3")
+    if not 1_000 <= n_pulses <= MAX_PULSES:
+        raise ValueError("n_pulses must be in [1e3, 2**63 - 1]")
     expected = expected or analytic_expectations(cfg, channel, det)
     n_units = int(n_pulses) - KINDS[cfg.kind].unit_offset
     names, p_cls, _ = cfg.classes()

@@ -86,7 +86,7 @@ def test_criterion_1_amzi_amplitude_oracle():
     worst = 0.0
     for phases, i_in, theta in trains:
         tr = PulseTrain(phases, i_in, 5e-10)
-        out = amzi_interfere(tr, AmziConfig(5e-10, theta, "bar")).intensity_out
+        out = amzi_interfere(tr, AmziConfig(5e-10, theta)).intensity_out
         a = np.sqrt(i_in) * np.exp(1j * tr.phases)
         oracle = np.abs(a[1:] * np.exp(1j * theta) + a[:-1]) ** 2 / 4.0
         worst = max(worst, float(np.max(np.abs(out - oracle))))

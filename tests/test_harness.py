@@ -512,6 +512,26 @@ def test_cli_points_override_is_not_tagged_as_default(tmp_path):
     assert "pulses_per_point" not in config["provenance"]
 
 
+@pytest.mark.parametrize("name", ["dps_snspd.json", "bb84_snspd.json"])
+def test_oversize_run_sizes_are_named_errors(tmp_path, capsys, name):
+    # sessions draw int64 counts: a larger size is a config error naming its
+    # field, not an OverflowError from numpy
+    bundled = str(resources.files("qkdtx.data").joinpath(name))
+    raw = json.loads(Path(bundled).read_text())
+    cfgp, out = tmp_path / "cfg.json", tmp_path / "result.json"
+    for size in (2**63, 10**20):
+        cfgp.write_text(json.dumps({**raw, "pulses_per_point": size}))
+        assert cli.main(["simulate", "--config", str(cfgp)]) == 1
+        assert capsys.readouterr().err.startswith("error: pulses_per_point must be")
+        assert cli.main(["simulate", "--config", bundled, "--points", str(size)]) == 1
+        assert capsys.readouterr().err.startswith("error: --points must be")
+    # the largest size runs, from the config and from --points
+    cfgp.write_text(json.dumps({**raw, "pulses_per_point": 2**63 - 1}))
+    for argv in (["--config", str(cfgp)], ["--config", bundled, "--points", str(2**63 - 1)]):
+        assert cli.main(["simulate", *argv, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["result"]["pulses_sent"] == 2**63 - 1
+
+
 def test_cli_sweep_and_compare_roundtrip(tmp_path):
     cfgp = write_config(tmp_path)
     table_path = tmp_path / "table.csv"

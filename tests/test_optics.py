@@ -26,6 +26,7 @@ from qkdtx.optics import (
     emit_pulse_train,
     fringe_scan,
     fringe_visibility,
+    port_intensities,
     reduce_phase,
     sigma_phi_for_error_rate,
     sigma_phi_for_visibility,
@@ -148,8 +149,7 @@ def test_optics_hands_np_mod_no_array_of_fast_path_size(monkeypatch):
               (InjectionMode.off(), cw, InjectionMode.modulated(seq, 0.05))]
     for train in (trains[0], trains[2]):
         dual_basis_demodulate(train)
-    for port in ("bar", "cross"):
-        amzi_interfere(trains[1], AmziConfig(5e-10, 0.3, port))
+    amzi_interfere(trains[1], AmziConfig(5e-10, 0.3))
     fringe_scan(cw, 1.0, np.linspace(0.0, TWO_PI, 4, endpoint=False), 2_000, rng)
     constellation_eye(8, 0.05, n, rng)
     assert max(sizes, default=0) < _FAST_MIN_SIZE
@@ -285,8 +285,8 @@ def test_injection_mode_holds_only_the_fields_its_variant_reads():
     seq = DifferentialPhaseSequence([0.0], 2)
     unread = {
         "off": {"master_angular_freq": 3.0, "phase_sequence": seq,
-                "phase_noise_sigma": 0.5, "pair_randomization": True},
-        "cw": {"phase_sequence": seq, "pair_randomization": True},
+                "phase_noise_sigma": 0.5},
+        "cw": {"phase_sequence": seq},
         "modulated": {"master_angular_freq": 3.0},
     }
     for variant, fields in unread.items():
@@ -296,10 +296,9 @@ def test_injection_mode_holds_only_the_fields_its_variant_reads():
                 InjectionMode(variant, **base, **{name: value})
     # each read field may leave its default, and no field changes afterwards
     InjectionMode("cw", master_angular_freq=3.0, phase_noise_sigma=0.5)
-    InjectionMode("modulated", phase_sequence=seq, phase_noise_sigma=0.5,
-                  pair_randomization=True)
+    InjectionMode("modulated", phase_sequence=seq, phase_noise_sigma=0.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        InjectionMode.cw().pair_randomization = True
+        InjectionMode.cw().phase_noise_sigma = 0.5
 
 
 def test_sigma_calibration_helpers():
@@ -361,7 +360,7 @@ def test_modulated_sequence_too_short():
         emit_pulse_train(5, 0.2, InjectionMode.modulated(seq), make_rng(0))
 
 
-def test_pair_randomization_keeps_intra_pair_phase():
+def test_pair_boundaries_keep_intra_pair_phase():
     # pairs (0,1), (2,3), ...: boundary symbols sit between pairs
     n_pairs = 2000
     diff = np.zeros(2 * n_pairs - 1)
@@ -369,9 +368,7 @@ def test_pair_randomization_keeps_intra_pair_phase():
     diff[0::2] = np.pi          # within-pair steps
     boundary[1::2] = True       # between-pair steps
     seq = DifferentialPhaseSequence(diff, 2, pair_boundary=boundary)
-    tr = emit_pulse_train(2 * n_pairs, 0.2,
-                          InjectionMode.modulated(seq, pair_randomization=True),
-                          make_rng(8))
+    tr = emit_pulse_train(2 * n_pairs, 0.2, InjectionMode.modulated(seq), make_rng(8))
     d = tr.differential_phases()
     intra = d[0::2]
     inter = d[1::2]
@@ -387,12 +384,11 @@ def test_one_pulse_trains_are_pinned():
     seq = DifferentialPhaseSequence([np.pi, 0.0], 2, pair_boundary=[True, True])
     modes = (InjectionMode.off(),
              InjectionMode.cw(master_angular_freq=3.0e9, phase_noise_sigma=0.5),
-             InjectionMode.modulated(seq, phase_noise_sigma=0.5,
-                                     pair_randomization=True))
+             InjectionMode.modulated(seq, phase_noise_sigma=0.5))
     for mode in modes:
         rng = make_rng(11)
-        tr = emit_pulse_train(1, 0.4, mode, rng, global_phase_offset=1.25)
-        assert tr.phases.tolist() == [2.0578304089805353]
+        tr = emit_pulse_train(1, 0.4, mode, rng)
+        assert tr.phases.tolist() == [0.8078304089805352]
         assert tr.differential_phases().shape == (0,)
         assert (rng.bit_generator.state["state"]["state"]
                 == 211884317528684817169046156472096961009)
@@ -415,8 +411,7 @@ def _circular_gap(a, b):
 def test_noise_free_emission_returns_the_programmed_steps_bitwise():
     n = 1_000_000
     seq = DifferentialPhaseSequence.mpsk(4, make_rng(30).integers(0, 4, n - 1))
-    tr = emit_pulse_train(n, 0.5, InjectionMode.modulated(seq), make_rng(31),
-                          global_phase_offset=2.1)
+    tr = emit_pulse_train(n, 0.5, InjectionMode.modulated(seq), make_rng(31))
     assert tr.differential_phases().tobytes() == reduce_phase(seq.diff_phases).tobytes()
     assert _circular_gap(tr.differential_phases(), np.diff(tr.phases)) < 1e-9
 
@@ -446,7 +441,7 @@ def test_pair_randomised_emission_differs_from_the_steps_only_at_boundaries():
     boundary = make_rng(34).random(n - 1) < 0.3
     seq = DifferentialPhaseSequence(make_rng(35).integers(0, 4, n - 1) * (TWO_PI / 4), 4,
                                     pair_boundary=boundary)
-    mode = InjectionMode.modulated(seq, phase_noise_sigma=sigma, pair_randomization=True)
+    mode = InjectionMode.modulated(seq, phase_noise_sigma=sigma)
     rng = make_rng(36)
     tr = emit_pulse_train(n, 0.5, mode, rng)
     replica = make_rng(36)
@@ -468,19 +463,19 @@ def test_pair_randomised_emission_differs_from_the_steps_only_at_boundaries():
        st.sampled_from([0.0, 0.4]), st.integers(2, 40), st.integers(2, 500),
        st.integers(0, 2**32 - 1))
 def test_fringe_scan_draws_as_emit_pulse_train(variant, sigma, points, pulses, seed):
-    seq = DifferentialPhaseSequence(make_rng(37).integers(0, 4, 499) * (TWO_PI / 4), 4,
-                                    pair_boundary=np.arange(499) % 2 == 1)
+    steps = make_rng(37).integers(0, 4, 499) * (TWO_PI / 4)
+    seq = DifferentialPhaseSequence(steps, 4)
+    pairs = DifferentialPhaseSequence(steps, 4, pair_boundary=np.arange(499) % 2 == 1)
     mode = {"off": InjectionMode.off(),
             "cw": InjectionMode.cw(master_angular_freq=1.3e9, phase_noise_sigma=sigma),
             "modulated": InjectionMode.modulated(seq, phase_noise_sigma=sigma),
-            "pairs": InjectionMode.modulated(seq, phase_noise_sigma=sigma,
-                                             pair_randomization=True)}[variant]
+            "pairs": InjectionMode.modulated(pairs, phase_noise_sigma=sigma)}[variant]
     grid = np.linspace(0.0, TWO_PI, points, endpoint=False)
     rng, reference = make_rng(seed), make_rng(seed)
     got = fringe_scan(mode, 0.7, grid, pulses, rng).intensity_out
     want = [np.mean(amzi_intensity(
                 emit_pulse_train(pulses, 0.7, mode, reference).differential_phases(),
-                0.7, theta, "bar")) for theta in grid]
+                0.7, theta)) for theta in grid]
     assert got.tobytes() == np.array(want).tobytes()
     assert rng.random() == reference.random()
 
@@ -489,13 +484,12 @@ def test_fringe_scan_draws_as_emit_pulse_train(variant, sigma, points, pulses, s
 # AMZI interference
 # ---------------------------------------------------------------------------
 
-def amplitude_oracle(phases, i_in, theta, port):
-    """Independent route: complex field amplitudes through both couplers."""
+def amplitude_oracle(phases, i_in, theta):
+    """Independent route: complex field amplitudes through both couplers to
+    the bar port."""
     a = np.sqrt(i_in) * np.exp(1j * np.asarray(phases))
     delayed, direct = a[:-1], a[1:] * np.exp(1j * theta)
-    if port == "bar":
-        return np.abs(direct + delayed) ** 2 / 4.0
-    return np.abs(direct - delayed) ** 2 / 4.0
+    return np.abs(direct + delayed) ** 2 / 4.0
 
 
 def test_eq1_reference_points():
@@ -505,7 +499,6 @@ def test_eq1_reference_points():
         tr = PulseTrain([0.0, dphi], i_in, 5e-10)
         rec = amzi_interfere(tr, cfg)[0]
         assert rec.intensity_out == pytest.approx(expected, abs=1e-12)
-        assert rec.input_intensity == i_in
 
 
 def test_amzi_errors():
@@ -521,16 +514,6 @@ def test_amzi_errors():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="phase_offset"):
             AmziConfig(5e-10, bad)
-    with pytest.raises(ValueError):
-        AmziConfig(delay_s=5e-10, output_port="diagonal")
-
-
-def test_amzi_intensity_rejects_unknown_ports():
-    assert amzi_intensity(0.0, 1.0, port="bar") == 1.0
-    assert amzi_intensity(0.0, 1.0, port="cross") == 0.0
-    for port in ("Bar", "diagonal", ""):
-        with pytest.raises(ValueError, match=f"got {port!r}"):
-            amzi_intensity([0.0, 1.0], 1.0, port=port)
 
 
 def test_amzi_intensity_broadcasts_the_offset():
@@ -543,14 +526,12 @@ def test_bulk_records_equal_the_array_law_exactly():
     n = 1000
     tr = emit_pulse_train(n, 0.7, InjectionMode.off(), rng)
     diffs = tr.differential_phases()
-    for port in ("bar", "cross"):
-        res = amzi_interfere(tr, AmziConfig(5e-10, 0.4, port))
-        assert np.array_equal(res.intensity_out, amzi_intensity(diffs, 0.7, 0.4, port))
-        assert np.array_equal(res.slot_index, np.arange(1, n))
-        assert res.input_intensity == 0.7
+    res = amzi_interfere(tr, AmziConfig(5e-10, 0.4))
+    assert np.array_equal(res.intensity_out, amzi_intensity(diffs, 0.7, 0.4))
+    assert np.array_equal(res.slot_index, np.arange(1, n))
     pts = dual_basis_demodulate(tr)
-    i_i = amzi_intensity(diffs, 0.7, 0.0, "bar")
-    i_q = amzi_intensity(diffs, 0.7, -np.pi / 2.0, "bar")
+    i_i = amzi_intensity(diffs, 0.7, 0.0)
+    i_q = amzi_intensity(diffs, 0.7, -np.pi / 2.0)
     want = reduce_phase(np.arctan2(2.0 * i_q / 0.7 - 1.0, 2.0 * i_i / 0.7 - 1.0))
     assert np.array_equal(pts.angle, want)
     assert np.all(pts.radius == 0.7)
@@ -560,8 +541,10 @@ def test_port_complementarity():
     rng = make_rng(11)
     tr = PulseTrain(rng.uniform(0, TWO_PI, 500), 0.7, 5e-10)
     theta = 0.3
-    bar = amzi_interfere(tr, AmziConfig(5e-10, theta, "bar")).intensity_out
-    cross = amzi_interfere(tr, AmziConfig(5e-10, theta, "cross")).intensity_out
+    bar = amzi_interfere(tr, AmziConfig(5e-10, theta)).intensity_out
+    cos = np.cos(tr.differential_phases() + theta)
+    got_bar, cross = port_intensities(cos, 0.5 * 0.7)
+    assert np.array_equal(got_bar, bar)
     assert bar + cross == pytest.approx(0.7, rel=1e-12)
     assert np.all((bar >= 0.0) & (bar <= 0.7))
 
@@ -575,45 +558,29 @@ def test_amplitude_oracle_equivalence():
         i_in = float(rng.uniform(0.1, 2.0))
         theta = float(rng.uniform(0, TWO_PI))
         tr = PulseTrain(phases, i_in, 5e-10)
-        for port in ("bar", "cross"):
-            got = amzi_interfere(tr, AmziConfig(5e-10, theta, port)).intensity_out
-            want = amplitude_oracle(tr.phases, i_in, theta, port)
-            assert np.allclose(got, want, atol=1e-10)
-
-
-def test_global_phase_invariance_bitwise():
-    seq = DifferentialPhaseSequence.mpsk(8, make_rng(1).integers(0, 8, 499))
-    mode = InjectionMode.modulated(seq, phase_noise_sigma=0.05)
-    base = emit_pulse_train(500, 0.6, mode, make_rng(13))
-    shifted = emit_pulse_train(500, 0.6, mode, make_rng(13),
-                               global_phase_offset=1.2345)
-    assert not np.allclose(base.phases, shifted.phases)
-    cfg = AmziConfig(5e-10, 0.37, "bar")
-    out_a = amzi_interfere(base, cfg).intensity_out
-    out_b = amzi_interfere(shifted, cfg).intensity_out
-    assert np.array_equal(out_a, out_b)
+        got = amzi_interfere(tr, AmziConfig(5e-10, theta)).intensity_out
+        assert np.allclose(got, amplitude_oracle(tr.phases, i_in, theta), atol=1e-10)
 
 
 def test_row_view_equals_the_list_of_records():
     n = 1000
     tr = emit_pulse_train(n, 0.7, InjectionMode.off(), make_rng(23))
-    for port in ("bar", "cross"):
-        res = amzi_interfere(tr, AmziConfig(5e-10, 0.4, port))
-        out = amzi_intensity(tr.differential_phases(), 0.7, 0.4, port).tolist()
-        want = [InterferenceRecord(k + 1, v, 0.7) for k, v in enumerate(out)]
-        rows = list(res)
-        assert rows == want
-        assert all(type(r) is InterferenceRecord and type(r.slot_index) is int
-                   and type(r.intensity_out) is float for r in rows)
-        assert len(res) == n - 1 and bool(res)
-        for k in (0, 1, n - 2, -1, -(n - 1)):
-            assert res[k] == want[k]
-            assert type(res[k].slot_index) is int and type(res[k].intensity_out) is float
-        for k in (n - 1, -n):
-            with pytest.raises(IndexError):
-                res[k]
+    res = amzi_interfere(tr, AmziConfig(5e-10, 0.4))
+    out = amzi_intensity(tr.differential_phases(), 0.7, 0.4).tolist()
+    want = [InterferenceRecord(k + 1, v) for k, v in enumerate(out)]
+    rows = list(res)
+    assert rows == want
+    assert all(type(r) is InterferenceRecord and type(r.slot_index) is int
+               and type(r.intensity_out) is float for r in rows)
+    assert len(res) == n - 1 and bool(res)
+    for k in (0, 1, n - 2, -1, -(n - 1)):
+        assert res[k] == want[k]
+        assert type(res[k].slot_index) is int and type(res[k].intensity_out) is float
+    for k in (n - 1, -n):
+        with pytest.raises(IndexError):
+            res[k]
     fringe = fringe_scan(InjectionMode.cw(), 0.5, [0.0, 1.0, 2.0], 10, make_rng(24))
-    assert list(fringe) == [InterferenceRecord(j, m, 0.5)
+    assert list(fringe) == [InterferenceRecord(j, m)
                             for j, m in enumerate(fringe.intensity_out.tolist())]
 
 
@@ -799,8 +766,8 @@ def _digest(*arrays):
 
 
 def _pinned_trains():
-    """One train per seeding regime, each with a global phase offset; the
-    cw drift and the modulated pair redraws exercise every phase path."""
+    """One train per seeding regime; the cw drift and the modulated pair
+    redraws exercise every phase path."""
     n = 4001
     rng = make_rng(2024)
     diffs = rng.integers(0, 4, n - 1) * (TWO_PI / 4)
@@ -811,24 +778,21 @@ def _pinned_trains():
     modes = {
         "off": InjectionMode.off(),
         "cw": InjectionMode.cw(master_angular_freq=7.3 / period, phase_noise_sigma=0.2),
-        "modulated": InjectionMode.modulated(seq, phase_noise_sigma=0.05,
-                                             pair_randomization=True),
+        "modulated": InjectionMode.modulated(seq, phase_noise_sigma=0.05),
     }
-    return {name: emit_pulse_train(n, 0.8, mode, rng, period_s=period,
-                                   global_phase_offset=5.9)
+    return {name: emit_pulse_train(n, 0.8, mode, rng, period_s=period)
             for name, mode in modes.items()}
 
 
 #: sha256 of the float64 bytes of each output of _pinned_digests; a change to
 #: any single bit fails these tests.
 PINS = {
-    "phases-off": "25449789f1b0d56fb67f6c9fed9082f20272c64e44e06b8e5a06b7ecf829da93",
-    "phases-cw": "157b9b03666d16034978bdeee7cb2862befd95561d182e1c2eae434d3426b694",
-    "phases-modulated": "f6d7613dc304ffd889346e334d546f2a2587e2249d742bd9035c1a96fe4f8c62",
+    "phases-off": "460247f09a467b0f18002f7b633d4d9e1da5fc22ce2d29f65eb22c959eada302",
+    "phases-cw": "57a6cd3b9d3e76833d07116f39d3ec34849b6ee7cee67e64ec266acdce3b0530",
+    "phases-modulated": "50bfbd857374b72976b7274a73b0a511e7278725057afa3011ab8cbcaf3205e0",
     "demodulate-off": "547259094ba70a0224d9b5311dfe798e2844207337049da429bbee2b7a46e960",
     "demodulate-modulated": "bde06b1acc4f43b31d41f05106fdd7d6838dc9790e919a7b91c8613b862c1d8f",
     "interfere-bar": "1d0596ba4594f9e532e3467574d55f0843aa34af5944f788a49fa0c692b95094",
-    "interfere-cross": "96d98ea89c9f655159888513a1382050d4232c593e96d378c21197bd270aeb22",
     "fringe-scan": "2e51f2f570c114e8ed8ddb2e7495e2e878062e66074191faaccaadfa815dddf8",
 }
 
@@ -840,9 +804,8 @@ def _pinned_digests():
     for name in ("off", "modulated"):
         pts = dual_basis_demodulate(trains[name])
         out[f"demodulate-{name}"] = _digest(pts.radius, pts.angle)
-    for port in ("bar", "cross"):
-        res = amzi_interfere(trains["cw"], AmziConfig(5e-10, 0.4, port))
-        out[f"interfere-{port}"] = _digest(res.intensity_out)
+    res = amzi_interfere(trains["cw"], AmziConfig(5e-10, 0.4))
+    out["interfere-bar"] = _digest(res.intensity_out)
     mode = InjectionMode.cw(master_angular_freq=3.1e9, phase_noise_sigma=0.3)
     fringe = fringe_scan(mode, 0.5, np.linspace(0.0, TWO_PI, 24, endpoint=False),
                          300, make_rng(77))

@@ -8,9 +8,8 @@ from scipy import integrate, optimize, stats
 from qkdtx.harness import _within, load_reference_points
 from qkdtx.linkmodel import (DETECTOR_PRESETS, ChannelModel, DetectorModel,
                              detector_preset, transmittance)
-from qkdtx.optics import (DifferentialPhaseSequence, InjectionMode,
-                          amzi_intensity, emit_pulse_train, port_intensities,
-                          sigma_phi_for_error_rate)
+from qkdtx.optics import (DifferentialPhaseSequence, InjectionMode, emit_pulse_train,
+                          port_intensities, sigma_phi_for_error_rate)
 from qkdtx.protocols import (
     BB84_DECOY,
     DPS,
@@ -555,8 +554,7 @@ def test_transmitter_phase_noise_is_the_session_law(kind, e_opt):
         seq = DifferentialPhaseSequence(steps, 4, pair_boundary=boundary)
         data = ~boundary
     assert cfg.sigma_phi == sigma_phi_for_error_rate(e_opt)
-    mode = InjectionMode.modulated(seq, phase_noise_sigma=cfg.sigma_phi,
-                                   pair_randomization=kind == BB84_DECOY)
+    mode = InjectionMode.modulated(seq, phase_noise_sigma=cfg.sigma_phi)
     train = emit_pulse_train(len(seq) + 1, cfg.mu_signal, mode, rng)
     emitted = train.differential_phases()[data]
     programmed = seq.diff_phases[data]
@@ -564,7 +562,7 @@ def test_transmitter_phase_noise_is_the_session_law(kind, e_opt):
     assert stats.kstest(delta, "norm", args=(0.0, cfg.sigma_phi)).pvalue > 0.01
     # a demodulator set to the programmed phase sends (1 - cos delta)/2 of
     # the light to the wrong port, on average (1 - exp(-sigma^2/2))/2
-    wrong = amzi_intensity(emitted, 1.0, -programmed, "cross")
+    wrong = port_intensities(np.cos(emitted - programmed), 0.5)[1]
     assert (1.0 - np.exp(-cfg.sigma_phi ** 2 / 2)) / 2 == pytest.approx(e_opt)
     assert abs(wrong.mean() - e_opt) < 5 * wrong.std() / np.sqrt(wrong.size)
 
@@ -575,8 +573,9 @@ def test_session_minimum_size():
     for kind, units in ((DPS, 999), (BB84_DECOY, 1_000)):
         cfg = ProtocolConfig(kind)
         det = snspd(cfg.clock_hz)
-        with pytest.raises(ValueError, match="n_pulses"):
-            run_session(cfg, ChannelModel(0.0), det, 999, make_rng(0))
+        for size in (999, 2**63):  # 2**63 overflows the int64 class split
+            with pytest.raises(ValueError, match="n_pulses"):
+                run_session(cfg, ChannelModel(0.0), det, size, make_rng(0))
         s = run_session(cfg, ChannelModel(0.0), det, 1_000, make_rng(0))
         assert s.pulses_sent == 1_000
         assert sum(t.sent for t in s.per_intensity.values()) == units
