@@ -60,7 +60,7 @@ def _load_experiment(args):
 def _cmd_simulate(args) -> int:
     cfg = _load_experiment(args)
     loss = cfg.losses_db[0] if args.loss_db is None else args.loss_db
-    session = harness.run_session(cfg, loss)
+    _, session = harness.run_point(cfg, loss, 0)
     payload = {"config": cfg.to_dict(), "result": session.to_dict()}
     _write_or_print(json.dumps(payload, indent=2) + "\n", args.out)
     return 0

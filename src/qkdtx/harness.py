@@ -5,6 +5,8 @@ Configs are versioned JSON whose protocol holds the fields its kind reads
 source in a provenance block. A sweep runs one Monte-Carlo session plus
 closed-form expectations per loss point, in order in the calling thread,
 each point seeded by ``point_seed`` from the master seed and its index.
+``run_point`` is the one point path: ``sweep`` keeps each point's row and
+``simulate`` prints the session of point 0 at its loss.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -95,30 +98,26 @@ def _protocol_from_dict(spec: dict, provenance: dict) -> ProtocolConfig:
 
 
 def _detector_from_spec(spec, clock_hz: float, provenance: dict) -> DetectorModel:
-    if isinstance(spec, str):
-        spec = {"preset": spec}
-    if not isinstance(spec, dict):
-        raise ConfigError("detector must be a preset name or an object")
-    if "preset" in spec:
-        _reject_unknown(spec, ("preset", "gate_rate_hz"), "detector")
-        if not isinstance(spec["preset"], str):
-            raise ConfigError("detector.preset must be a preset name")
-    else:
+    """A preset name, or an explicit object that may set its own gate rate."""
+    explicit = isinstance(spec, dict)
+    if explicit:
         _reject_unknown(spec, ("efficiency", "dark_rate_hz", "gate_rate_hz",
                                "label"), "detector")
         for req in ("efficiency", "dark_rate_hz"):
             if req not in spec:
                 raise ConfigError(f"detector.{req} is required for explicit detectors")
-    for name in ("efficiency", "dark_rate_hz", "gate_rate_hz"):
-        if name in spec:
-            _number(spec[name], f"detector.{name}")
-    if not isinstance(spec.get("label", ""), str):
-        raise ConfigError("detector.label must be a string")
-    gate = _default(spec, "detector.gate_rate_hz", (clock_hz, _GATE_SOURCE),
-                    provenance)
+        for name in ("efficiency", "dark_rate_hz", "gate_rate_hz"):
+            if name in spec:
+                _number(spec[name], f"detector.{name}")
+        if not isinstance(spec.get("label", ""), str):
+            raise ConfigError("detector.label must be a string")
+    elif not isinstance(spec, str):
+        raise ConfigError("detector must be a preset name or an object")
+    gate = _default(spec if explicit else {}, "detector.gate_rate_hz",
+                    (clock_hz, _GATE_SOURCE), provenance)
     try:
-        if "preset" in spec:
-            return detector_preset(spec["preset"], gate_rate_hz=gate)
+        if not explicit:
+            return detector_preset(spec, gate_rate_hz=gate)
         return DetectorModel(efficiency=spec["efficiency"],
                              dark_rate_hz=spec["dark_rate_hz"],
                              gate_rate_hz=gate,
@@ -129,31 +128,26 @@ def _detector_from_spec(spec, clock_hz: float, provenance: dict) -> DetectorMode
 
 
 def _is_number(value) -> bool:
-    """A finite int or float; booleans, strings, null, NaN and inf are not."""
+    """An int or float that float64 holds as a finite value; booleans,
+    strings, null, NaN, inf and integers beyond float64's range are not."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return isinstance(value, int) or math.isfinite(value)
+    return abs(value) <= sys.float_info.max  # exact for ints, False for NaN
 
 
 def _number(value, name: str):
     if not _is_number(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        raise ConfigError(f"{name} must be a finite float64 number, got {value!r}")
     return value
-
-
-def _numbers(value, name: str) -> list:
-    """A number or a list of numbers (booleans and strings are rejected)."""
-    values = value if isinstance(value, list) else [value]
-    if not all(_is_number(v) for v in values):
-        raise ConfigError(f"{name} must be a number or a list of numbers")
-    return values
 
 
 def _losses_from_spec(spec: dict) -> list:
     if not isinstance(spec, dict):
         raise ConfigError("channel must be an object")
     _reject_unknown(spec, ("loss_db",), "channel")
-    losses = _numbers(spec.get("loss_db", []), "channel.loss_db")
+    losses = spec.get("loss_db", [])
+    if not isinstance(losses, list) or not all(_is_number(l) for l in losses):
+        raise ConfigError("channel.loss_db must be a list of finite float64 numbers")
     if len(losses) == 0:
         raise ConfigError("channel.loss_db: at least one loss point is required")
     losses = [float(l) for l in losses]
@@ -295,39 +289,30 @@ def point_seed(master_seed: int, index: int) -> int:
 run_dps_session = run_bb84_session = protocols.run_session
 
 
-def _seeded_session(cfg, channel, seed, expected=None) -> SessionResult:
-    session = run_dps_session if cfg.protocol.kind == DPS else run_bb84_session
-    return session(cfg.protocol, channel, cfg.detector, cfg.pulses_per_point,
-                   np.random.Generator(np.random.PCG64(seed)), expected=expected)
-
-
-def run_session(cfg: ExperimentConfig, loss_db: float) -> SessionResult:
-    """The configured protocol's Monte-Carlo session at one loss, seeded by
-    ``point_seed(cfg.seed, 0)``; it computes its own class laws."""
-    return _seeded_session(cfg, ChannelModel(loss_db=loss_db),
-                           point_seed(cfg.seed, 0))
-
-
-def run_point(cfg: ExperimentConfig, loss_db: float, index: int) -> SweepRow:
-    """One sweep point: the closed form, then a session drawn from its laws."""
+def run_point(cfg: ExperimentConfig, loss_db: float,
+              index: int) -> tuple[SweepRow, SessionResult]:
+    """One loss point as (sweep row, session): the closed form, then a
+    session seeded by ``point_seed(cfg.seed, index)`` drawn from its laws."""
     channel = ChannelModel(loss_db=loss_db)
     seed = point_seed(cfg.seed, index)
     exp = analytic_expectations(cfg.protocol, channel, cfg.detector)
-    session = _seeded_session(cfg, channel, seed, exp)
+    draw = run_dps_session if cfg.protocol.kind == DPS else run_bb84_session
+    session = draw(cfg.protocol, channel, cfg.detector, cfg.pulses_per_point,
+                   np.random.Generator(np.random.PCG64(seed)), expected=exp)
     clicks = sum(t.clicks for t in session.per_intensity.values())
     return SweepRow(loss_db=float(loss_db), qber=float(session.qber),
                     sifted_rate_hz=float(session.sifted_rate_hz),
                     skr_bps=float(session.skr_bps),
                     analytic_qber=float(exp.qber),
                     analytic_skr_bps=float(exp.skr_bps),
-                    clicks=int(clicks), seed=seed)
+                    clicks=int(clicks), seed=seed), session
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepTable:
     """Monte-Carlo plus analytic results for every loss point, in order in
     the calling thread. Each point is seeded by ``point_seed(cfg.seed,
     index)`` and owns its Generator, so no row depends on another point."""
-    rows = [run_point(cfg, loss, i) for i, loss in enumerate(cfg.losses_db)]
+    rows = [run_point(cfg, loss, i)[0] for i, loss in enumerate(cfg.losses_db)]
     rows.sort(key=lambda r: r.loss_db)
     return SweepTable(rows)
 
@@ -342,9 +327,9 @@ class ReferencePoint:
 
     label: str
     loss_db: float
-    quantity: str               # "skr_bps" | "qber" | "sifted_rate_hz"
+    quantity: str               # "skr_bps" | "qber"
     expected: float
-    tolerance_kind: str         # "absolute" | "relative" | "factor"
+    tolerance_kind: str         # "absolute" | "factor"
     tolerance: float
 
     def __post_init__(self):
@@ -354,19 +339,23 @@ class ReferencePoint:
             _number(getattr(self, name), name)
         if self.tolerance <= 0:
             raise ValueError("tolerance must be > 0")
-        if self.tolerance_kind not in ("absolute", "relative", "factor"):
-            raise ValueError("tolerance_kind must be absolute, relative or factor")
+        if self.tolerance_kind not in ("absolute", "factor"):
+            raise ValueError("tolerance_kind must be absolute or factor")
         if self.tolerance_kind == "factor" and self.tolerance < 1:
             raise ValueError("a factor tolerance must be >= 1, or its band is empty")
-        if self.quantity not in ("skr_bps", "qber", "sifted_rate_hz"):
-            raise ValueError("quantity must be skr_bps, qber or sifted_rate_hz")
+        if self.quantity not in ("skr_bps", "qber"):
+            raise ValueError("quantity must be skr_bps or qber")
 
 
 def load_reference_points(path=None) -> list:
     """Reference points from a JSON file; the bundled set when path is None."""
     source = (resources.files("qkdtx.data").joinpath("reference_points.json")
               if path is None else Path(path))
-    raw = json.loads(source.read_text())
+    try:
+        raw = json.loads(source.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"reference file is not valid JSON ({source}, line "
+                         f"{exc.lineno}): {exc.msg}") from None
     entries = raw.get("references") if isinstance(raw, dict) else None
     if not isinstance(entries, list) or not entries:
         raise ValueError("a reference file needs a non-empty 'references' list")
@@ -387,15 +376,15 @@ def _interpolate(table: SweepTable, loss_db: float, quantity: str) -> float:
         raise ValueError(
             f"reference at {loss_db} dB lies outside the swept range "
             f"[{losses[0]}, {losses[-1]}] dB")
-    exact = np.isclose(losses, loss_db, atol=1e-9)
+    exact = np.abs(losses - loss_db) <= 1e-9
     if exact.any():
         return float(vals[exact.argmax()])
     j = int(np.searchsorted(losses, loss_db))
     l0, l1 = losses[j - 1], losses[j]
     v0, v1 = vals[j - 1], vals[j]
     t = (loss_db - l0) / (l1 - l0)
-    if quantity in ("skr_bps", "sifted_rate_hz") and v0 > 0 and v1 > 0:
-        # rates are log-linear in loss
+    if quantity == "skr_bps" and v0 > 0 and v1 > 0:
+        # key rates are log-linear in loss
         return float(10.0 ** (np.log10(v0) + t * (np.log10(v1) - np.log10(v0))))
     return float(v0 + t * (v1 - v0))
 
@@ -403,11 +392,8 @@ def _interpolate(table: SweepTable, loss_db: float, quantity: str) -> float:
 def _within(observed: float, ref: ReferencePoint) -> bool:
     if ref.tolerance_kind == "absolute":
         return abs(observed - ref.expected) <= ref.tolerance
-    if ref.tolerance_kind == "relative":
-        return abs(observed - ref.expected) <= ref.tolerance * abs(ref.expected)
-    if observed <= 0:
-        return False
-    return (ref.expected / ref.tolerance) <= observed <= (ref.expected * ref.tolerance)
+    return 0 < observed and (ref.expected / ref.tolerance <= observed
+                             <= ref.expected * ref.tolerance)
 
 
 @dataclass(frozen=True)

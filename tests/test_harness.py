@@ -25,7 +25,6 @@ from qkdtx.harness import (
     load_config,
     load_reference_points,
     run_point,
-    run_session,
     run_sweep,
 )
 from qkdtx.protocols import KINDS, ProtocolConfig
@@ -67,12 +66,11 @@ def test_provenance_tags_exactly_the_omitted_fields():
                  for given in ((), ("mu_signal", "sigma_phi"), tuple(fields))]
     detectors = [({}, {"detector", "detector.gate_rate_hz"}),
                  ({"detector": "apd"}, {"detector.gate_rate_hz"}),
-                 ({"detector": {"preset": "snspd", "gate_rate_hz": 1e9}}, set()),
                  ({"detector": {"efficiency": 0.3, "dark_rate_hz": 100.0}},
                   {"detector.gate_rate_hz", "detector.label"}),
                  ({"detector": {"efficiency": 0.3, "dark_rate_hz": 100.0,
                                 "gate_rate_hz": 1e9, "label": "lab"}}, set())]
-    channels = [({"loss_db": 10}, set()), ({"loss_db": [20, 10]}, set())]
+    channels = [({"loss_db": [10]}, set()), ({"loss_db": [20, 10]}, set())]
     pulses = [({}, {"pulses_per_point"}), ({"pulses_per_point": 20_000}, set())]
     for (kind, proto, p_out), (det, d_out), (channel, c_out), (n, n_out) in \
             itertools.product(protocols, detectors, channels, pulses):
@@ -84,7 +82,7 @@ def test_provenance_tags_exactly_the_omitted_fields():
     # the loaded defaults are the kind's defaults, field by field
     for kind in ("dps", "bb84-decoy"):
         cfg = config_from_dict({"protocol": {"kind": kind},
-                                "channel": {"loss_db": 10}, "seed": 1})
+                                "channel": {"loss_db": [10]}, "seed": 1})
         assert cfg.protocol == ProtocolConfig(kind)
         assert cfg.detector.label == "snspd"
         assert cfg.pulses_per_point == 1_000_000
@@ -133,8 +131,40 @@ def test_unknown_preset_lists_options():
     with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
     assert "snspd" in str(err.value) and "apd" in str(err.value)
-    with pytest.raises(ConfigError, match="detector.preset"):
-        config_from_dict(minimal_dps(detector={"preset": ["snspd"]}))
+    for bad in (["snspd"], 5, None):
+        with pytest.raises(ConfigError, match="detector must be a preset name"):
+            config_from_dict(minimal_dps(detector=bad))
+
+
+@pytest.mark.parametrize("extra, message", [
+    # a preset is a string; an object is an explicit detector
+    ({"detector": {"preset": "snspd"}}, "unknown detector fields: preset"),
+    # losses are a list, as ExperimentConfig.to_dict writes them
+    ({"channel": {"loss_db": 10}}, "channel.loss_db must be a list"),
+], ids=["preset-object", "bare-loss"])
+def test_second_spellings_fail_at_load(tmp_path, capsys, extra, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(minimal_dps(**extra))
+    cfgp = write_config(tmp_path, **extra)
+    assert cli.main(["sweep", "--config", str(cfgp)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("extra, field", [
+    ({"protocol": {"kind": "dps", "clock_hz": 10**400}}, "protocol.clock_hz"),
+    ({"channel": {"loss_db": [10.0, 10**400]}}, "channel.loss_db"),
+    ({"detector": {"efficiency": 0.3, "dark_rate_hz": 10**400}},
+     "detector.dark_rate_hz"),
+], ids=["clock", "loss", "dark-rate"])
+def test_integers_beyond_float64_are_named_errors(tmp_path, capsys, extra, field):
+    # JSON integers have no size limit; one that float64 cannot hold is a
+    # config error naming its field, not an OverflowError
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        config_from_dict(minimal_dps(**extra))
+    cfgp = write_config(tmp_path, **extra)
+    assert cli.main(["sweep", "--config", str(cfgp)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+    assert harness._is_number(sys.float_info.max) and not harness._is_number(2**1024)
 
 
 def test_channel_validation():
@@ -271,7 +301,7 @@ def test_explicit_detector():
     assert cfg.detector.gate_rate_hz == 2e9
     with pytest.raises(ConfigError, match="efficiency"):
         config_from_dict(minimal_dps(detector={"dark_rate_hz": 1.0}))
-    with pytest.raises(ConfigError, match="efficiency"):
+    with pytest.raises(ConfigError, match="unknown detector fields: preset"):
         config_from_dict(minimal_dps(detector={"preset": "snspd",
                                                "efficiency": 0.5}))
     for label in ([1], 5, None):
@@ -283,8 +313,8 @@ def test_explicit_detector():
             config_from_dict(minimal_dps(
                 detector={"efficiency": bad, "dark_rate_hz": 100.0}))
         with pytest.raises(ConfigError, match="detector.gate_rate_hz"):
-            config_from_dict(minimal_dps(
-                detector={"preset": "snspd", "gate_rate_hz": bad}))
+            config_from_dict(minimal_dps(detector={
+                "efficiency": 0.3, "dark_rate_hz": 100.0, "gate_rate_hz": bad}))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +344,7 @@ def test_sweep_points_share_no_state(kind):
     raw["protocol"]["kind"] = kind
     cfg = config_from_dict(raw)
     # each point's row is the same whatever ran before it
-    backwards = [run_point(cfg, cfg.losses_db[i], i)
+    backwards = [run_point(cfg, cfg.losses_db[i], i)[0]
                  for i in reversed(range(len(cfg.losses_db)))]
     assert SweepTable(backwards[::-1]).to_csv() == run_sweep(cfg).to_csv()
 
@@ -369,17 +399,21 @@ def test_compare_names_the_line_and_column_of_a_bad_field(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {expected}\n"
 
 
-def test_run_session():
-    cfg = config_from_dict(minimal_dps())
-    res = run_session(cfg, 10.0)
-    assert res.protocol == "dps"
-    assert res.pulses_sent == 100_000
-    # it runs the session of the sweep's first point
-    row = run_point(cfg, 10.0, 0)
-    assert (row.qber, row.clicks) == (res.qber, res.per_intensity["signal"].clicks)
+@pytest.mark.parametrize("kind", ["dps", "bb84-decoy"], ids=["dps", "bb84"])
+def test_simulate_prints_the_session_of_point_zero(tmp_path, kind):
     raw = minimal_dps()
-    raw["protocol"]["kind"] = "bb84-decoy"
-    assert run_session(config_from_dict(raw), 10.0).protocol == "bb84-decoy"
+    raw["protocol"]["kind"] = kind
+    cfgp, out = tmp_path / "cfg.json", tmp_path / "result.json"
+    cfgp.write_text(json.dumps(raw))
+    assert cli.main(["simulate", "--config", str(cfgp), "--loss-db", "10",
+                     "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    row, session = run_point(config_from_dict(raw), 10.0, 0)
+    assert result == json.loads(json.dumps(session.to_dict()))
+    assert (result["protocol"], result["pulses_sent"]) == (kind, 100_000)
+    # the row is drawn from that same session
+    clicks = sum(t["clicks"] for t in result["per_intensity"].values())
+    assert (row.qber, row.clicks) == (result["qber"], clicks)
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +439,25 @@ def test_compare_factor_band():
 
 
 def test_compare_log_interpolation():
-    # table is exactly log-linear, so any interpolated loss lands on the line
-    refs = [ReferencePoint("mid", 17.5, "skr_bps",
-                           4e5 * 10 ** ((20 - 17.5) / 10), "relative", 1e-9)]
+    # the table's key rate is exactly log-linear, so a loss between two rows
+    # lands on the line; linear interpolation misses it by about 1.2e5 b/s
+    log_linear = 4e5 * 10 ** ((20 - 17.5) / 10)
+    linear = (4e5 * 10 ** 0.5 + 4e5) / 2
+    refs = [ReferencePoint("log", 17.5, "skr_bps", log_linear, "absolute", 1e-3),
+            ReferencePoint("lin", 17.5, "skr_bps", linear, "absolute", 1e-3)]
     rep = compare_to_reference(fake_table(), refs)
-    assert rep.all_passed
+    assert [e.passed for e in rep.entries] == [True, False]
+
+
+def test_compare_interpolates_next_to_a_row():
+    from qkdtx.harness import SweepRow
+    rows = [SweepRow(loss_db=l, qber=q, sifted_rate_hz=1.0, skr_bps=1.0,
+                     analytic_qber=q, analytic_skr_bps=1.0, clicks=1, seed=1)
+            for l, q in ((10.0, 0.1), (20.0, 0.2))]
+    # 1e-4 dB from a row is no exact match: the value is interpolated
+    refs = [ReferencePoint("near20", 19.9999, "qber", 0.199999, "absolute", 1e-12)]
+    [entry] = compare_to_reference(SweepTable(rows), refs).entries
+    assert entry.observed == pytest.approx(0.199999, abs=1e-15) and entry.passed
 
 
 def test_compare_rejects_an_empty_table():
@@ -454,21 +502,29 @@ def _reference(**changes):
      "tolerance must be a finite"),
     ({"references": [_reference(tolerance=0.9)]}, "factor tolerance must be >= 1"),
     ({"references": [_reference(label=5)]}, "label must be a string"),
+    ({"references": [_reference(tolerance_kind="relative")]},
+     "tolerance_kind must be absolute or factor"),
+    ({"references": [_reference(quantity="sifted_rate_hz")]},
+     "quantity must be skr_bps or qber"),
+    ({"references": [_reference(expected=10**400)]}, "expected must be a finite"),
+    ('{"references": [{label: 1}]}', r"not valid JSON \(.*refs\.json, line 1\)"),
 ], ids=["no-references-key", "empty-list", "missing-key", "unknown-key",
-        "nan-loss", "inf-expected", "nan-tolerance", "factor-below-1", "numeric-label"])
+        "nan-loss", "inf-expected", "nan-tolerance", "factor-below-1", "numeric-label",
+        "relative-tolerance", "sifted-rate-quantity", "huge-expected", "invalid-json"])
 def test_bad_reference_files_fail_by_name(tmp_path, capsys, refs, message):
     cfgp = write_config(tmp_path, channel={"loss_db": [10.0]})
     table = tmp_path / "table.csv"
     assert cli.main(["sweep", "--config", str(cfgp), "--out", str(table)]) == 0
     refs_path = tmp_path / "refs.json"
-    refs_path.write_text(json.dumps(refs))
+    refs_path.write_text(refs if isinstance(refs, str) else json.dumps(refs))
     with pytest.raises(ValueError, match=message):
         load_reference_points(refs_path)
     # --select reads every label, so it must fail the same way
     for select in ([], ["--select", "dps"]):
         assert cli.main(["compare", "--table", str(table),
                          "--references", str(refs_path), *select]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(message, err), err
 
 
 # ---------------------------------------------------------------------------
