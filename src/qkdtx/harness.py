@@ -201,7 +201,8 @@ def check_run_size(size, name: str) -> int:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Load and validate an experiment config from a JSON file."""
+    """Load and validate an experiment config from a JSON file; every error
+    names the file."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -210,7 +211,10 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON ({path}, line {exc.lineno}): "
                           f"{exc.msg}")
-    return config_from_dict(raw)
+    try:
+        return config_from_dict(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +352,8 @@ class ReferencePoint:
 
 
 def load_reference_points(path=None) -> list:
-    """Reference points from a JSON file; the bundled set when path is None."""
+    """Reference points from a JSON file, the bundled set when path is None;
+    every error names the file."""
     source = (resources.files("qkdtx.data").joinpath("reference_points.json")
               if path is None else Path(path))
     try:
@@ -356,14 +361,17 @@ def load_reference_points(path=None) -> list:
     except json.JSONDecodeError as exc:
         raise ValueError(f"reference file is not valid JSON ({source}, line "
                          f"{exc.lineno}): {exc.msg}") from None
-    entries = raw.get("references") if isinstance(raw, dict) else None
-    if not isinstance(entries, list) or not entries:
-        raise ValueError("a reference file needs a non-empty 'references' list")
-    keys = [f.name for f in dataclasses.fields(ReferencePoint)]
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or set(entry) != set(keys):
-            raise ValueError(f"references[{i}] must have exactly the keys {', '.join(keys)}")
-    return [ReferencePoint(**entry) for entry in entries]
+    try:
+        entries = raw.get("references") if isinstance(raw, dict) else None
+        if not isinstance(entries, list) or not entries:
+            raise ValueError("a reference file needs a non-empty 'references' list")
+        keys = [f.name for f in dataclasses.fields(ReferencePoint)]
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict) or set(entry) != set(keys):
+                raise ValueError(f"references[{i}] must have exactly the keys {', '.join(keys)}")
+        return [ReferencePoint(**entry) for entry in entries]
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _interpolate(table: SweepTable, loss_db: float, quantity: str) -> float:

@@ -23,6 +23,7 @@ from .optics import TWO_PI, _count, port_intensities
 QUANT_LEVELS = 256           # 8-bit digitizer
 EXTRACTOR_MARGIN_BITS = 64   # security margin subtracted from each block's budget
 _BLOCK_BITS = 1 << 16        # Toeplitz hashing block size (input bits)
+_LAG_ROW = 512               # autocorrelation row width: float32 row sums stay exact
 
 
 @dataclass
@@ -87,23 +88,59 @@ def byte_histogram(byte_values) -> np.ndarray:
     return np.bincount(np.asarray(byte_values, dtype=np.uint8), minlength=QUANT_LEVELS)
 
 
+def _quantized(byte_values, caller) -> np.ndarray:
+    """byte_values as an array, if it holds the uint8 bytes of quantize."""
+    byte_values = np.asarray(byte_values)
+    if byte_values.dtype != np.uint8:
+        raise ValueError(f"{caller} needs the uint8 bytes of quantize, not {byte_values.dtype}")
+    return byte_values
+
+
+def _lag_sum(c, k) -> int:
+    """sum(c[i] * c[i + k]) over i < c.size - k, exactly, for float32 |c| <= 128.
+
+    Each 512-wide row sum is an integer of magnitude at most 128^2 * 512 =
+    2^23, inside float32's exact integers in any order of summation; the
+    rows are summed in float64 (exact below 2^53) and the short tail apart.
+    """
+    m = c.size - k
+    full = m - m % _LAG_ROW
+    rows = np.einsum("ij,ij->i", c[:full].reshape(-1, _LAG_ROW),
+                     c[k:k + full].reshape(-1, _LAG_ROW))
+    return int(rows.sum(dtype=np.float64)) + int(np.einsum("i,i->", c[full:m], c[k + full:]))
+
+
 def byte_autocorrelation(byte_values, max_lag=50) -> np.ndarray:
-    """Lag 1..max_lag Pearson autocorrelation coefficients.
+    """Lag 1..max_lag Pearson autocorrelation coefficients of uint8 bytes.
 
     Uses the standard autocovariance estimator normalized by the total
-    variance. Raises on max_lag below 1, on constant streams (undefined
-    variance) and on streams too short for the requested lag.
+    variance, each coefficient one correctly rounded division (Python's
+    int / int) of two exact integers. With c = byte - 128, one float32 copy,
+    S the sum of c, h_k and t_k the sums of its first and last k entries and
+    P_k = sum c[i] c[i + k] from _lag_sum, n^2 times the lag-k
+    autocovariance is n^2 P_k - n S (2 S - h_k - t_k) + (n - k) S^2, and n^2
+    times the variance is n^2 P_0 - n S^2. No BLAS routine runs: numpy's
+    OpenBLAS dot spins a helper thread that then competes with the worker of
+    a following extract_bits (see README). Raises on dtypes other than
+    uint8, on max_lag below 1, on constant streams (undefined variance) and
+    on streams too short for the requested lag.
     """
+    b = _quantized(byte_values, "byte_autocorrelation")
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
-    x = np.array(byte_values, dtype=float)  # a copy, centred in place
-    if x.size <= max_lag + 1:
+    n = b.size
+    if n <= max_lag + 1:
         raise ValueError(f"need more than {max_lag + 1} samples for lag {max_lag}")
-    x -= x.mean()
-    denom = float(np.dot(x, x))
-    if denom == 0.0:
+    c = b.astype(np.float32)
+    c -= 128.0
+    total = int(b.sum(dtype=np.int64)) - 128 * n  # S
+    ends = (np.cumsum(b[:max_lag], dtype=np.int64)  # bytes of the first k plus the last k
+            + np.cumsum(b[:-max_lag - 1:-1], dtype=np.int64)).tolist()
+    denom = n * (n * _lag_sum(c, 0) - total * total)
+    if denom == 0:
         raise ValueError("constant byte stream: autocorrelation is undefined")
-    return np.array([np.dot(x[:-k], x[k:]) / denom for k in range(1, max_lag + 1)])
+    return np.array([(n * n * _lag_sum(c, k) - n * total * (2 * total - ends[k - 1] + 256 * k)
+                      + (n - k) * total * total) / denom for k in range(1, max_lag + 1)])
 
 
 def _bin_masses() -> np.ndarray:
@@ -144,9 +181,7 @@ def min_entropy(histogram) -> float:
 
 def analyze(byte_values, max_lag=50) -> RandomnessReport:
     """Full statistical report for the uint8 output of quantize."""
-    byte_values = np.asarray(byte_values)
-    if byte_values.dtype != np.uint8:
-        raise ValueError(f"analyze needs the uint8 bytes of quantize, not {byte_values.dtype}")
+    byte_values = _quantized(byte_values, "analyze")
     hist = byte_histogram(byte_values)
     chi2, p = goodness_of_fit(hist)
     ac = byte_autocorrelation(byte_values, max_lag)

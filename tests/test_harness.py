@@ -147,7 +147,7 @@ def test_second_spellings_fail_at_load(tmp_path, capsys, extra, message):
         config_from_dict(minimal_dps(**extra))
     cfgp = write_config(tmp_path, **extra)
     assert cli.main(["sweep", "--config", str(cfgp)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert capsys.readouterr().err.startswith(f"error: {cfgp}: {message}")
 
 
 @pytest.mark.parametrize("extra, field", [
@@ -163,7 +163,7 @@ def test_integers_beyond_float64_are_named_errors(tmp_path, capsys, extra, field
         config_from_dict(minimal_dps(**extra))
     cfgp = write_config(tmp_path, **extra)
     assert cli.main(["sweep", "--config", str(cfgp)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+    assert capsys.readouterr().err.startswith(f"error: {cfgp}: {field} must be")
     assert harness._is_number(sys.float_info.max) and not harness._is_number(2**1024)
 
 
@@ -517,14 +517,36 @@ def test_bad_reference_files_fail_by_name(tmp_path, capsys, refs, message):
     assert cli.main(["sweep", "--config", str(cfgp), "--out", str(table)]) == 0
     refs_path = tmp_path / "refs.json"
     refs_path.write_text(refs if isinstance(refs, str) else json.dumps(refs))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as exc:
         load_reference_points(refs_path)
+    assert str(refs_path) in str(exc.value)
     # --select reads every label, so it must fail the same way
     for select in ([], ["--select", "dps"]):
         assert cli.main(["compare", "--table", str(table),
                          "--references", str(refs_path), *select]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and re.search(message, err), err
+        assert str(refs_path) in err, err
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"protocol": {"kind": "dps", "clock_hz": -1.0}}, "protocol: clock_hz must be"),
+    ({"protocol": 5}, "protocol must be an object"),
+    ({"detector": "pmt"}, "unknown detector preset"),
+    ({"channel": {"loss_db": [-1.0]}}, "channel.loss_db: losses must be >= 0"),
+    ({"seed": -3}, "seed must be >= 0"),
+    ({"units": "W"}, "unknown config fields: units"),
+], ids=["clock", "protocol-type", "preset", "negative-loss", "seed", "unknown-key"])
+def test_bad_config_files_fail_by_name(tmp_path, capsys, extra, message):
+    # a validation error names the file it came from, as a JSON error does
+    cfgp = write_config(tmp_path, **extra)
+    with pytest.raises(ConfigError, match=message) as exc:
+        load_config(cfgp)
+    assert str(exc.value).startswith(f"{cfgp}: ")
+    for command in ("sweep", "simulate"):
+        assert cli.main([command, "--config", str(cfgp)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfgp}: ") and message in err, err
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +600,7 @@ def test_oversize_run_sizes_are_named_errors(tmp_path, capsys, name):
     for size in (2**63, 10**20):
         cfgp.write_text(json.dumps({**raw, "pulses_per_point": size}))
         assert cli.main(["simulate", "--config", str(cfgp)]) == 1
-        assert capsys.readouterr().err.startswith("error: pulses_per_point must be")
+        assert capsys.readouterr().err.startswith(f"error: {cfgp}: pulses_per_point must be")
         assert cli.main(["simulate", "--config", bundled, "--points", str(size)]) == 1
         assert capsys.readouterr().err.startswith("error: --points must be")
     # the largest size runs, from the config and from --points

@@ -1,5 +1,7 @@
 """Tests for protocol sessions, decoy bounds, and key-rate formulas."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -359,6 +361,40 @@ def test_skr_bb84_limits():
                          q1=4e-3 * 0.5 * np.exp(-0.5))
     want = 0.5 * cfg.clock_hz * cfg.p_signal * est.q1
     assert skr_bb84(est, 1e-3, 0.0, cfg) == pytest.approx(want, rel=1e-12)
+
+
+def gllp_rate(q1, e1, q_signal, e_signal, basis_prob_x, clock_hz, p_signal, f_ec):
+    """The asymptotic GLLP key rate with decoy-state Q1 and e1 (Gottesman, Lo,
+    Lutkenhaus & Preskill, QIC 4, 325 (2004); Lo, Ma & Chen, PRL 94, 230504
+    (2005)), sift * clock * p_signal * [Q1 (1 - h2(e1)) - f_ec Q_s h2(E_s)],
+    clamped at 0, with h2 written through math.log2."""
+    def h2(x):
+        return 0.0 if x in (0.0, 1.0) else -x * math.log2(x) - (1 - x) * math.log2(1 - x)
+    sift = basis_prob_x ** 2 + (1 - basis_prob_x) ** 2
+    return max(sift * clock_hz * p_signal
+               * (q1 * (1 - h2(e1)) - f_ec * q_signal * h2(e_signal)), 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q1=st.floats(0.0, 1e-2), e1=st.floats(0.0, 0.5), q_signal=st.floats(0.0, 2e-2),
+       e_signal=st.floats(0.0, 0.5), basis_prob_x=st.floats(0.05, 0.95),
+       clock_hz=st.floats(1e6, 1e10), p_decoy=st.floats(0.0, 0.3), f_ec=st.floats(1.0, 2.0))
+@example(q1=5.8e-4, e1=0.0335, q_signal=1e-3, e_signal=0.02, basis_prob_x=0.5,
+         clock_hz=1e9, p_decoy=0.0625, f_ec=1 / 0.9)
+@example(q1=5.8e-4, e1=0.0335, q_signal=1e-3, e_signal=0.02, basis_prob_x=0.8,
+         clock_hz=1e9, p_decoy=0.2, f_ec=1.5)
+def test_skr_bb84_is_the_gllp_rate(q1, e1, q_signal, e_signal, basis_prob_x, clock_hz,
+                                   p_decoy, f_ec):
+    # the bundled BB84 sweep digest alone caught skr_bb84 without its f_ec;
+    # this law catches it wherever the rate is positive and E_s > 0, as at
+    # the first example, decoy_estimate(1e-3, 2.5e-4, 1e-6, 0.02, 0.03, 0.5,
+    # 0.5, 0.125) on the BB84 defaults
+    p_signal = 1.0 - 2 * p_decoy
+    cfg = ProtocolConfig(BB84_DECOY, clock_hz=clock_hz, basis_prob_x=basis_prob_x,
+                         p_signal=p_signal, p_decoy=p_decoy, p_vacuum=p_decoy, f_ec=f_ec)
+    est = DecoyEstimates(y0=0.0, y1_lower=0.0, e1_upper=e1, q1=q1)
+    want = gllp_rate(q1, e1, q_signal, e_signal, basis_prob_x, clock_hz, cfg.p_signal, f_ec)
+    assert skr_bb84(est, q_signal, e_signal, cfg) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

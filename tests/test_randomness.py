@@ -1,11 +1,13 @@
 """Tests for the arcsine QRNG statistics and extraction pipeline."""
 
 import hashlib
+import operator
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +234,64 @@ def test_autocorr_iid_small():
     b = make_rng(6).integers(0, 256, n).astype(np.uint8)
     c = byte_autocorrelation(b, 50)
     assert np.max(np.abs(c)) < 5 * (1 / np.sqrt(n)) + 1e-4
+
+
+def exact_autocorrelation(byte_values, max_lag):
+    """Each coefficient as the float nearest its exact rational value, from
+    Python ints: with y_i = n x_i - sum(x) = n (x_i - mean), the sum of
+    y_i y_(i+k) over the sum of y_i^2."""
+    x = [int(v) for v in byte_values]
+    n, total = len(x), sum(x)
+    y = [n * v - total for v in x]
+    denom = sum(v * v for v in y)
+    return [float(Fraction(sum(map(operator.mul, y[:-k], y[k:])), denom))
+            for k in range(1, max_lag + 1)]
+
+
+def extreme_stream():
+    # c = byte - 128 is -128 almost everywhere, so most 512-wide rows of a
+    # lag sum reach their bound 128^2 * 512 = 2^23
+    b = np.zeros(8 * 512 + 77, dtype=np.uint8)
+    b[[3, 700, 701, 2048, 4000, 4172]] = 255
+    return b
+
+
+@pytest.mark.parametrize("byte_values, max_lag", [
+    (make_rng(20).integers(0, 256, 5 * 512 + 123).astype(np.uint8), 60),
+    (make_rng(21).integers(0, 256, 3 * 512 + 101).astype(np.uint8), 700),
+    (extreme_stream(), 600),
+    (np.repeat(make_rng(22).integers(0, 256, 1500), 2).astype(np.uint8), 520),
+], ids=["ragged-tail", "lags-above-512", "extreme", "duplicated"])
+def test_autocorr_is_exact(byte_values, max_lag):
+    # every coefficient is the correctly rounded ratio of exact integers
+    assert byte_autocorrelation(byte_values, max_lag).tolist() == \
+        exact_autocorrelation(byte_values, max_lag)
+
+
+def test_autocorr_matches_the_two_pass_float64_formula(seed7_bytes):
+    x = seed7_bytes.astype(np.float64)
+    x -= x.mean()
+    denom = np.dot(x, x)
+    two_pass = np.array([np.dot(x[:-k], x[k:]) / denom for k in range(1, 51)])
+    assert np.max(np.abs(byte_autocorrelation(seed7_bytes) - two_pass)) <= 1e-15
+
+
+def test_autocorr_requires_quantized():
+    b = make_rng(9).integers(0, 256, 1000)
+    for bad in (b, b.tolist(), b.astype(np.float64), b.astype(np.int8), b.astype(np.uint16)):
+        with pytest.raises(ValueError, match="byte_autocorrelation needs the uint8 bytes"):
+            byte_autocorrelation(bad, 5)
+
+
+def test_qrng_statistics_call_no_blas_routine(monkeypatch):
+    # numpy's OpenBLAS runs a dot on a helper thread that keeps spinning after
+    # it returns, on the CPU that a following extract_bits' worker needs
+    def blas(*args, **kwargs):
+        raise AssertionError("a BLAS routine ran")
+    for name in ("dot", "vdot", "inner", "matmul", "tensordot"):
+        monkeypatch.setattr(np, name, blas)
+    report = analyze(quantize(sample_interference(100_000, make_rng(8))))
+    assert report.autocorr.size == 50 and np.max(np.abs(report.autocorr)) < 0.02
 
 
 def test_goodness_of_fit_self_consistency():
