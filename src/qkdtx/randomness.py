@@ -7,8 +7,11 @@ samples are float arrays of I/I_in in [0, 1]. They are digitized to uint8
 bytes, validated (chi-square, autocorrelation, min-entropy) and condensed
 with a Toeplitz extractor.
 
-Importing this module loads numpy and qkdtx.optics only; scipy and the
-thread pool are imported inside the functions that use them.
+Sampling, digitizing, the autocorrelation's lag sums and extraction run on
+every usable CPU: the caller and n - 1 threads take chunks, lags or block
+pairs from one queue, and each item writes only its own slice of the output,
+so every result is the same for any CPU count. Importing this module loads numpy and qkdtx.optics only; scipy and
+the thread pool are imported inside the functions that use them.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ QUANT_LEVELS = 256           # 8-bit digitizer
 EXTRACTOR_MARGIN_BITS = 64   # security margin subtracted from each block's budget
 _BLOCK_BITS = 1 << 16        # Toeplitz hashing block size (input bits)
 _LAG_ROW = 512               # autocorrelation row width: float32 row sums stay exact
+_CHUNK = 1 << 16             # elements per work item of sampling and digitizing
 
 
 @dataclass
@@ -39,6 +43,50 @@ class RandomnessReport:
     def to_dict(self) -> dict:
         return {name: value.tolist() if isinstance(value, np.ndarray) else value
                 for name, value in vars(self).items()}
+
+
+# ---------------------------------------------------------------------------
+# one work queue on every CPU
+# ---------------------------------------------------------------------------
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _on_every_cpu(work, items) -> list:
+    """[work(item) for item in items], the caller and n - 1 threads (n usable
+    CPUs, at most one thread per item) taking items from one queue.
+
+    One CPU or one item starts no thread. An error in any thread propagates
+    once the queue is empty. work must call none of this module's public
+    functions: it runs on worker threads, and a profiler that wraps those
+    functions keeps one stack of calls for every thread.
+    """
+    results = [None] * len(items)
+    queue = enumerate(items)
+    def drain():  # next() on an enumerated list holds the GIL: each item is taken once
+        for i, item in queue:
+            results[i] = work(item)
+    n_workers = min(_usable_cpus(), len(items)) - 1
+    if n_workers < 1:
+        drain()
+        return results
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(n_workers) as pool:
+        futures = [pool.submit(drain) for _ in range(n_workers)]
+        drain()
+        for future in futures:
+            future.result()
+    return results
+
+
+def _chunks(values) -> list[np.ndarray]:
+    """Consecutive _CHUNK-element views of values flattened (a copy if it is
+    not contiguous)."""
+    flat = values.reshape(-1)
+    return [flat[i:i + _CHUNK] for i in range(0, flat.size, _CHUNK)]
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +108,14 @@ def sample_interference(n, rng) -> np.ndarray:
     """Draw n interference intensities I/I_in in [0, 1] with random phase.
 
     Equivalent in distribution to inverse-CDF sampling of the arcsine law.
+    The phases come from one rng.uniform call on the caller; cos and the bar
+    port then overwrite them chunk by chunk on every CPU.
     """
-    cos_phi = np.cos(rng.uniform(0.0, TWO_PI, _count(n, "n", 1)))
-    return port_intensities(cos_phi, 0.5)[0]  # the bar port
+    out = np.ascontiguousarray(rng.uniform(0.0, TWO_PI, _count(n, "n", 1)), dtype=float)
+    def bar_port(phases):
+        phases[:] = port_intensities(np.cos(phases, out=phases), 0.5)[0]
+    _on_every_cpu(bar_port, _chunks(out))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +126,21 @@ def quantize(intensities) -> np.ndarray:
     """Digitize I/I_in to 8 bits: byte = floor(256 * I/I_in), clamped to 255.
 
     Values off [0, 1], NaN included, miss the digitizer and are rejected.
+    Chunks are checked and digitized on every CPU into the uint8 output,
+    which keeps the input's shape.
     """
     x = np.asarray(intensities, dtype=float)
-    if not np.all((x >= 0.0) & (x <= 1.0)):
-        raise ValueError("intensities must lie in [0, 1] (units of I_in)")
-    raw = QUANT_LEVELS * x
-    np.floor(raw, out=raw)
-    np.minimum(raw, QUANT_LEVELS - 1, out=raw)
-    return raw.astype(np.uint8)
+    out = np.empty(x.shape, dtype=np.uint8)
+    def digitize(chunk):
+        values, dest = chunk
+        if not np.all((values >= 0.0) & (values <= 1.0)):
+            raise ValueError("intensities must lie in [0, 1] (units of I_in)")
+        raw = QUANT_LEVELS * values
+        np.floor(raw, out=raw)
+        np.minimum(raw, QUANT_LEVELS - 1, out=raw)
+        dest[:] = raw
+    _on_every_cpu(digitize, list(zip(_chunks(x), _chunks(out))))
+    return out
 
 
 def byte_histogram(byte_values) -> np.ndarray:
@@ -117,7 +177,8 @@ def byte_autocorrelation(byte_values, max_lag=50) -> np.ndarray:
     variance, each coefficient one correctly rounded division (Python's
     int / int) of two exact integers. With c = byte - 128, one float32 copy,
     S the sum of c, h_k and t_k the sums of its first and last k entries and
-    P_k = sum c[i] c[i + k] from _lag_sum, n^2 times the lag-k
+    P_k = sum c[i] c[i + k] from _lag_sum (exact integers, so the lags may
+    run on every CPU in any order), n^2 times the lag-k
     autocovariance is n^2 P_k - n S (2 S - h_k - t_k) + (n - k) S^2, and n^2
     times the variance is n^2 P_0 - n S^2. No BLAS routine runs: numpy's
     OpenBLAS dot spins a helper thread that then competes with the worker of
@@ -136,10 +197,11 @@ def byte_autocorrelation(byte_values, max_lag=50) -> np.ndarray:
     total = int(b.sum(dtype=np.int64)) - 128 * n  # S
     ends = (np.cumsum(b[:max_lag], dtype=np.int64)  # bytes of the first k plus the last k
             + np.cumsum(b[:-max_lag - 1:-1], dtype=np.int64)).tolist()
-    denom = n * (n * _lag_sum(c, 0) - total * total)
+    sums = _on_every_cpu(lambda k: _lag_sum(c, k), list(range(max_lag + 1)))
+    denom = n * (n * sums[0] - total * total)
     if denom == 0:
         raise ValueError("constant byte stream: autocorrelation is undefined")
-    return np.array([(n * n * _lag_sum(c, k) - n * total * (2 * total - ends[k - 1] + 256 * k)
+    return np.array([(n * n * sums[k] - n * total * (2 * total - ends[k - 1] + 256 * k)
                       + (n - k) * total * total) / denom for k in range(1, max_lag + 1)])
 
 
@@ -203,8 +265,9 @@ def _block_quotas(byte_values) -> np.ndarray:
 
 
 def entropy_budget_bits(byte_values) -> int:
-    """Extractable bits: the sum of the hashing blocks' quotas."""
-    return int(_block_quotas(byte_values).sum())
+    """Extractable bits of the uint8 output of quantize: the sum of the
+    hashing blocks' quotas."""
+    return int(_block_quotas(_quantized(byte_values, "entropy_budget_bits")).sum())
 
 
 def _convolution_parity(vectors, t_spectrum, n_fft, first, n_outs) -> list[np.ndarray]:
@@ -270,14 +333,9 @@ def toeplitz_hash(bits, diagonal_bits, n_out) -> np.ndarray:
                                n_fft, n_in - 1, [n_out])[0]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-
 def extract_bits(byte_values, out_len_bits, seed_matrix_seed) -> np.ndarray:
-    """Condense raw bytes into nearly uniform bits by Toeplitz hashing.
+    """Condense the uint8 bytes of quantize into nearly uniform bits by
+    Toeplitz hashing.
 
     Blocks of W = min(64 Ki, n_in) input bits get m_b output bits each, split
     from out_len_bits by cumulative floors over the block quotas; at a 64-bit
@@ -286,11 +344,11 @@ def extract_bits(byte_values, out_len_bits, seed_matrix_seed) -> np.ndarray:
     PCG64 PRNG seeded by seed_matrix_seed serves every block through its first
     m_b rows and first n_b columns. Consecutive blocks are hashed in pairs,
     one forward and one inverse FFT per pair (63 pairs instead of 126
-    blocks at 1,025,000 bytes; see _convolution_parity), and the caller and
-    n - 1 threads (n usable CPUs) drain one queue of pairs, so the output
-    does not depend on n.
+    blocks at 1,025,000 bytes; see _convolution_parity), and the pairs go
+    through _on_every_cpu's queue, each writing its own slices of the output,
+    so the output does not depend on the CPU count.
     """
-    byte_values = np.asarray(byte_values, dtype=np.uint8)
+    byte_values = _quantized(byte_values, "extract_bits")
     if out_len_bits < 0:
         raise ValueError("out_len_bits must be >= 0")
     if out_len_bits == 0:
@@ -303,7 +361,6 @@ def extract_bits(byte_values, out_len_bits, seed_matrix_seed) -> np.ndarray:
 
     ends = out_len_bits * np.cumsum(quotas) // budget  # integer: no share exceeds its quota
     width, block_bytes = min(_BLOCK_BITS, 8 * byte_values.size), _BLOCK_BITS // 8
-    from concurrent.futures import ThreadPoolExecutor
     from scipy.fft import next_fast_len
     t = np.random.Generator(np.random.PCG64(seed_matrix_seed)).integers(
         0, 2, width + int(np.diff(ends, prepend=0).max()) - 1, dtype=np.uint8)
@@ -312,19 +369,12 @@ def extract_bits(byte_values, out_len_bits, seed_matrix_seed) -> np.ndarray:
     out = np.empty(out_len_bits, dtype=np.uint8)
     blocks = [(byte_values[b * block_bytes:(b + 1) * block_bytes], dest)
               for b, dest in enumerate(np.split(out, ends[:-1])) if dest.size]
-    pairs = iter([blocks[i:i + 2] for i in range(0, len(blocks), 2)])
-    def drain():  # next() on a list iterator holds the GIL: each pair is taken once
-        for pair in pairs:
-            byte_blocks, dests = zip(*pair)
-            # kept entries width - 1 .. width - 2 + m_b; wrapped ones land below n_b - 1
-            parities = _convolution_parity([np.unpackbits(b) for b in byte_blocks], t_spectrum,
-                                           n_fft, width - 1, [dest.size for dest in dests])
-            for dest, parity in zip(dests, parities):
-                dest[:] = parity
-    n_workers = _usable_cpus() - 1
-    with ThreadPoolExecutor(max(n_workers, 1)) as pool:  # threads start on submit: one CPU, none
-        futures = [pool.submit(drain) for _ in range(n_workers)]
-        drain()
-        for future in futures:
-            future.result()
+    def hash_pair(pair):
+        byte_blocks, dests = zip(*pair)
+        # kept entries width - 1 .. width - 2 + m_b; wrapped ones land below n_b - 1
+        parities = _convolution_parity([np.unpackbits(b) for b in byte_blocks], t_spectrum,
+                                       n_fft, width - 1, [dest.size for dest in dests])
+        for dest, parity in zip(dests, parities):
+            dest[:] = parity
+    _on_every_cpu(hash_pair, [blocks[i:i + 2] for i in range(0, len(blocks), 2)])
     return out

@@ -196,6 +196,32 @@ def test_decoy_y1_clamp_on_infeasible_gains():
     assert "y1-clamped" in est.flags
 
 
+def test_y1_lower_se_is_the_binomial_delta_method():
+    # the delta method over (Q_s, Q_d, Q_v): grad y1_lower by central
+    # differences of decoy_estimate itself, each gain binomial with variance
+    # q (1 - q) / n; gains of 0.05 to 0.6 make the (1 - q) factor visible
+    rng = make_rng(31)
+    errors = (0.02, 0.03, 0.5)
+    for _ in range(20):
+        mu = rng.uniform(0.4, 0.9)
+        nu = rng.uniform(0.05, 0.3) * mu
+        eta, y0 = rng.uniform(0.5, 0.95), rng.uniform(0.05, 0.3)
+        gains = [1.0 - (1.0 - y0) * math.exp(-eta * m) for m in (mu, nu)] + [y0]
+        counts = [int(n) for n in rng.integers(10**3, 10**7, 3)]
+        est = decoy_estimate(*gains, *errors, mu, nu, sent_counts=counts)
+        assert 0.0 < est.y1_lower < 1.0 and "y1-clamped" not in est.flags
+        var = 0.0
+        for i, (q, n) in enumerate(zip(gains, counts)):
+            h = 1e-4 * q
+            up, down = list(gains), list(gains)
+            up[i] += h
+            down[i] -= h
+            grad = (decoy_estimate(*up, *errors, mu, nu).y1_lower
+                    - decoy_estimate(*down, *errors, mu, nu).y1_lower) / (2 * h)
+            var += grad * grad * q * (1.0 - q) / n
+        assert est.y1_lower_se == pytest.approx(math.sqrt(var), rel=1e-6)
+
+
 def test_decoy_validation():
     with pytest.raises(ValueError):
         decoy_estimate(0.5, 0.5, 0.0, 0, 0, 0, 0.125, 0.5)  # mu < nu

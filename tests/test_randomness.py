@@ -283,6 +283,20 @@ def test_autocorr_requires_quantized():
             byte_autocorrelation(bad, 5)
 
 
+@pytest.mark.parametrize("name, call", [
+    ("entropy_budget_bits", entropy_budget_bits),
+    ("extract_bits", lambda b: extract_bits(b, 1_000, seed_matrix_seed=1)),
+])
+def test_budget_and_extraction_require_quantized(name, call):
+    # a uint8 cast turned the intensities into a budget of 0 and wrapped
+    # bytes + 256 onto the budget of the bytes
+    s = sample_interference(100_000, make_rng(1))
+    for bad in (s, quantize(s).astype(np.int64) + 256):
+        with pytest.raises(ValueError, match=f"{name} needs the uint8 bytes of quantize, "
+                                             f"not {bad.dtype}"):
+            call(bad)
+
+
 def test_qrng_statistics_call_no_blas_routine(monkeypatch):
     # numpy's OpenBLAS runs a dot on a helper thread that keeps spinning after
     # it returns, on the CPU that a following extract_bits' worker needs
@@ -616,30 +630,162 @@ def test_extract_worker_error_propagates(monkeypatch):
     assert worker_raised.is_set()
 
 
-# Peak traced allocations on the pinned 1,025,000-byte stream (numpy buffers
-# are traced). Before blocks were unpacked one at a time and the in-place
-# trims, the peaks were 17.8 MB (extract_bits), 17.4 MB (quantize) and
-# 25.7 MB (qkdtx qrng); after, 10.6, 9.2 and 17.5 MB. Each bound sits
-# between the two, at least 2 MB from either. Hashing blocks in pairs, each
-# pair packed into one buffer freed before the inverse FFT, keeps
-# extract_bits at 10.5-10.8 MB.
+#: three full 2^16-element chunks and five elements of a fourth
+STRADDLING = 3 * (1 << 16) + 5
 
-def test_extract_memory_bounded(seed7_bytes, monkeypatch):
-    # two CPUs: the caller and one worker each hold one pair's FFT buffers
+
+def recorded_threads(monkeypatch):
+    """The set of threads that run work items of _on_every_cpu from now on."""
+    threads = set()
+    on_every_cpu = randomness._on_every_cpu
+
+    def recording(work, items):
+        def noted(item):
+            threads.add(threading.current_thread())
+            return work(item)
+        return on_every_cpu(noted, items)
+
+    monkeypatch.setattr(randomness, "_on_every_cpu", recording)
+    return threads
+
+
+def thread_started(self):
+    raise AssertionError("a thread started")
+
+
+def run_on_cpus(monkeypatch, n_cpu, fn, *args):
+    """fn(*args) with n_cpu usable CPUs and a 1 us switch interval, once the
+    threads that ran its work items are checked."""
+    monkeypatch.setattr(randomness, "_usable_cpus", lambda: n_cpu)
+    if n_cpu == 1:
+        monkeypatch.setattr(threading.Thread, "start", thread_started)
+    threads = recorded_threads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads writing disjoint slices of one array
+    try:
+        out = fn(*args)
+    finally:
+        sys.setswitchinterval(interval)
+    # workers run only above one CPU, at most n_cpu - 1 of them beside the
+    # caller, which may find the queue empty when the workers start first
+    workers = threads - {threading.main_thread()}
+    assert (threads == {threading.main_thread()}) if n_cpu == 1 else (0 < len(workers) < n_cpu)
+    return out
+
+
+def serial_interference(n, seed):
+    """The bar-port law I/I_in = (1 + cos phi) / 2 on one draw of n phases."""
+    bar = np.cos(make_rng(seed).uniform(0.0, 2.0 * np.pi, n)) + 1.0
+    bar *= 0.5
+    return bar
+
+
+def serial_quantize(intensities):
+    """byte = min(floor(256 * I/I_in), 255), in one pass."""
+    return np.minimum(np.floor(256 * intensities), 255).astype(np.uint8)
+
+
+@pytest.fixture(scope="module")
+def straddling_bytes():
+    """(bytes, exact lag 1..12 coefficients) of a chunk-straddling stream."""
+    b = serial_quantize(serial_interference(STRADDLING, 24))
+    return b, exact_autocorrelation(b, 12)
+
+
+@pytest.mark.parametrize("n_cpu", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", [STRADDLING, 1_025_000])
+def test_sample_independent_of_cpu_count(monkeypatch, n_cpu, n):
+    s = run_on_cpus(monkeypatch, n_cpu, sample_interference, n, make_rng(24))
+    assert s.tobytes() == serial_interference(n, 24).tobytes()
+
+
+def test_one_chunk_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(randomness, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(threading.Thread, "start", thread_started)
+    s = sample_interference(1 << 16, make_rng(26))
+    assert np.array_equal(quantize(s), serial_quantize(serial_interference(1 << 16, 26)))
+
+
+@pytest.mark.parametrize("n_cpu", [1, 2, 3, 8])
+def test_quantize_independent_of_cpu_count(monkeypatch, n_cpu):
+    s = serial_interference(1025 * 193, 25)  # 3 * 2^16 + 1,217 values
+    grid = s.reshape(1025, 193)  # rows straddle the chunk edges
+    for x in (s, grid, grid.T):
+        b = run_on_cpus(monkeypatch, n_cpu, quantize, x)
+        assert b.shape == x.shape and b.dtype == np.uint8
+        assert np.array_equal(b, serial_quantize(x))
+
+
+@pytest.mark.parametrize("n_cpu", [1, 2, 3, 8])
+def test_autocorr_independent_of_cpu_count(monkeypatch, n_cpu, straddling_bytes):
+    b, exact = straddling_bytes
+    assert run_on_cpus(monkeypatch, n_cpu, byte_autocorrelation, b, 12).tolist() == exact
+
+
+def test_quantize_worker_error_propagates(monkeypatch):
+    # four chunks, a NaN in the last: the caller holds its first chunk (the
+    # first or second) until the worker has raised, so only a worker meets it
     monkeypatch.setattr(randomness, "_usable_cpus", lambda: 2)
+    caller_took, worker_raised = threading.Event(), threading.Event()
+    on_every_cpu = randomness._on_every_cpu
+
+    def ordered(work, items):
+        def step(item):
+            if threading.current_thread() is threading.main_thread():
+                caller_took.set()
+                worker_raised.wait(timeout=60)
+                return work(item)
+            caller_took.wait(timeout=60)
+            try:
+                return work(item)
+            except ValueError:
+                worker_raised.set()
+                raise
+        return on_every_cpu(step, items)
+
+    monkeypatch.setattr(randomness, "_on_every_cpu", ordered)
+    x = np.full(4 << 16, 0.5)
+    x[-1] = np.nan
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        quantize(x)
+    assert worker_raised.is_set()
+
+
+# Peak traced allocations on the pinned 1,025,000-byte stream (numpy buffers
+# are traced), with two usable CPUs. Before blocks were unpacked one at a
+# time and the in-place trims, the peaks were 17.8 MB (extract_bits),
+# 17.4 MB (quantize) and 25.7 MB (qkdtx qrng); after, 10.6, 9.2 and
+# 17.5 MB. Hashing blocks in pairs, each pair packed into one buffer freed
+# before the inverse FFT, keeps extract_bits at 10.5-11.5 MB. Sampling in
+# place and digitizing chunk by chunk took sample_interference from 16.4 to
+# 8.7 MB, quantize from 9.2 to 2.1 MB and qkdtx qrng from 17.4 to 10.3 MB.
+# Each bound sits between the peaks before and after the change that set
+# it, at least 2 MB from either.
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # the caller and one worker each hold one work item's buffers
+    monkeypatch.setattr(randomness, "_usable_cpus", lambda: 2)
+
+
+def test_extract_memory_bounded(seed7_bytes, two_cpus):
     budget = entropy_budget_bits(seed7_bytes)
     assert traced_peak_mb(extract_bits, seed7_bytes, budget, 7) < 13.0
 
 
-def test_quantize_memory_bounded():
+def test_sample_memory_bounded(two_cpus):
+    assert traced_peak_mb(sample_interference, 1_025_000, make_rng(7)) < 12.5
+
+
+def test_quantize_memory_bounded(two_cpus):
     s = sample_interference(1_025_000, make_rng(7))
-    assert traced_peak_mb(quantize, s) < 12.0
+    assert traced_peak_mb(quantize, s) < 5.5
 
 
-def test_cli_qrng_memory_bounded(tmp_path):
+def test_cli_qrng_memory_bounded(tmp_path, two_cpus):
     out = str(tmp_path / "report.json")
     assert cli.main(["qrng", "--n", "20000", "--seed", "7", "--out", out]) == 0  # loads scipy
-    assert traced_peak_mb(cli.main, ["qrng", "--seed", "7", "--out", out]) < 21.0
+    assert traced_peak_mb(cli.main, ["qrng", "--seed", "7", "--out", out]) < 14.0
 
 
 @pytest.mark.parametrize("seed", [3, 7, 10])
